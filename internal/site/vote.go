@@ -45,7 +45,9 @@ func (s *Site) handleVote(ctx context.Context, from string, req proto.VoteReques
 		s.tracer.Emit(s.cfg.Name, trace.EvVoteNo, req.TxnID, from, "already decided")
 		return proto.VoteReply{Commit: false, Reason: "transaction already decided", Witnesses: witnesses}
 	}
+	s.mu.Lock() // coord is read by the resolver's scan (see pending)
 	p.coord = from
+	s.mu.Unlock()
 	if p.t == nil {
 		// A pending entry rebuilt by Recover has no live transaction: its
 		// vote already happened in a previous incarnation, so a duplicate
@@ -134,7 +136,7 @@ func (s *Site) handleVote(ctx context.Context, from string, req proto.VoteReques
 		if s.cfg.ReleaseSharedAtVote {
 			p.t.ReleaseSharedLocks()
 		}
-		p.state = statePrepared
+		s.setState(p, statePrepared)
 		s.tracer.Emit(s.cfg.Name, trace.EvPrepared, req.TxnID, from, "locks retained")
 		s.armResolver()
 	} else {
@@ -160,7 +162,7 @@ func (s *Site) handleVote(ctx context.Context, from string, req proto.VoteReques
 			s.tracer.Emit(s.cfg.Name, trace.EvVoteNo, req.TxnID, from, "local commit failed")
 			return proto.VoteReply{Commit: false, Reason: err.Error(), Witnesses: witnesses}
 		}
-		p.state = stateLocallyCommitted
+		s.setState(p, stateLocallyCommitted)
 		p.exposedAt = s.clock.Now()
 		s.tracer.Emit(s.cfg.Name, trace.EvExposed, req.TxnID, from, "")
 		s.tracer.Emit(s.cfg.Name, trace.EvLocalCommit, req.TxnID, "", "")
@@ -173,6 +175,14 @@ func (s *Site) handleVote(ctx context.Context, from string, req proto.VoteReques
 	s.stats.VotesYes.Inc()
 	s.tracer.Emit(s.cfg.Name, trace.EvVoteYes, req.TxnID, from, "")
 	return proto.VoteReply{Commit: true, Witnesses: witnesses}
+}
+
+// setState publishes a YES vote's outcome under s.mu as well as p.mu, for
+// the resolver's scan (see pending).
+func (s *Site) setState(p *pending, st pendingState) {
+	s.mu.Lock()
+	p.state = st
+	s.mu.Unlock()
 }
 
 // voteNo rolls the subtransaction back (standard recovery, modeled as
@@ -476,41 +486,45 @@ func (s *Site) resolverLoop() {
 		if targets == nil {
 			return
 		}
-		for _, p := range targets {
-			s.resolveOnce(p)
+		for _, tg := range targets {
+			s.resolveOnce(tg)
 		}
 	}
 }
+
+// resolveTarget is one voted, undecided transaction and the coordinator
+// to ask about it, copied out under s.mu.
+type resolveTarget struct{ txnID, coord string }
 
 // resolveTargets snapshots the voted, undecided pending transactions in ID
 // order. A nil return means the scanner disarmed itself (under the same
 // mutex armResolver checks, so no vote can slip between the empty scan and
 // the disarm).
-func (s *Site) resolveTargets() []*pending {
+func (s *Site) resolveTargets() []resolveTarget {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var targets []*pending
+	var targets []resolveTarget
 	for _, p := range s.pend {
 		if p.coord == "" || (p.state != statePrepared && p.state != stateLocallyCommitted) {
 			continue
 		}
-		targets = append(targets, p)
+		targets = append(targets, resolveTarget{txnID: p.req.TxnID, coord: p.coord})
 	}
 	if len(targets) == 0 {
 		s.resolverOn = false
 		return nil
 	}
-	sort.Slice(targets, func(i, j int) bool { return targets[i].req.TxnID < targets[j].req.TxnID })
+	sort.Slice(targets, func(i, j int) bool { return targets[i].txnID < targets[j].txnID })
 	return targets
 }
 
-// resolveOnce sends one decision inquiry for p and applies the answer, if
+// resolveOnce sends one decision inquiry for tg and applies the answer, if
 // the coordinator knows one. handleDecision is idempotent, so racing a
 // concurrently-arriving decision is harmless.
-func (s *Site) resolveOnce(p *pending) {
+func (s *Site) resolveOnce(tg resolveTarget) {
 	cctx, cancel := s.clock.WithTimeout(context.Background(), s.cfg.ResolvePeriod*4)
-	s.tracer.Emit(s.cfg.Name, trace.EvResolveSend, p.req.TxnID, p.coord, "")
-	resp, err := s.caller.Call(cctx, s.cfg.Name, p.coord, proto.ResolveRequest{TxnID: p.req.TxnID})
+	s.tracer.Emit(s.cfg.Name, trace.EvResolveSend, tg.txnID, tg.coord, "")
+	resp, err := s.caller.Call(cctx, s.cfg.Name, tg.coord, proto.ResolveRequest{TxnID: tg.txnID})
 	cancel()
 	if err != nil {
 		return
@@ -521,5 +535,5 @@ func (s *Site) resolveOnce(p *pending) {
 	}
 	// A WAL failure leaves the transaction pending; the next scan retries.
 	//o2pcvet:ignore errflow -- see above: failure leaves the txn pending and the next resolver scan retries
-	_, _ = s.handleDecision(context.Background(), proto.Decision{TxnID: p.req.TxnID, Commit: rr.Commit})
+	_, _ = s.handleDecision(context.Background(), proto.Decision{TxnID: tg.txnID, Commit: rr.Commit})
 }
