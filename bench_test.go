@@ -21,10 +21,7 @@ import (
 // and reports txn/s.
 func benchLoad(b *testing.B, protocol o2pc.Protocol, marking o2pc.MarkProtocol, hotKeys int, abortProb float64) {
 	b.Helper()
-	// ExecWorkers enables the bounded executor fast path (PR9): the
-	// coordinator's exec/vote fan-out reuses pooled workers instead of
-	// spawning per site per phase.
-	cl := o2pc.NewCluster(o2pc.ClusterConfig{Sites: 4, ExecWorkers: 16})
+	cl := o2pc.NewCluster(o2pc.ClusterConfig{Sites: 4})
 	cfg := o2pc.WorkloadConfig{
 		Clients:       4,
 		TxnsPerClient: (b.N + 3) / 4,

@@ -35,23 +35,11 @@ var (
 	stPaxos  = stack{"Paxos", proto.Paxos, proto.MarkNone}
 )
 
-// cluster builds a core cluster, applying the global commit-path tuning
-// flags (-wal-batch, -lock-shards, -parallel-exec) unless the experiment
-// already pinned those fields itself. The first cluster built under
+// cluster builds a core cluster. The first cluster built under
 // -trace/-metrics gets the tracer attached and its stats adopted into the
 // artifacts registry (adoption shares the live instruments, so counts
 // accumulated after this call are exposed too).
 func (e *env) cluster(cfg core.Config) *core.Cluster {
-	if e.walBatch > 0 && !cfg.WALGroupCommit {
-		cfg.WALGroupCommit = true
-		cfg.WALGroupMaxBatch = e.walBatch
-	}
-	if e.lockShards > 0 && cfg.LockShards == 0 {
-		cfg.LockShards = e.lockShards
-	}
-	if e.parallelExec {
-		cfg.ParallelExec = true
-	}
 	if e.art != nil && !e.art.used {
 		e.art.used = true
 		e.art.tracer = trace.New(sim.OrReal(cfg.Clock), trace.DefaultNodeCapacity)

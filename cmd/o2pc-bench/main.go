@@ -75,13 +75,6 @@ type env struct {
 	dump  string
 	art   *artifacts
 	out   *tabwriter.Writer
-	// Commit-path tuning applied to every cluster built (zero = default):
-	// walBatch enables WAL group commit with the given max batch size,
-	// lockShards overrides the lock managers' key-shard count, and
-	// parallelExec fans out execution of unmarked transactions.
-	walBatch     int
-	lockShards   int
-	parallelExec bool
 	// Hostile-workload knobs applied to every workload run (unless the
 	// experiment pinned the field itself): multishot switches loads to
 	// sessions of that many rounds, zipfS replaces the hot-set model with a
@@ -140,9 +133,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	traceFile := fs.String("trace", "", "write the first cluster's protocol event log as JSONL to this file")
 	chromeFile := fs.String("trace-chrome", "", "write the first cluster's protocol event log as Chrome trace-event JSON (Perfetto-loadable) to this file")
 	metricsFile := fs.String("metrics", "", "write the first cluster's metrics in Prometheus text form to this file")
-	walBatch := fs.Int("wal-batch", 0, "enable WAL group commit at every site with this max batch size (0 = off)")
-	lockShards := fs.Int("lock-shards", 0, "key-shard count for every site's lock manager (0 = default)")
-	parallelExec := fs.Bool("parallel-exec", false, "fan out execution of unmarked transactions to their sites concurrently")
 	multishot := fs.Int("multishot", 0, "run workloads as multi-shot sessions of this many rounds (0 = one-shot)")
 	zipfS := fs.Float64("zipf-s", 0, "replace the hot-set model with a Zipf(s) key skew (needs s > 1)")
 	burst := fs.Int("burst", 0, "flash-crowd arrival: clients pause after every N transactions (0 = smooth)")
@@ -177,18 +167,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ran[ex.id] = true
 		fmt.Fprintf(stdout, "== %s: %s ==\n", ex.id, ex.title)
 		e := &env{
-			quick:        *quick,
-			seed:         *seed,
-			dump:         *dump,
-			art:          art,
-			out:          tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0),
-			walBatch:     *walBatch,
-			lockShards:   *lockShards,
-			parallelExec: *parallelExec,
-			multishot:    *multishot,
-			zipfS:        *zipfS,
-			burst:        *burst,
-			readFrac:     *readFrac,
+			quick:     *quick,
+			seed:      *seed,
+			dump:      *dump,
+			art:       art,
+			out:       tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0),
+			multishot: *multishot,
+			zipfS:     *zipfS,
+			burst:     *burst,
+			readFrac:  *readFrac,
 		}
 		ex.run(e)
 		e.flush()

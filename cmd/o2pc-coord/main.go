@@ -35,7 +35,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -101,10 +100,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	chromePath := fs.String("trace-chrome", "", "write the protocol event log as Chrome trace-event JSON (Perfetto-loadable) to this file on exit")
 	metricsPath := fs.String("metrics", "", "write coordinator metrics in Prometheus text form to this file on exit")
 	opsAddr := fs.String("ops-addr", "", "serve the operations HTTP plane (metrics, health, pprof, trace) on this address")
-	idlePerPeer := fs.Int("rpc-idle-per-peer", 0, "warm TCP connections kept per peer (0 = default 16, negative disables pooling)")
-	batchWindow := fs.Duration("rpc-batch-window", 0, "coalesce outbound votes/decisions per site into one envelope per window (0 disables)")
-	batchMax := fs.Int("rpc-batch-max", 0, "messages per coalesced envelope (0 = default 64)")
-	execWorkers := fs.Int("exec-workers", 0, "bounded worker pool for exec/vote fan-out (0 = goroutine per site per phase)")
 	replicas := fs.Int("replog-replicas", 0, "run N in-process decision-log replicas and log decisions through Paxos Commit ballots (0 = local WAL; defaults to 3 under -protocol paxos)")
 	sites := addrList{}
 	fs.Var(sites, "site", "site address as name=host:port (repeatable)")
@@ -112,13 +107,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 
-	proto.RegisterGob()
-
 	var tracer *trace.Tracer
 	if *tracePath != "" || *chromePath != "" || *opsAddr != "" {
 		tracer = trace.New(sim.Real(), trace.DefaultNodeCapacity)
 	}
-	cfg := coord.Config{Name: *name, Tracer: tracer, ExecWorkers: *execWorkers}
+	cfg := coord.Config{Name: *name, Tracer: tracer}
 	if *walPath != "" {
 		fl, err := wal.OpenFileLog(*walPath)
 		if err != nil {
@@ -158,53 +151,28 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			if err != nil {
 				return fmt.Errorf("replica listen: %w", err)
 			}
-			defer rln.Close()
-			rsrv := rpc.NewServer(rep.Name(), rep.Handle)
-			go func() {
-				if err := rsrv.Serve(rln); err != nil && !errors.Is(err, net.ErrClosed) {
-					fmt.Fprintln(stdout, "o2pc-coord: replica serve:", err)
-				}
-			}()
+			defer stopServer(rpc.NewServer(rep.Name(), rep.Handle).Start(rln), stdout, "replica serve")
 			repAddrs[rep.Name()] = rln.Addr().String()
 			repNames = append(repNames, rep.Name())
 		}
 		leader = replog.NewLeader(replog.Config{
 			Group:    *name,
 			Replicas: repNames,
-			Caller:   rpc.NewTCPClientConfig(repAddrs, rpc.TCPClientConfig{}),
+			Caller:   rpc.NewTCPClient(repAddrs),
 			Clock:    sim.Real(),
 			Tracer:   tracer,
 		})
 		cfg.DecisionLog = leader
 		fmt.Fprintf(stdout, "coordinator %s replicating decisions to %d replicas\n", *name, *replicas)
 	}
-	client := rpc.NewTCPClientConfig(sites, rpc.TCPClientConfig{MaxIdlePerPeer: *idlePerPeer})
-	var caller rpc.Caller = client
-	var coal *rpc.Coalescer
-	if *batchWindow > 0 {
-		// Per-peer message coalescing: votes and decisions to one site ride
-		// shared envelopes (the sites' servers always unwrap them).
-		coal = rpc.NewCoalescer(client, rpc.CoalesceConfig{
-			Window:   *batchWindow,
-			MaxBatch: *batchMax,
-			Tracer:   tracer,
-		})
-		caller = coal
-	}
-	c := coord.New(cfg, caller)
+	c := coord.New(cfg, rpc.NewTCPClient(sites))
 	defer c.Close()
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return fmt.Errorf("listen: %w", err)
 	}
-	defer ln.Close()
-	srv := rpc.NewServer(*name, c.Handle)
-	go func() {
-		if err := srv.Serve(ln); err != nil && !errors.Is(err, net.ErrClosed) {
-			fmt.Fprintln(stdout, "o2pc-coord: serve:", err)
-		}
-	}()
+	defer stopServer(rpc.NewServer(*name, c.Handle).Start(ln), stdout, "serve")
 	fmt.Fprintf(stdout, "coordinator %s serving on %s\n", *name, ln.Addr())
 
 	if *opsAddr != "" {
@@ -213,9 +181,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			Registry: metrics.NewRegistry(),
 			Collect: func(r *metrics.Registry) {
 				c.Stats().Publish(r, "o2pc_coord_")
-				if coal != nil {
-					coal.Stats().Publish(r, "o2pc_coord_")
-				}
 				if leader != nil {
 					leader.Stats().Publish(r, "o2pc_coord_replog_")
 				}
@@ -258,6 +223,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return err
 	}
 	return writeArtifacts(c, leader, tracer, *tracePath, *chromePath, *metricsPath)
+}
+
+// stopServer runs a server's stop function and reports a failed accept
+// loop; a clean close reports nothing.
+func stopServer(stop func() error, stdout io.Writer, what string) {
+	if err := stop(); err != nil {
+		fmt.Fprintf(stdout, "o2pc-coord: %s: %v\n", what, err)
+	}
 }
 
 // writeArtifacts dumps the trace and metrics files requested by flags.

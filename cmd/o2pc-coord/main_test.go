@@ -157,6 +157,11 @@ func TestRunPaths(t *testing.T) {
 			}
 			var out bytes.Buffer
 			err := run(ctx, tc.args(s0, s1), &out)
+			// run closes its servers and waits for their accept loops, so
+			// nothing can write to out after it returns.
+			if strings.Contains(out.String(), "serve:") {
+				t.Errorf("a server reported an error:\n%s", out.String())
+			}
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("err = %v, want substring %q", err, tc.wantErr)

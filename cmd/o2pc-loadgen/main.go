@@ -178,7 +178,7 @@ func (t *tally) snapshot() (done, committed, execAborts, other, sessions int) {
 }
 
 // run is the whole command, factored so tests can drive it end to end.
-func run(ctx context.Context, args []string, stdout io.Writer) error {
+func run(ctx context.Context, args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("o2pc-loadgen", flag.ContinueOnError)
 	name := fs.String("name", "lg", "loadgen coordinator node name (sites must be started with -coord <name>=<addr>)")
 	listen := fs.String("listen", "127.0.0.1:0", "listen address for Resolve inquiries from blocked sites")
@@ -200,10 +200,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	tableInterval := fs.Duration("table", time.Second, "live table print interval (0 disables)")
 	outPath := fs.String("out", "", "write a BENCH-style summary JSON to this file")
 	opsAddr := fs.String("ops-addr", "", "serve the loadgen's own operations HTTP plane on this address (also scraped as target \"self\")")
-	idlePerPeer := fs.Int("rpc-idle-per-peer", 0, "warm TCP connections kept per peer (0 = default 16, negative disables pooling)")
-	batchWindow := fs.Duration("rpc-batch-window", 0, "coalesce outbound votes/decisions per site into one envelope per window (0 disables)")
-	batchMax := fs.Int("rpc-batch-max", 0, "messages per coalesced envelope (0 = default 64)")
-	execWorkers := fs.Int("exec-workers", 0, "bounded worker pool for exec/vote fan-out (0 = goroutine per site per phase)")
 	sites := addrList{}
 	fs.Var(sites, "site", "site address as name=host:port (repeatable)")
 	scrapes := addrList{}
@@ -224,7 +220,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return fmt.Errorf("-keys must be at least 1")
 	}
 
-	proto.RegisterGob()
 	clock := sim.Real()
 	cfg := config{
 		name:        *name,
@@ -251,36 +246,21 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if *opsAddr != "" {
 		tracer = trace.New(clock, trace.DefaultNodeCapacity)
 	}
-	client := rpc.NewTCPClientConfig(sites, rpc.TCPClientConfig{MaxIdlePerPeer: *idlePerPeer})
-	var caller rpc.Caller = client
-	var coal *rpc.Coalescer
-	if *batchWindow > 0 {
-		// Per-peer message coalescing: the workload coordinator's votes and
-		// decisions to one site ride shared envelopes.
-		coal = rpc.NewCoalescer(client, rpc.CoalesceConfig{
-			Window:   *batchWindow,
-			MaxBatch: *batchMax,
-			Tracer:   tracer,
-		})
-		caller = coal
-	}
 	c := coord.New(coord.Config{
-		Name:        *name,
-		IDPrefix:    idPrefix,
-		Tracer:      tracer,
-		ExecWorkers: *execWorkers,
-	}, caller)
+		Name:     *name,
+		IDPrefix: idPrefix,
+		Tracer:   tracer,
+	}, rpc.NewTCPClient(sites))
 	defer c.Close()
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		return fmt.Errorf("listen: %w", err)
 	}
-	defer ln.Close()
-	srv := rpc.NewServer(*name, c.Handle)
-	go func() {
-		if serr := srv.Serve(ln); serr != nil {
-			fmt.Fprintln(stdout, "o2pc-loadgen: serve:", serr)
+	stop := rpc.NewServer(*name, c.Handle).Start(ln)
+	defer func() {
+		if serr := stop(); serr != nil && err == nil {
+			err = fmt.Errorf("resolve server: %w", serr)
 		}
 	}()
 	fmt.Fprintf(stdout, "loadgen %s resolve server on %s\n", *name, ln.Addr())
@@ -307,9 +287,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			Registry: metrics.NewRegistry(),
 			Collect: func(r *metrics.Registry) {
 				c.Stats().Publish(r, "o2pc_coord_")
-				if coal != nil {
-					coal.Stats().Publish(r, "o2pc_coord_")
-				}
 			},
 			Health: c.Health,
 			Ready:  c.Ready,
@@ -415,9 +392,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return fmt.Errorf("write summary: %w", err)
 		}
 		fmt.Fprintf(stdout, "summary written to %s\n", *outPath)
-	}
-	if cerr := srv.Close(); cerr != nil {
-		return fmt.Errorf("close resolve server: %w", cerr)
 	}
 	return nil
 }

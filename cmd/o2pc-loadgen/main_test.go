@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"o2pc/internal/rpc"
 	"o2pc/internal/site"
@@ -74,6 +75,9 @@ func TestLoadgenRun(t *testing.T) {
 	}
 
 	text := out.String()
+	if strings.Contains(text, "serve:") {
+		t.Errorf("resolve server reported an error:\n%s", text)
+	}
 	for _, want := range []string{
 		"resolve server on",
 		"funded 4 account(s) x 2 site(s)",
@@ -140,6 +144,27 @@ func TestLoadgenRun(t *testing.T) {
 	if oneshot := summary.Benchmarks["Loadgen/oneshot"]; oneshot["iterations"]+summary.Benchmarks["Loadgen/session"]["iterations"] != 60 {
 		t.Errorf("one-shot (%v) + session (%v) iterations != 60",
 			oneshot["iterations"], summary.Benchmarks["Loadgen/session"]["iterations"])
+	}
+}
+
+// TestLoadgenStopsResolveServer pins the shutdown order on an error path
+// taken after the resolve server is up: run closes the server and waits
+// for its accept loop before returning, so no "serve:" line reaches the
+// output, then or later.
+func TestLoadgenStopsResolveServer(t *testing.T) {
+	s0 := startTestSite(t, "s0")
+	s1 := startTestSite(t, "s1")
+	out := &syncBuffer{}
+	err := run(context.Background(), []string{
+		"-listen", "127.0.0.1:0", "-site", s0, "-site", s1, "-n", "1",
+		"-ops-addr", "127.0.0.1:-1", // fails after funding
+	}, out)
+	if err == nil {
+		t.Fatalf("run with an unusable -ops-addr succeeded:\n%s", out.String())
+	}
+	time.Sleep(20 * time.Millisecond) // a leaked accept loop would report by now
+	if strings.Contains(out.String(), "serve:") {
+		t.Fatalf("accept loop outlived run:\n%s", out.String())
 	}
 }
 

@@ -35,7 +35,6 @@ import (
 
 	"o2pc/internal/metrics"
 	"o2pc/internal/ops"
-	"o2pc/internal/proto"
 	"o2pc/internal/rpc"
 	"o2pc/internal/sim"
 	"o2pc/internal/site"
@@ -92,7 +91,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	walPath := fs.String("wal", "", "write-ahead log file (default: in-memory)")
 	recover := fs.Bool("recover", false, "recover state from the WAL before serving")
 	opsAddr := fs.String("ops-addr", "", "serve the operations HTTP plane (metrics, health, pprof, trace) on this address")
-	idlePerPeer := fs.Int("rpc-idle-per-peer", 0, "warm TCP connections kept per peer (0 = default 16, negative disables pooling)")
 	coords := addrList{}
 	fs.Var(coords, "coord", "coordinator address as name=host:port (repeatable)")
 	seeds := seedList{}
@@ -100,8 +98,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-
-	proto.RegisterGob()
 
 	cfg := site.Config{Name: *name}
 	if *walPath != "" {
@@ -121,7 +117,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	s := site.NewSite(cfg)
 	if len(coords) > 0 {
-		s.SetCaller(rpc.NewTCPClientConfig(coords, rpc.TCPClientConfig{MaxIdlePerPeer: *idlePerPeer}))
+		s.SetCaller(rpc.NewTCPClient(coords))
 	}
 
 	// Start the ops plane before recovery: /healthz reports 503
@@ -172,9 +168,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return fmt.Errorf("listen: %w", err)
 	}
 	fmt.Fprintf(stdout, "site %s serving on %s (wal=%s)\n", *name, ln.Addr(), walOrMemory(*walPath))
-	// BatchHandler lets coalescing coordinators ship proto.Batch envelopes;
-	// unbatched traffic passes through untouched, so wrapping is always on.
-	srv := rpc.NewServer(*name, rpc.BatchHandler(s.Handle, nil))
+	srv := rpc.NewServer(*name, s.Handle)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
 

@@ -16,7 +16,7 @@ func ApplyUndo(store *storage.Store, recs []Record, by string) {}
 
 func Recover(store *storage.Store, log Log) error { return nil }
 
-// GroupCommitLog mirrors the real decorator: Append passes through to the
+// GroupCommitLog models a Log decorator: Append passes through to the
 // inner log, Sync only batches the durability wait.
 type GroupCommitLog struct {
 	inner Log

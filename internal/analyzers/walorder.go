@@ -35,9 +35,9 @@ var walorderMutators = map[string]bool{
 // walorderAppends is the set of wal package calls that establish
 // log-before-store ordering: direct appends plus the replay helpers whose
 // inputs are, by construction, records already in the log. Matching is by
-// package path and method name, so GroupCommitLog.Append (a pass-through
-// to the inner log) qualifies, while Sync — a durability wait, not a log
-// write — deliberately does not.
+// package path and method name, so a decorator's pass-through Append
+// qualifies, while Sync — a durability wait, not a log write —
+// deliberately does not.
 var walorderAppends = map[string]bool{
 	"Append": true, "ApplyUndo": true, "ApplyRedo": true,
 	"Recover": true, "WriteCheckpoint": true,

@@ -253,30 +253,6 @@ type Config struct {
 	// MarkingRetryDelay is the backoff before retrying a retryable R1
 	// rejection. Defaults to 1ms.
 	MarkingRetryDelay time.Duration
-	// ParallelExec fans the execution phase of unmarked (MarkNone)
-	// transactions out to their sites concurrently, one chain per site,
-	// instead of shipping subtransactions sequentially. This collapses the
-	// execution round from the sum of the per-site latencies to their
-	// maximum — a clear win when network latency dominates — but it gives
-	// up the deterministic site-order lock acquisition the sequential path
-	// provides, so under high data contention with negligible latency it
-	// trades throughput for distributed-deadlock timeouts. Off by default.
-	// Marked transactions always execute sequentially: rule R1 threads the
-	// accumulating transmark state from site to site.
-	ParallelExec bool
-	// ExecWorkers, when positive, runs the coordinator's per-site fan-out
-	// for the execution and vote phases on a bounded pool of that many
-	// reusable workers instead of a fresh goroutine per site per phase. At
-	// high concurrency the per-phase spawns dominate the profile via
-	// goroutine stack growth; pooled workers keep their stacks. Only those
-	// two phases qualify: their site handlers are bounded by the lock
-	// timeout, so a worker is never parked indefinitely. Decision delivery
-	// stays spawn-per-site — it retries until acked and can block
-	// unboundedly (crashed site, compensation waiting on another pending
-	// decision's locks), which on a bounded pool would let stuck
-	// deliveries starve or deadlock the ones that would unstick them.
-	// Zero keeps the spawn-per-phase behavior everywhere.
-	ExecWorkers int
 	// Clock supplies the coordinator's notion of time (retry delays,
 	// latency measurement, background delivery). Nil defaults to the real
 	// clock.
@@ -295,7 +271,6 @@ type Coordinator struct {
 	stats  *Stats
 	clock  sim.Clock
 	tracer *trace.Tracer
-	pool   *sim.Pool // nil unless Config.ExecWorkers > 0
 
 	mu      sync.Mutex
 	seq     uint64
@@ -325,10 +300,6 @@ func New(cfg Config, caller rpc.Caller) *Coordinator {
 		}
 		dlog = NewLocalLog(cfg.Name, trace.WrapLog(log, cfg.Tracer, cfg.Name))
 	}
-	var pool *sim.Pool
-	if cfg.ExecWorkers > 0 {
-		pool = sim.NewPool(sim.OrReal(cfg.Clock), cfg.ExecWorkers)
-	}
 	return &Coordinator{
 		cfg:     cfg,
 		caller:  caller,
@@ -337,7 +308,6 @@ func New(cfg Config, caller rpc.Caller) *Coordinator {
 		stats:   newStats(),
 		clock:   sim.OrReal(cfg.Clock),
 		tracer:  cfg.Tracer,
-		pool:    pool,
 		decided: make(map[string]*decided),
 		started: make(map[string][]string),
 	}
@@ -346,16 +316,10 @@ func New(cfg Config, caller rpc.Caller) *Coordinator {
 // Name returns the coordinator's node name.
 func (c *Coordinator) Name() string { return c.cfg.Name }
 
-// Close releases the coordinator's worker pool (a no-op without
-// ExecWorkers). In-flight fan-outs finish; pooled work submitted after
-// Close degrades to plain goroutines.
+// Close releases the decision log's implementation resources (a
+// replicated log's bookkeeping); the underlying WAL, if any, stays open —
+// it belongs to whoever passed it in.
 func (c *Coordinator) Close() {
-	if c.pool != nil {
-		c.pool.Close()
-	}
-	// The decision log may hold implementation resources (a replicated
-	// log's bookkeeping); the underlying WAL, if any, stays open — it
-	// belongs to whoever passed it in.
 	_ = c.dlog.Close()
 }
 

@@ -78,65 +78,47 @@ func (c *Coordinator) run(ctx context.Context, spec TxnSpec) Result {
 		return res
 	}
 
-	// ---- Execution phase. Marking protocols thread the accumulating
-	// transmarks through the subtransactions site by site (rule R1 state),
-	// which forces sequential shipment; without marking the subtransactions
-	// are independent and fan out to their sites concurrently — the same
-	// pattern as the vote round — with per-site order preserved.
+	// ---- Execution phase: subtransactions ship site by site, in spec
+	// order. Marking protocols thread the accumulating transmarks through
+	// them (rule R1 state), and the fixed order is also the lock
+	// acquisition order across sites.
 	var executed []string
-	if c.cfg.ParallelExec && spec.Marking == proto.MarkNone && len(spec.Subtxns) > 1 {
-		if err := c.execFanOut(ctx, id, spec, retries, &res); err != nil {
-			// Abort every spec site: with chains in flight concurrently we
-			// cannot know which executed, and a site may have executed its
-			// subtransaction even though the reply was lost. Decisions are
-			// idempotent, so a site that never saw the request just acks.
+	var transmarks []string
+	visited := false
+	for _, st := range spec.Subtxns {
+		req := proto.ExecRequest{
+			TxnID:       id,
+			Ops:         st.Ops,
+			Comp:        st.Comp,
+			Compensator: st.Compensator,
+			Protocol:    spec.Protocol,
+			Marking:     spec.Marking,
+			TransMarks:  transmarks,
+			Visited:     visited,
+		}
+		reply, err := c.execWithRetry(ctx, id, st.Site, req, retries, &res)
+		if err != nil {
+			// Site unreachable, subtransaction failed, or fatal marking
+			// rejection: abort whatever already executed. The failing site
+			// is included in the abort delivery — it may have executed the
+			// subtransaction even though its reply was lost (decisions are
+			// idempotent, so a site that never saw the request just acks).
 			res.Err = err
 			if res.Outcome == 0 {
 				res.Outcome = AbortedExec
 			}
-			c.decide(ctx, id, false, sites, spec)
+			c.decide(ctx, id, false, append(executed, st.Site), spec)
 			return res
 		}
-		executed = sites
-	} else {
-		var transmarks []string
-		visited := false
-		for _, st := range spec.Subtxns {
-			req := proto.ExecRequest{
-				TxnID:       id,
-				Ops:         st.Ops,
-				Comp:        st.Comp,
-				Compensator: st.Compensator,
-				Protocol:    spec.Protocol,
-				Marking:     spec.Marking,
-				TransMarks:  transmarks,
-				Visited:     visited,
+		if len(reply.Reads) > 0 {
+			if res.Reads == nil {
+				res.Reads = make(map[string]map[string][]byte)
 			}
-			reply, err := c.execWithRetry(ctx, id, st.Site, req, retries, &res)
-			if err != nil {
-				// Site unreachable, subtransaction failed, or fatal marking
-				// rejection: abort whatever already executed. The failing
-				// site is included in the abort delivery — it may have
-				// executed the subtransaction even though its reply was lost
-				// (decisions are idempotent, so a site that never saw the
-				// request just acks).
-				res.Err = err
-				if res.Outcome == 0 {
-					res.Outcome = AbortedExec
-				}
-				c.decide(ctx, id, false, append(executed, st.Site), spec)
-				return res
-			}
-			if len(reply.Reads) > 0 {
-				if res.Reads == nil {
-					res.Reads = make(map[string]map[string][]byte)
-				}
-				res.Reads[st.Site] = reply.Reads
-			}
-			transmarks = reply.Marks
-			visited = true
-			executed = append(executed, st.Site)
+			res.Reads[st.Site] = reply.Reads
 		}
+		transmarks = reply.Marks
+		visited = true
+		executed = append(executed, st.Site)
 	}
 
 	c.finishCommit(ctx, id, executed, spec, &res)
@@ -185,93 +167,6 @@ func (c *Coordinator) finishCommit(ctx context.Context, id string, executed []st
 		res.Outcome = AbortedCoordinator
 		res.Err = ErrCrashed
 	}
-}
-
-// execFanOut ships the subtransactions of a MarkNone transaction
-// concurrently, one chain per site: subtransactions addressed to the same
-// site keep their spec order within that site's chain, while distinct
-// sites' chains proceed in parallel (spawned in spec order, so virtual-time
-// runs stay deterministic). Retry semantics are per call, exactly as in the
-// sequential path. When chains fail, the one whose failing subtransaction
-// comes first in spec order decides the reported error and outcome,
-// matching what the sequential path would have reported.
-func (c *Coordinator) execFanOut(ctx context.Context, id string, spec TxnSpec, retries int, res *Result) error {
-	type chain struct {
-		site string
-		subs []SubtxnSpec
-		idxs []int // spec index of each subtransaction in the chain
-	}
-	bySite := make(map[string]*chain, len(spec.Subtxns))
-	var chains []*chain
-	for i, st := range spec.Subtxns {
-		ch := bySite[st.Site]
-		if ch == nil {
-			ch = &chain{site: st.Site}
-			bySite[st.Site] = ch
-			chains = append(chains, ch)
-		}
-		ch.subs = append(ch.subs, st)
-		ch.idxs = append(ch.idxs, i)
-	}
-
-	// Each chain gets a private Result: execWithRetry mutates Outcome and
-	// MarkRetries, which must not race across chains.
-	type chainResult struct {
-		res    Result
-		err    error
-		failAt int // spec index of the failing subtransaction
-		reads  map[string][]byte
-	}
-	outs := make([]chainResult, len(chains))
-	g := sim.NewGroup(c.clock)
-	for ci, ch := range chains {
-		ci, ch := ci, ch
-		c.pool.Spawn(g, func() {
-			out := &outs[ci]
-			for k, st := range ch.subs {
-				req := proto.ExecRequest{
-					TxnID:       id,
-					Ops:         st.Ops,
-					Comp:        st.Comp,
-					Compensator: st.Compensator,
-					Protocol:    spec.Protocol,
-					Marking:     spec.Marking,
-				}
-				reply, err := c.execWithRetry(ctx, id, ch.site, req, retries, &out.res)
-				if err != nil {
-					out.err = err
-					out.failAt = ch.idxs[k]
-					return
-				}
-				if len(reply.Reads) > 0 {
-					out.reads = reply.Reads
-				}
-			}
-		})
-	}
-	g.Wait()
-
-	fail := -1
-	for ci := range outs {
-		out := &outs[ci]
-		res.MarkRetries += out.res.MarkRetries
-		if out.err != nil && (fail == -1 || out.failAt < outs[fail].failAt) {
-			fail = ci
-		}
-		if out.reads != nil {
-			if res.Reads == nil {
-				res.Reads = make(map[string]map[string][]byte)
-			}
-			res.Reads[chains[ci].site] = out.reads
-		}
-	}
-	if fail >= 0 {
-		if outs[fail].res.Outcome != 0 {
-			res.Outcome = outs[fail].res.Outcome
-		}
-		return outs[fail].err
-	}
-	return nil
 }
 
 // execWithRetry ships one subtransaction, absorbing retryable marking
@@ -343,7 +238,7 @@ func (c *Coordinator) collectVotes(ctx context.Context, id string, sites []strin
 	g := sim.NewGroup(c.clock)
 	for i := 1; i < len(sites); i++ {
 		i, site := i, sites[i]
-		c.pool.Spawn(g, func() { vote(i, site) })
+		g.Go(func() { vote(i, site) })
 	}
 	if len(sites) > 0 {
 		vote(0, sites[0])
@@ -487,13 +382,6 @@ func (c *Coordinator) deliverDecision(ctx context.Context, id string, d *decided
 	sort.Strings(sites)
 
 	deliverStart := c.clock.Now()
-	// Deliberately NOT pooled: a delivery retries until the site acks, so
-	// it can block unboundedly — on a crashed site, or on the site's abort
-	// compensation waiting for a lock that only ANOTHER pending decision
-	// releases. Routing deliveries through the bounded pool lets blocked
-	// ones exhaust the workers and deadlock the decisions that would
-	// unblock them; the pool covers only the exec and vote phases, whose
-	// site handlers are bounded by the lock timeout.
 	g := sim.NewGroup(c.clock)
 	for _, site := range sites {
 		site := site
@@ -656,9 +544,6 @@ func (c *Coordinator) Recover(ctx context.Context) error {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	// Recovery re-delivery spawns directly, like deliverDecision's own
-	// per-site sends: deliveries can block unboundedly and must not share
-	// a bounded pool (see Config.ExecWorkers).
 	g := sim.NewGroup(c.clock)
 	for _, id := range ids {
 		id, d := id, toDeliver[id]

@@ -16,7 +16,6 @@ import (
 // sockets and runs commit and compensation flows through them — the same
 // wiring cmd/o2pc-site and cmd/o2pc-coord use.
 func TestTCPEndToEnd(t *testing.T) {
-	proto.RegisterGob()
 	rec := history.NewRecorder()
 
 	addrs := map[string]string{}

@@ -71,35 +71,6 @@ type Config struct {
 	// ReadOnlyVotes enables the read-only participant optimization at
 	// every site (see site.Config.ReadOnlyVotes; experiment A4).
 	ReadOnlyVotes bool
-	// LockShards overrides the per-site lock manager shard count; zero
-	// selects lock.DefaultShards.
-	LockShards int
-	// WALGroupCommit enables WAL group commit at every site: concurrent
-	// committers coalesce their durability waits into one physical sync
-	// (see site.Config.WALGroupCommit).
-	WALGroupCommit bool
-	// WALGroupWindow and WALGroupMaxBatch tune the group-commit batching;
-	// zero selects the wal package defaults.
-	WALGroupWindow   time.Duration
-	WALGroupMaxBatch int
-	// ParallelExec fans the execution phase of unmarked transactions out to
-	// their sites concurrently (see coord.Config.ParallelExec). Off by
-	// default: parallel chains give up the sequential path's site-order
-	// lock acquisition, which matters under high contention.
-	ParallelExec bool
-	// ExecWorkers, when positive, runs each coordinator's per-site fan-out
-	// on a bounded pool of reusable workers instead of goroutine-per-site
-	// per phase (see coord.Config.ExecWorkers). Zero keeps plain spawning.
-	ExecWorkers int
-	// CoalesceRPC batches coordinator→site VOTE-REQs and DECISIONs per
-	// destination site into single envelopes, fanned back out at the site
-	// (see rpc.Coalescer). Off by default: the per-message-type census of
-	// experiment E6 counts envelopes, not their contents, so census-exact
-	// runs must leave this off. CoalesceWindow and CoalesceMaxBatch tune
-	// the batching; zero selects the rpc package defaults.
-	CoalesceRPC      bool
-	CoalesceWindow   time.Duration
-	CoalesceMaxBatch int
 	// Clock drives every timer in the cluster — network latency, lock
 	// timeouts, retry backoffs, resolver periods. Nil defaults to the real
 	// clock; pass a sim.VirtualClock for deterministic simulation.
@@ -114,16 +85,15 @@ type Config struct {
 
 // Cluster is a complete in-process multidatabase.
 type Cluster struct {
-	cfg       Config
-	clock     sim.Clock
-	network   *rpc.Network
-	sites     []*site.Site
-	coords    []*coord.Coordinator
-	replicas  []*replog.Replica // decision-log replicas (empty unless Replicas > 0)
-	leaders   []*replog.Leader  // per-coordinator, parallel to coords (empty unless Replicas > 0)
-	recorder  *history.Recorder
-	board     *marking.Board
-	coalescer *rpc.Coalescer // nil unless CoalesceRPC
+	cfg      Config
+	clock    sim.Clock
+	network  *rpc.Network
+	sites    []*site.Site
+	coords   []*coord.Coordinator
+	replicas []*replog.Replica // decision-log replicas (empty unless Replicas > 0)
+	leaders  []*replog.Leader  // per-coordinator, parallel to coords (empty unless Replicas > 0)
+	recorder *history.Recorder
+	board    *marking.Board
 
 	doomed doomedSet
 }
@@ -166,20 +136,12 @@ func NewCluster(cfg Config) *Cluster {
 			ResolvePeriod:        cfg.ResolvePeriod,
 			LockTimeout:          cfg.LockTimeout,
 			ReadOnlyVotes:        cfg.ReadOnlyVotes,
-			LockShards:           cfg.LockShards,
-			WALGroupCommit:       cfg.WALGroupCommit,
-			WALGroupWindow:       cfg.WALGroupWindow,
-			WALGroupMaxBatch:     cfg.WALGroupMaxBatch,
 			Clock:                clock,
 			Tracer:               cfg.Tracer,
 		})
 		s.SetCaller(cl.network)
 		s.SetVoteAbortInjector(cl.doomed.injectorFor(name))
-		handler := s.Handle
-		if cfg.CoalesceRPC {
-			handler = rpc.BatchHandler(handler, clock)
-		}
-		cl.network.Register(name, handler)
+		cl.network.Register(name, s.Handle)
 		cl.sites = append(cl.sites, s)
 	}
 	var replicaNames []string
@@ -193,26 +155,10 @@ func NewCluster(cfg Config) *Cluster {
 		cl.replicas = append(cl.replicas, r)
 		replicaNames = append(replicaNames, name)
 	}
-	// All coordinators share one coalescer: its queues are per (from, to)
-	// pair, so traffic from distinct coordinators never mixes.
-	var coordCaller rpc.Caller = cl.network
-	if cfg.CoalesceRPC {
-		cl.coalescer = rpc.NewCoalescer(cl.network, rpc.CoalesceConfig{
-			Window:   cfg.CoalesceWindow,
-			MaxBatch: cfg.CoalesceMaxBatch,
-			Clock:    clock,
-			Tracer:   cfg.Tracer,
-		})
-		coordCaller = cl.coalescer
-	}
 	for i := 0; i < cfg.Coordinators; i++ {
 		name := fmt.Sprintf("c%d", i)
 		var dlog coord.DecisionLog
 		if cfg.Replicas > 0 {
-			// Replication traffic goes straight to the network: the
-			// coalescer batches coordinator→site protocol rounds, and
-			// folding ballot fan-outs into those envelopes would couple the
-			// majority-ack latency to site traffic.
 			leader := replog.NewLeader(replog.Config{
 				Group:    name,
 				Replicas: replicaNames,
@@ -224,16 +170,14 @@ func NewCluster(cfg Config) *Cluster {
 			dlog = leader
 		}
 		c := coord.New(coord.Config{
-			Name:         name,
-			IDPrefix:     prefixFor(i),
-			Recorder:     cl.recorder,
-			Board:        cl.board,
-			ParallelExec: cfg.ParallelExec,
-			ExecWorkers:  cfg.ExecWorkers,
-			Clock:        clock,
-			Tracer:       cfg.Tracer,
-			DecisionLog:  dlog,
-		}, coordCaller)
+			Name:        name,
+			IDPrefix:    prefixFor(i),
+			Recorder:    cl.recorder,
+			Board:       cl.board,
+			Clock:       clock,
+			Tracer:      cfg.Tracer,
+			DecisionLog: dlog,
+		}, cl.network)
 		cl.network.Register(name, c.Handle)
 		cl.coords = append(cl.coords, c)
 	}
@@ -253,13 +197,8 @@ func prefixFor(i int) string {
 // census).
 func (cl *Cluster) Network() *rpc.Network { return cl.network }
 
-// Coalescer exposes the RPC coalescer (nil unless CoalesceRPC is on).
-func (cl *Cluster) Coalescer() *rpc.Coalescer { return cl.coalescer }
-
-// Close releases cluster resources held by long-lived goroutines (the
-// coordinators' worker pools). Safe to skip for short-lived test
-// clusters — parked workers die with the process — but benchmarks that
-// build many clusters should Close each one.
+// Close releases the coordinators' decision-log resources. Safe to skip
+// for short-lived test clusters.
 func (cl *Cluster) Close() {
 	for _, c := range cl.coords {
 		c.Close()
@@ -440,9 +379,6 @@ func (cl *Cluster) PublishMetrics(reg *metrics.Registry) {
 	}
 	for _, s := range cl.sites {
 		s.Stats().Publish(reg, "o2pc_site_"+s.Name()+"_")
-		if g := s.GroupCommit(); g != nil {
-			g.Stats().Publish(reg, "o2pc_site_"+s.Name()+"_")
-		}
 	}
 	net := cl.network.Counts()
 	for _, name := range net.CounterNames() {

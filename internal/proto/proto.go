@@ -17,10 +17,7 @@
 // messages".
 package proto
 
-import (
-	"encoding/gob"
-	"fmt"
-)
+import "fmt"
 
 // Protocol selects the commit protocol for a global transaction.
 type Protocol uint8
@@ -383,24 +380,4 @@ func TxnIDOf(msg any) string {
 	default:
 		return ""
 	}
-}
-
-// RegisterGob registers every message type with encoding/gob for the TCP
-// transport. Safe to call multiple times.
-func RegisterGob() {
-	gob.Register(ExecRequest{})
-	gob.Register(ExecReply{})
-	gob.Register(VoteRequest{})
-	gob.Register(VoteReply{})
-	gob.Register(Decision{})
-	gob.Register(Ack{})
-	gob.Register(ResolveRequest{})
-	gob.Register(ResolveReply{})
-	gob.Register(Batch{})
-	gob.Register(BatchReply{})
-	gob.Register(RepBegin{})
-	gob.Register(RepAccept{})
-	gob.Register(RepReply{})
-	gob.Register(RepNewTerm{})
-	gob.Register(RepNewTermReply{})
 }

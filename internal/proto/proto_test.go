@@ -1,10 +1,6 @@
 package proto
 
-import (
-	"bytes"
-	"encoding/gob"
-	"testing"
-)
+import "testing"
 
 func TestOperationConstructors(t *testing.T) {
 	if op := Read("k"); op.Kind != OpRead || op.Key != "k" {
@@ -49,38 +45,5 @@ func TestStringMethods(t *testing.T) {
 	if Protocol(99).String() == "" || MarkProtocol(99).String() == "" ||
 		OpKind(99).String() == "" || CompMode(99).String() == "" {
 		t.Errorf("unknown enum values must render")
-	}
-}
-
-func TestGobRoundTripAllMessages(t *testing.T) {
-	RegisterGob()
-	RegisterGob() // idempotent
-
-	msgs := []any{
-		ExecRequest{TxnID: "T1", Ops: []Operation{AddMin("k", -1, 0)},
-			Comp: CompSemantic, Protocol: O2PC, Marking: MarkP1,
-			TransMarks: []string{"T0"}, Visited: true},
-		ExecReply{OK: true, Reads: map[string][]byte{"k": []byte("v")},
-			Marks: []string{"T0"}, Witnesses: []WitnessDelta{{Forward: "T0", Site: "s0"}}},
-		VoteRequest{TxnID: "T1"},
-		VoteReply{Commit: true, Witnesses: []WitnessDelta{{Forward: "T9", Site: "s1"}}},
-		Decision{TxnID: "T1", Commit: false, Unmarks: []string{"T0"}},
-		Ack{TxnID: "T1", Marked: true},
-		ResolveRequest{TxnID: "T1"},
-		ResolveReply{Known: true, Commit: true},
-	}
-	for _, msg := range msgs {
-		var buf bytes.Buffer
-		var in any = msg
-		if err := gob.NewEncoder(&buf).Encode(&in); err != nil {
-			t.Fatalf("encode %T: %v", msg, err)
-		}
-		var out any
-		if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-			t.Fatalf("decode %T: %v", msg, err)
-		}
-		if out == nil {
-			t.Fatalf("decode %T: nil", msg)
-		}
 	}
 }

@@ -17,8 +17,8 @@ package proto
 //   - slices and maps are a uvarint element count followed by the elements
 //     (map entries in sorted key order, so encoding is deterministic);
 //   - zero-length slices, maps and []byte decode as nil — exactly what a
-//     gob round trip produces, which keeps the two codecs equivalent
-//     (FuzzWireCodec pins this).
+//     gob round trip produces (FuzzWireCodec checks the codec against
+//     encoding/gob as a reference).
 //
 // The codec is versioned as a unit: WireVersion is carried in the frame
 // header by the transport (rpc/tcp.go), not per message, and any change to
@@ -49,8 +49,8 @@ const (
 	wtAck
 	wtResolveRequest
 	wtResolveReply
-	wtBatch
-	wtBatchReply
+	_ // 9: reserved, carried batch envelopes in an earlier generation
+	_ // 10: reserved, carried batch replies
 	wtRepBegin
 	wtRepAccept
 	wtRepReply
@@ -58,34 +58,13 @@ const (
 	wtRepNewTermReply
 )
 
-// ErrUnknownWireType reports a message outside the protocol vocabulary
-// (the transport falls back to gob for those) or an unknown tag byte on
-// decode.
+// ErrUnknownWireType reports a message outside the protocol vocabulary on
+// encode (the transport refuses to send it) or an unknown or reserved tag
+// byte on decode.
 var ErrUnknownWireType = errors.New("proto: message type outside the wire vocabulary")
 
 // errTruncated reports input that ends mid-field.
 var errTruncated = errors.New("proto: truncated wire message")
-
-// Batch carries several protocol messages from one sender to one peer in a
-// single envelope — the per-peer message coalescing mirror of WAL group
-// commit (rpc.Coalescer builds these, rpc.BatchHandler fans them back out
-// server-side, in order, so per-peer FIFO delivery is preserved).
-type Batch struct {
-	Msgs []any
-}
-
-// BatchReply answers a Batch: Items[i] answers Msgs[i].
-type BatchReply struct {
-	Items []BatchItem
-}
-
-// BatchItem is one reply inside a BatchReply. Err carries a handler
-// error's text ("" for success); Body is the reply message (nil when the
-// handler returned none).
-type BatchItem struct {
-	Err  string
-	Body any
-}
 
 // AppendMessage appends the binary encoding of msg (a tag byte followed by
 // the fields) to buf and returns the extended slice. Messages outside the
@@ -124,14 +103,6 @@ func AppendMessage(buf []byte, msg any) ([]byte, error) {
 		return appendBool(appendBool(append(buf, wtResolveReply), m.Known), m.Commit), nil
 	case *ResolveReply:
 		return appendBool(appendBool(append(buf, wtResolveReply), m.Known), m.Commit), nil
-	case Batch:
-		return appendBatch(buf, &m)
-	case *Batch:
-		return appendBatch(buf, m)
-	case BatchReply:
-		return appendBatchReply(buf, &m)
-	case *BatchReply:
-		return appendBatchReply(buf, m)
 	case RepBegin:
 		return appendRepBegin(buf, &m), nil
 	case *RepBegin:
@@ -276,35 +247,6 @@ func appendDecision(buf []byte, m *Decision) []byte {
 	return appendStrings(buf, m.Unmarks)
 }
 
-func appendBatch(buf []byte, m *Batch) ([]byte, error) {
-	buf = append(buf, wtBatch)
-	buf = binary.AppendUvarint(buf, uint64(len(m.Msgs)))
-	var err error
-	for _, inner := range m.Msgs {
-		if buf, err = AppendMessage(buf, inner); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-func appendBatchReply(buf []byte, m *BatchReply) ([]byte, error) {
-	buf = append(buf, wtBatchReply)
-	buf = binary.AppendUvarint(buf, uint64(len(m.Items)))
-	var err error
-	for _, it := range m.Items {
-		buf = appendString(buf, it.Err)
-		if it.Body == nil {
-			buf = append(buf, 0) // nil-body tag
-			continue
-		}
-		if buf, err = AppendMessage(buf, it.Body); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
 func appendRepBegin(buf []byte, m *RepBegin) []byte {
 	buf = append(buf, wtRepBegin)
 	buf = appendString(buf, m.Group)
@@ -423,41 +365,6 @@ func decodeAny(r *wireReader) (any, error) {
 		msg = ResolveRequest{TxnID: r.str()}
 	case wtResolveReply:
 		msg = ResolveReply{Known: r.bool(), Commit: r.bool()}
-	case wtBatch:
-		n := r.count()
-		var m Batch
-		if n > 0 {
-			m.Msgs = make([]any, 0, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				inner, err := decodeAny(r)
-				if err != nil {
-					return nil, err
-				}
-				m.Msgs = append(m.Msgs, inner)
-			}
-		}
-		msg = m
-	case wtBatchReply:
-		n := r.count()
-		var m BatchReply
-		if n > 0 {
-			m.Items = make([]BatchItem, 0, n)
-			for i := 0; i < n && r.err == nil; i++ {
-				var it BatchItem
-				it.Err = r.str()
-				if r.err == nil && r.off < len(r.b) && r.b[r.off] == 0 {
-					r.off++ // nil-body tag
-				} else {
-					body, err := decodeAny(r)
-					if err != nil {
-						return nil, err
-					}
-					it.Body = body
-				}
-				m.Items = append(m.Items, it)
-			}
-		}
-		msg = m
 	case wtRepBegin:
 		msg = decodeRepBegin(r)
 	case wtRepAccept:

@@ -3,18 +3,27 @@ package proto
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"reflect"
 	"testing"
 )
 
-// gobRoundTrip pushes msg through the gob path the TCP transport used
-// before the binary codec: an interface-typed encode/decode, exactly like
-// the old envelope{Body any}. Its output is the equivalence reference for
-// the binary codec — in particular gob's zero-value elision means empty
-// slices and maps come back nil.
+// Tags 9 and 10 carried batch envelopes in an earlier codec generation;
+// they stay reserved so that later tags keep their values.
+var reservedTags = []byte{9, 10}
+
+func init() {
+	for _, m := range []any{ExecRequest{}, ExecReply{}, VoteRequest{}, VoteReply{}, Decision{}, Ack{},
+		ResolveRequest{}, ResolveReply{}, RepBegin{}, RepAccept{}, RepReply{}, RepNewTerm{}, RepNewTermReply{}} {
+		gob.Register(m)
+	}
+}
+
+// gobRoundTrip pushes msg through an interface-typed gob encode/decode. Its
+// output is the equivalence reference for the binary codec — in particular
+// gob's zero-value elision means empty slices and maps come back nil.
 func gobRoundTrip(t testing.TB, msg any) any {
 	t.Helper()
-	RegisterGob()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&msg); err != nil {
 		t.Fatalf("gob encode %T: %v", msg, err)
@@ -80,13 +89,6 @@ func sampleMessages(id, key, s string, val []byte, d1, d2 int64, b1, b2, b3 bool
 		Ack{TxnID: id, Marked: b2},
 		ResolveRequest{TxnID: id},
 		ResolveReply{Known: b1, Commit: b2},
-		Batch{Msgs: []any{VoteRequest{TxnID: id}, Decision{TxnID: s, Commit: b1, Unmarks: marks}}},
-		Batch{},
-		BatchReply{Items: []BatchItem{
-			{Err: s, Body: VoteReply{Commit: b1, Reason: id, Witnesses: ws}},
-			{Err: "", Body: nil},
-			{Body: Ack{TxnID: id, Marked: b3}},
-		}},
 		RepBegin{Group: s, Term: uint64(d1), TxnID: id, Sites: marks,
 			Marking: MarkProtocol(n % 4)},
 		RepBegin{},
@@ -95,14 +97,13 @@ func sampleMessages(id, key, s string, val []byte, d1, d2 int64, b1, b2, b3 bool
 		RepNewTerm{Group: s, Term: uint64(d2)},
 		RepNewTermReply{OK: b1, Term: uint64(d1), Txns: txns},
 		RepNewTermReply{},
-		Batch{Msgs: []any{RepAccept{Group: s, Term: uint64(d1), TxnID: id, Commit: b2},
-			RepNewTerm{Group: id, Term: uint64(d2)}}},
 	}
 }
 
-// FuzzWireCodec pins the binary codec against the gob path: for every
-// protocol message shape, decode(encode(m)) must equal what a gob round
-// trip of m produces (same values, same nil-vs-empty normalization).
+// FuzzWireCodec pins the binary codec against gob: for every protocol
+// message shape, decode(encode(m)) must equal what a gob round trip of m
+// produces (same values, same nil-vs-empty normalization). The same
+// encoding under a reserved tag must be rejected.
 func FuzzWireCodec(f *testing.F) {
 	f.Add("T1", "acct", "s0", []byte{1, 2, 3}, int64(-40), int64(0), true, false, true, uint8(3))
 	f.Add("", "", "", []byte(nil), int64(0), int64(0), false, false, false, uint8(0))
@@ -114,6 +115,13 @@ func FuzzWireCodec(f *testing.F) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%T diverged:\nbinary: %#v\ngob:    %#v", msg, got, want)
 			}
+			b, _ := AppendMessage(nil, msg)
+			for _, tag := range reservedTags {
+				b[0] = tag
+				if _, err := DecodeMessage(b); !errors.Is(err, ErrUnknownWireType) {
+					t.Fatalf("%T under reserved tag %d: err = %v", msg, tag, err)
+				}
+			}
 		}
 	})
 }
@@ -124,10 +132,15 @@ func FuzzWireCodec(f *testing.F) {
 func FuzzWireDecode(f *testing.F) {
 	seed, _ := AppendMessage(nil, ExecRequest{TxnID: "T1", Ops: []Operation{Read("k")}})
 	f.Add(seed)
-	f.Add([]byte{wtBatch, 2, wtVoteRequest, 1, 'x', wtAck, 1, 'y', 1})
+	// A two-message batch envelope as the earlier generation framed it.
+	f.Add([]byte{9, 2, wtVoteRequest, 1, 'x', wtAck, 1, 'y', 1})
+	f.Add([]byte{10, 1, 0, 0})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := DecodeMessage(data)
+		if len(data) > 0 && bytes.IndexByte(reservedTags, data[0]) >= 0 && !errors.Is(err, ErrUnknownWireType) {
+			t.Fatalf("reserved tag %d: err = %v", data[0], err)
+		}
 		if err != nil {
 			return
 		}

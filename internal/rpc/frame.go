@@ -20,15 +20,12 @@ package rpc
 // stream that lost framing cannot be resynchronized.
 //
 // Request payloads carry the sender name then the body; reply payloads an
-// error string then the body. Bodies use the hand-rolled binary codec for
-// the protocol vocabulary (proto.AppendMessage) and fall back to a
-// self-contained gob blob for anything else, so auxiliary message types
-// (tests, future tooling) still cross the wire.
+// error string then the body. Bodies use the hand-rolled binary codec of
+// the protocol vocabulary (proto.AppendMessage); anything else fails at the
+// sender with proto.ErrUnknownWireType before a byte is written.
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -51,11 +48,11 @@ const (
 	frameDecodeErr
 )
 
-// Body kinds inside request/reply payloads.
+// Body kinds inside request/reply payloads. Kind 2 carried gob blobs in an
+// earlier codec generation and now decodes as ErrDecode.
 const (
 	bodyNil byte = iota
 	bodyProto
-	bodyGob
 )
 
 // Typed transport decode errors. Both are surfaced by TCPClient.Call (and
@@ -108,24 +105,13 @@ func readFrame(r io.Reader, buf []byte) (kind byte, payload []byte, err error) {
 	return kind, payload, nil
 }
 
-// appendBody encodes a message body: the binary codec for protocol
-// messages, a self-contained gob blob otherwise.
+// appendBody encodes a message body with the binary codec; a body outside
+// the protocol vocabulary returns proto.ErrUnknownWireType.
 func appendBody(buf []byte, body any) ([]byte, error) {
 	if body == nil {
 		return append(buf, bodyNil), nil
 	}
-	out, err := proto.AppendMessage(append(buf, bodyProto), body)
-	if err == nil {
-		return out, nil
-	}
-	if !errors.Is(err, proto.ErrUnknownWireType) {
-		return nil, err
-	}
-	var gb bytes.Buffer
-	if err := gob.NewEncoder(&gb).Encode(&body); err != nil {
-		return nil, fmt.Errorf("rpc: gob-encoding %T: %w", body, err)
-	}
-	return append(append(buf, bodyGob), gb.Bytes()...), nil
+	return proto.AppendMessage(append(buf, bodyProto), body)
 }
 
 // decodeBody is appendBody's inverse; data is the body-kind byte onward.
@@ -145,12 +131,6 @@ func decodeBody(data []byte) (any, error) {
 			return nil, fmt.Errorf("%w: %v", ErrDecode, err)
 		}
 		return msg, nil
-	case bodyGob:
-		var body any
-		if err := gob.NewDecoder(bytes.NewReader(data[1:])).Decode(&body); err != nil {
-			return nil, fmt.Errorf("%w: gob: %v", ErrDecode, err)
-		}
-		return body, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown body kind %d", ErrDecode, data[0])
 	}

@@ -7,7 +7,7 @@
 //     latency, jitter, message loss, link partitions and node crashes. All
 //     simulation experiments run over it; its per-message-type census is
 //     the data source for experiment E6 ("no extra messages beyond 2PC").
-//   - TCP (tcp.go): a gob-encoded TCP transport for the multi-process
+//   - TCP (tcp.go): a framed binary TCP transport for the multi-process
 //     deployment under cmd/.
 //
 // Every request and every reply counts as one message, mirroring the
@@ -32,6 +32,11 @@ import (
 
 // Handler processes one inbound request at a node.
 type Handler func(ctx context.Context, from string, req any) (any, error)
+
+// BatchHandler returns h unchanged. It exists only because
+// benchmark/node.go still wraps its site handler in it and BENCHMARK.json
+// freezes the benchmark/ sources; delete it together with that call.
+func BatchHandler(h Handler, _ sim.Clock) Handler { return h }
 
 // Caller issues a request to a named node and waits for its reply.
 type Caller interface {

@@ -2,13 +2,14 @@ package rpc
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"time"
+
+	"o2pc/internal/proto"
 )
 
 type ping struct{ N int }
@@ -167,21 +168,10 @@ func TestDeterministicDropPatternWithSeed(t *testing.T) {
 	}
 }
 
-type tcpReq struct{ Msg string }
-type tcpResp struct{ Msg string }
-
-func init() {
-	gob.Register(tcpReq{})
-	gob.Register(tcpResp{})
-}
-
 func TestTCPRoundTrip(t *testing.T) {
-	type req = tcpReq
-	type resp = tcpResp
-
 	srv := NewServer("b", func(ctx context.Context, from string, m any) (any, error) {
-		r := m.(req)
-		return resp{Msg: r.Msg + " from " + from}, nil
+		r := m.(proto.VoteRequest)
+		return proto.VoteReply{Commit: true, Reason: r.TxnID + " from " + from}, nil
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -192,21 +182,20 @@ func TestTCPRoundTrip(t *testing.T) {
 
 	client := NewTCPClient(map[string]string{"b": ln.Addr().String()})
 	defer client.Close()
-	raw, err := client.Call(context.Background(), "a", "b", req{Msg: "hi"})
+	raw, err := client.Call(context.Background(), "a", "b", proto.VoteRequest{TxnID: "hi"})
 	if err != nil {
 		t.Fatalf("call: %v", err)
 	}
-	if raw.(resp).Msg != "hi from a" {
+	if raw.(proto.VoteReply).Reason != "hi from a" {
 		t.Fatalf("resp = %+v", raw)
 	}
 	// Sequential reuse of the pooled connection.
-	if _, err := client.Call(context.Background(), "a", "b", req{Msg: "again"}); err != nil {
+	if _, err := client.Call(context.Background(), "a", "b", proto.VoteRequest{TxnID: "again"}); err != nil {
 		t.Fatalf("second call: %v", err)
 	}
 }
 
 func TestTCPRemoteError(t *testing.T) {
-	type req = tcpReq
 	srv := NewServer("b", func(ctx context.Context, from string, m any) (any, error) {
 		return nil, errors.New("handler exploded")
 	})
@@ -219,7 +208,7 @@ func TestTCPRemoteError(t *testing.T) {
 
 	client := NewTCPClient(map[string]string{"b": ln.Addr().String()})
 	defer client.Close()
-	_, err = client.Call(context.Background(), "a", "b", req{})
+	_, err = client.Call(context.Background(), "a", "b", proto.VoteRequest{})
 	if err == nil || !errorsContain(err, "handler exploded") {
 		t.Fatalf("err = %v", err)
 	}
@@ -231,13 +220,12 @@ func TestTCPRemoteError(t *testing.T) {
 // in a lock wait at a site would block the lock holder's own vote traffic
 // and turn every lock conflict into a timeout convoy.
 func TestTCPConcurrentCallsNotSerialized(t *testing.T) {
-	type req = tcpReq
 	release := make(chan struct{})
 	srv := NewServer("b", func(ctx context.Context, from string, m any) (any, error) {
-		if m.(req).Msg == "slow" {
+		if m.(proto.VoteRequest).TxnID == "slow" {
 			<-release
 		}
-		return tcpResp{Msg: "ok"}, nil
+		return proto.VoteReply{Commit: true}, nil
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -251,14 +239,14 @@ func TestTCPConcurrentCallsNotSerialized(t *testing.T) {
 
 	slowDone := make(chan error, 1)
 	go func() {
-		_, err := client.Call(context.Background(), "a", "b", req{Msg: "slow"})
+		_, err := client.Call(context.Background(), "a", "b", proto.VoteRequest{TxnID: "slow"})
 		slowDone <- err
 	}()
 
 	// The fast call must complete while the slow handler is still parked.
 	fastCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := client.Call(fastCtx, "a", "b", req{Msg: "fast"}); err != nil {
+	if _, err := client.Call(fastCtx, "a", "b", proto.VoteRequest{TxnID: "fast"}); err != nil {
 		t.Fatalf("fast call blocked behind slow one: %v", err)
 	}
 	close(release)
@@ -270,9 +258,8 @@ func TestTCPConcurrentCallsNotSerialized(t *testing.T) {
 // TestTCPPoolReuse checks that finished calls park their connections for
 // reuse instead of dialling per call.
 func TestTCPPoolReuse(t *testing.T) {
-	type req = tcpReq
 	srv := NewServer("b", func(ctx context.Context, from string, m any) (any, error) {
-		return tcpResp{Msg: "ok"}, nil
+		return proto.VoteReply{Commit: true}, nil
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -284,7 +271,7 @@ func TestTCPPoolReuse(t *testing.T) {
 	client := NewTCPClient(map[string]string{"b": ln.Addr().String()})
 	defer client.Close()
 	for i := 0; i < 5; i++ {
-		if _, err := client.Call(context.Background(), "a", "b", req{Msg: "x"}); err != nil {
+		if _, err := client.Call(context.Background(), "a", "b", proto.VoteRequest{TxnID: "x"}); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
@@ -298,14 +285,14 @@ func TestTCPPoolReuse(t *testing.T) {
 
 func TestTCPUnknownNode(t *testing.T) {
 	client := NewTCPClient(map[string]string{})
-	if _, err := client.Call(context.Background(), "a", "nope", ping{}); !errors.Is(err, ErrUnknownNode) {
+	if _, err := client.Call(context.Background(), "a", "nope", proto.VoteRequest{}); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestTCPUnreachable(t *testing.T) {
 	client := NewTCPClient(map[string]string{"b": "127.0.0.1:1"}) // nothing listens
-	if _, err := client.Call(context.Background(), "a", "b", ping{}); !errors.Is(err, ErrUnreachable) {
+	if _, err := client.Call(context.Background(), "a", "b", proto.VoteRequest{}); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("err = %v", err)
 	}
 }

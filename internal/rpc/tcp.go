@@ -31,27 +31,50 @@ func NewServer(node string, handler Handler) *Server {
 	return &Server{node: node, handler: handler, conns: make(map[net.Conn]bool)}
 }
 
-// Serve accepts connections on ln until Close. Each connection carries a
-// sequential stream of RPCs.
+// Serve accepts connections on ln until Close, then returns nil; any other
+// accept failure is returned. Each connection carries a sequential stream
+// of RPCs.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
+	if s.closed { // Close won the race with Serve's start
+		s.mu.Unlock()
+		ln.Close()
+		return nil
+	}
 	s.ln = ln
 	s.mu.Unlock()
 	for {
 		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
+		s.mu.Lock()
+		if s.closed {
 			s.mu.Unlock()
-			if closed {
-				return nil
+			if err == nil {
+				conn.Close() // accepted after Close swept the live conns
 			}
+			return nil
+		}
+		if err != nil {
+			s.mu.Unlock()
 			return err
 		}
-		s.mu.Lock()
 		s.conns[conn] = true
 		s.mu.Unlock()
 		go s.serveConn(conn)
+	}
+}
+
+// Start runs Serve on ln in the background. The returned stop closes the
+// server, waits for Serve to return, and reports its error (nil after a
+// clean close), so no accept loop outlives the caller.
+func (s *Server) Start(ln net.Listener) (stop func() error) {
+	done := make(chan error, 1)
+	go func() { done <- s.Serve(ln) }()
+	return func() error {
+		cerr := s.Close()
+		if err := <-done; err != nil {
+			return err
+		}
+		return cerr
 	}
 }
 
@@ -136,32 +159,23 @@ func (s *Server) Close() error {
 // TCPClient is a Caller that maps node names to TCP addresses.
 //
 // Each in-flight call owns a whole connection, drawn from a per-peer idle
-// pool (up to maxIdle kept warm) and dialled fresh beyond that. A single
-// shared connection would serialize every call to a peer behind the
+// pool (up to maxIdlePerPeer kept warm) and dialled fresh beyond that. A
+// single shared connection would serialize every call to a peer behind the
 // slowest one — with the server handling each connection's requests
 // sequentially, one subtransaction blocked in a lock wait at a site would
 // stall the lock holder's own vote and decision traffic to that site on
 // the client side, turning every lock conflict into a timeout convoy.
 type TCPClient struct {
-	mu      sync.Mutex
-	addrs   map[string]string
-	idle    map[string][]*tcpConn
-	open    map[*tcpConn]bool // every live conn, pooled or checked out
-	maxIdle int
+	mu    sync.Mutex
+	addrs map[string]string
+	idle  map[string][]*tcpConn
+	open  map[*tcpConn]bool // every live conn, pooled or checked out
 }
 
-// DefaultMaxIdlePerPeer bounds the warm connections kept per peer unless
-// TCPClientConfig overrides it; calls beyond the bound dial and close
-// ephemeral connections instead of growing the pool.
-const DefaultMaxIdlePerPeer = 16
-
-// TCPClientConfig tunes a TCPClient.
-type TCPClientConfig struct {
-	// MaxIdlePerPeer bounds the warm connections kept per peer. Zero
-	// selects DefaultMaxIdlePerPeer; negative disables pooling entirely
-	// (every call dials).
-	MaxIdlePerPeer int
-}
+// maxIdlePerPeer bounds the warm connections kept per peer; calls beyond
+// the bound dial and close ephemeral connections instead of growing the
+// pool.
+const maxIdlePerPeer = 16
 
 type tcpConn struct {
 	conn net.Conn
@@ -172,26 +186,13 @@ type tcpConn struct {
 	buf []byte
 }
 
-// NewTCPClient returns a client over the given node -> "host:port" map
-// with default tuning.
+// NewTCPClient returns a client over the given node -> "host:port" map.
 func NewTCPClient(addrs map[string]string) *TCPClient {
-	return NewTCPClientConfig(addrs, TCPClientConfig{})
-}
-
-// NewTCPClientConfig returns a client with explicit tuning.
-func NewTCPClientConfig(addrs map[string]string, cfg TCPClientConfig) *TCPClient {
 	cp := make(map[string]string, len(addrs))
 	for k, v := range addrs {
 		cp[k] = v
 	}
-	maxIdle := cfg.MaxIdlePerPeer
-	if maxIdle == 0 {
-		maxIdle = DefaultMaxIdlePerPeer
-	}
-	if maxIdle < 0 {
-		maxIdle = 0
-	}
-	return &TCPClient{addrs: cp, idle: make(map[string][]*tcpConn), open: make(map[*tcpConn]bool), maxIdle: maxIdle}
+	return &TCPClient{addrs: cp, idle: make(map[string][]*tcpConn), open: make(map[*tcpConn]bool)}
 }
 
 // checkout returns a connection to "to" for this call's exclusive use:
@@ -229,7 +230,7 @@ func (c *TCPClient) checkout(to string) (*tcpConn, error) {
 // when the pool is full or the client is closed.
 func (c *TCPClient) checkin(to string, tc *tcpConn) {
 	c.mu.Lock()
-	if c.open != nil && c.open[tc] && len(c.idle[to]) < c.maxIdle {
+	if c.open != nil && c.open[tc] && len(c.idle[to]) < maxIdlePerPeer {
 		c.idle[to] = append(c.idle[to], tc)
 		c.mu.Unlock()
 		return

@@ -31,8 +31,8 @@ func startEchoServer(t *testing.T) (net.Addr, *Server) {
 }
 
 // TestTCPProtoRoundTrip pins that protocol messages cross the wire via the
-// binary codec (no gob registration needed for them) and come back as the
-// same value types the in-process Network delivers.
+// binary codec and come back as the same value types the in-process
+// Network delivers.
 func TestTCPProtoRoundTrip(t *testing.T) {
 	addr, _ := startEchoServer(t)
 	client := NewTCPClient(map[string]string{"b": addr.String()})
@@ -178,5 +178,80 @@ func TestTCPVersionMismatch(t *testing.T) {
 	_, err = client.Call(ctx, "a", "b", proto.VoteRequest{TxnID: "T1"})
 	if !errors.Is(err, ErrWireVersion) {
 		t.Fatalf("err = %v, want ErrWireVersion", err)
+	}
+}
+
+// TestTCPNonVocabularyBodyFailsAtSender pins the loud failure that replaced
+// the gob fallback: a body outside the protocol vocabulary is refused by
+// the caller with proto.ErrUnknownWireType, and not one byte of it reaches
+// the connection.
+func TestTCPNonVocabularyBodyFailsAtSender(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	received := make(chan []byte, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			received <- nil
+			return
+		}
+		defer c.Close()
+		b, _ := io.ReadAll(c) // ends when the client closes; the byte count is the check
+		received <- b
+	}()
+
+	client := NewTCPClient(map[string]string{"b": ln.Addr().String()})
+	_, err = client.Call(context.Background(), "a", "b", struct{ X int }{1})
+	if !errors.Is(err, proto.ErrUnknownWireType) {
+		t.Fatalf("err = %v, want proto.ErrUnknownWireType", err)
+	}
+	client.Close()
+	ln.Close() // unblocks Accept should the client never have dialled
+	select {
+	case b := <-received:
+		if len(b) != 0 {
+			t.Fatalf("%d bytes reached the connection: % x", len(b), b)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("server side never saw the connection close")
+	}
+}
+
+// TestGobBodyKindIsDecodeError pins that body kind 2, which carried gob
+// blobs before the fallback was removed, is now a decode error.
+func TestGobBodyKindIsDecodeError(t *testing.T) {
+	if _, err := decodeBody([]byte{2, 0x0e, 0xff}); !errors.Is(err, ErrDecode) {
+		t.Fatalf("err = %v, want ErrDecode", err)
+	}
+}
+
+// TestBatchHandlerOverTCP pins the pass-through benchmark/node.go relies
+// on: a server whose handler is wrapped in BatchHandler answers exactly as
+// the bare handler would.
+func TestBatchHandlerOverTCP(t *testing.T) {
+	srv := NewServer("s0", BatchHandler(func(ctx context.Context, from string, m any) (any, error) {
+		return proto.Ack{TxnID: m.(proto.Decision).TxnID + "@" + from, Marked: true}, nil
+	}, nil))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	stop := srv.Start(ln)
+	defer func() {
+		if err := stop(); err != nil {
+			t.Errorf("serve: %v", err)
+		}
+	}()
+	client := NewTCPClient(map[string]string{"s0": ln.Addr().String()})
+	defer client.Close()
+	raw, err := client.Call(context.Background(), "c0", "s0", proto.Decision{TxnID: "T1", Commit: true})
+	if err != nil {
+		t.Fatalf("call: %v", err)
+	}
+	if ack, ok := raw.(proto.Ack); !ok || ack.TxnID != "T1@c0" || !ack.Marked {
+		t.Fatalf("reply = %#v", raw)
 	}
 }

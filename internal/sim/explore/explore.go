@@ -119,22 +119,6 @@ type Config struct {
 	// LockTimeout bounds lock waits at the sites (default 5ms — short, so
 	// distributed deadlocks resolve quickly in virtual time).
 	LockTimeout time.Duration
-	// WALGroupCommit enables the sites' WAL group-commit decorator: the
-	// durability waits of concurrent committers coalesce into shared
-	// syncs, with the batching window driven by the run's virtual clock.
-	// WALGroupWindow overrides the decorator's default window when set.
-	WALGroupCommit bool
-	WALGroupWindow time.Duration
-	// ExecWorkers runs the coordinators' per-site fan-out on bounded
-	// worker pools (see coord.Config.ExecWorkers); CoalesceRPC batches
-	// coordinator→site VOTE-REQs and DECISIONs per peer into envelopes
-	// (see core.Config.CoalesceRPC), with CoalesceWindow overriding the
-	// batching window when set. Both run entirely in virtual time, so the
-	// determinism contract — same seed, byte-identical trace — holds with
-	// them enabled (pinned by TestExplorerTraceGoldenFastPath).
-	ExecWorkers    int
-	CoalesceRPC    bool
-	CoalesceWindow time.Duration
 	// MultiShot runs every transfer as a multi-shot session instead of a
 	// one-shot spec: round 1 reads the source account, round 2 debits it,
 	// round 3 credits the destination — with SessionThink of seed-jittered
@@ -231,18 +215,13 @@ func Run(cfg Config) *Result {
 	clock := sim.NewVirtualClock()
 	tracer := trace.New(clock, trace.DefaultNodeCapacity)
 	cl := core.NewCluster(core.Config{
-		Sites:          cfg.Sites,
-		Coordinators:   cfg.Coordinators,
-		Replicas:       cfg.Replicas,
-		Record:         true,
-		Clock:          clock,
-		Tracer:         tracer,
-		LockTimeout:    cfg.LockTimeout,
-		WALGroupCommit: cfg.WALGroupCommit,
-		WALGroupWindow: cfg.WALGroupWindow,
-		ExecWorkers:    cfg.ExecWorkers,
-		CoalesceRPC:    cfg.CoalesceRPC,
-		CoalesceWindow: cfg.CoalesceWindow,
+		Sites:        cfg.Sites,
+		Coordinators: cfg.Coordinators,
+		Replicas:     cfg.Replicas,
+		Record:       true,
+		Clock:        clock,
+		Tracer:       tracer,
+		LockTimeout:  cfg.LockTimeout,
 		Network: rpc.Config{
 			MinLatency: cfg.MinLatency,
 			MaxLatency: cfg.MaxLatency,

@@ -400,25 +400,13 @@ func NewGroup(c Clock) *Group {
 
 // Go spawns fn as a tracked member of the group.
 func (g *Group) Go(fn func()) {
-	g.enter()
+	g.wg.Add(1)
+	g.left.Add(1)
 	g.clock.Go(func() {
 		defer g.wg.Done()
 		defer g.left.Add(-1)
 		fn()
 	})
-}
-
-// enter registers one member about to start; exit is its counterpart.
-// They let Pool run group members on pooled workers: the accounting
-// matches Go's, only the goroutine is borrowed instead of spawned.
-func (g *Group) enter() {
-	g.wg.Add(1)
-	g.left.Add(1)
-}
-
-func (g *Group) exit() {
-	g.left.Add(-1)
-	g.wg.Done()
 }
 
 // Wait blocks (in real or virtual time) until every spawned member has

@@ -2,7 +2,6 @@ package site
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 
 	"o2pc/internal/proto"
@@ -17,18 +16,14 @@ import (
 // semantic atomicity demands the inverse operations instead).
 //
 // The payload is opaque to the wal package (it frames Aux as a string and
-// only this package interprets it). It used to be JSON, which made the
-// exposure record the single hottest allocation site in the contended
-// benchmark; it is now the protocol's binary codec behind a one-byte
-// magic. Decode still accepts the JSON form so WALs written by older
-// builds replay.
+// only this package interprets it): the protocol's binary codec behind a
+// one-byte magic.
 type exposure struct {
-	Coord string            `json:"coord"`
-	Req   proto.ExecRequest `json:"req"`
+	Coord string
+	Req   proto.ExecRequest
 }
 
-// exposureMagic tags the binary Aux encoding. It deliberately cannot
-// collide with the legacy form: JSON objects start with '{' (0x7B).
+// exposureMagic tags the binary Aux encoding.
 const exposureMagic = 0xEB
 
 // encodeExposure serializes e for the RecExposed Aux field: magic byte,
@@ -47,18 +42,12 @@ func encodeExposure(e exposure) string {
 	return string(buf)
 }
 
-// decodeExposure parses a RecExposed Aux payload, sniffing the leading
-// byte to keep replaying JSON records from pre-binary WALs.
+// decodeExposure parses a RecExposed Aux payload. A payload without the
+// magic byte — including the JSON form that earlier builds wrote — is an
+// error, so Recover fails instead of guessing.
 func decodeExposure(aux string) (exposure, error) {
-	if len(aux) == 0 {
-		return exposure{}, fmt.Errorf("site: decoding exposure record: empty payload")
-	}
-	if aux[0] != exposureMagic {
-		var e exposure
-		if err := json.Unmarshal([]byte(aux), &e); err != nil {
-			return exposure{}, fmt.Errorf("site: decoding exposure record: %w", err)
-		}
-		return e, nil
+	if len(aux) == 0 || aux[0] != exposureMagic {
+		return exposure{}, fmt.Errorf("site: decoding exposure record: missing %#x magic", exposureMagic)
 	}
 	b := []byte(aux[1:])
 	n, used := binary.Uvarint(b)

@@ -1,7 +1,6 @@
 package site
 
 import (
-	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -41,24 +40,6 @@ func TestExposureBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExposureDecodesLegacyJSON replays an Aux payload written by the JSON
-// encoder this record used before the binary codec: WALs from older builds
-// must keep recovering.
-func TestExposureDecodesLegacyJSON(t *testing.T) {
-	e := sampleExposure()
-	legacy, err := json.Marshal(e)
-	if err != nil {
-		t.Fatalf("marshal legacy form: %v", err)
-	}
-	got, err := decodeExposure(string(legacy))
-	if err != nil {
-		t.Fatalf("decode legacy JSON: %v", err)
-	}
-	if !reflect.DeepEqual(got, e) {
-		t.Fatalf("legacy decode mismatch:\n got %+v\nwant %+v", got, e)
-	}
-}
-
 // TestExposureDecodeErrors: corrupt payloads must fail loudly, not yield
 // a zero exposure that would silently skip compensation.
 func TestExposureDecodeErrors(t *testing.T) {
@@ -66,7 +47,7 @@ func TestExposureDecodeErrors(t *testing.T) {
 	for name, bad := range map[string]string{
 		"empty":          "",
 		"truncated":      aux[:len(aux)/2],
-		"not json":       "coord=c1",
+		"no magic":       "coord=c1",
 		"bad coord len":  string([]byte{exposureMagic, 0xFF}),
 		"trailing bytes": aux + "x",
 	} {

@@ -1,8 +1,10 @@
 package site
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -78,6 +80,55 @@ func TestSiteCrashRecoversExposureAndCompensates(t *testing.T) {
 	}
 	t.Fatalf("recovered site never compensated: n=%d marked=%v calls=%d",
 		s2.ReadInt64("n"), s2.Marks().Contains("T1"), func() int { caller.mu.Lock(); defer caller.mu.Unlock(); return caller.calls }())
+}
+
+// TestRecoverRejectsLegacyJSONExposure pins the loud failure that replaced
+// the legacy-JSON sniff: a RecExposed record whose Aux is the JSON form
+// earlier builds wrote, not the magic-tagged binary form, makes Recover
+// return an error instead of rebuilding the exposed entry.
+func TestRecoverRejectsLegacyJSONExposure(t *testing.T) {
+	log := wal.NewMemoryLog()
+	s1 := newTestSite(t, Config{Log: log})
+	s1.SeedInt64("n", 100)
+	exec(t, s1, o2pcReq("T1", proto.Add("n", -10)))
+	if v := vote(t, s1, "T1"); !v.Commit {
+		t.Fatalf("vote: %+v", v)
+	}
+
+	recs, err := log.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := wal.NewMemoryLog()
+	rewritten := false
+	for _, rec := range recs {
+		if rec.Type == wal.RecExposed {
+			e, err := decodeExposure(rec.Aux)
+			if err != nil {
+				t.Fatal(err)
+			}
+			js, err := json.Marshal(struct {
+				Coord string            `json:"coord"`
+				Req   proto.ExecRequest `json:"req"`
+			}{e.Coord, e.Req})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.Aux = string(js)
+			rewritten = true
+		}
+		if _, err := legacy.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !rewritten {
+		t.Fatal("the YES vote logged no RecExposed record")
+	}
+
+	_, err = restart(t, legacy, Config{}).Recover(bg())
+	if err == nil || !strings.Contains(err.Error(), "exposure record") {
+		t.Fatalf("Recover over a JSON exposure record: err = %v, want a decode error", err)
+	}
 }
 
 // TestSiteCrashRecoversExposureAndCommits is the happy twin: the

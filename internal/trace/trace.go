@@ -72,7 +72,6 @@ const (
 	EvRecoverMarks
 	EvSessionOpen
 	EvSessionRound
-	EvRPCBatch
 	EvRepBegin
 	EvRepAccept
 	EvRepTakeover
@@ -119,7 +118,6 @@ var eventTypeNames = [numEventTypes]string{
 	EvRecoverMarks:    "recover.marks",
 	EvSessionOpen:     "session.open",
 	EvSessionRound:    "session.round",
-	EvRPCBatch:        "rpc.batch",
 	EvRepBegin:        "replog.begin",
 	EvRepAccept:       "replog.accept",
 	EvRepTakeover:     "replog.takeover",

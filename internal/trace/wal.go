@@ -12,28 +12,12 @@ type tracedLog struct {
 	wal.Log
 	tr   *Tracer
 	node string
-	// syncEvents gates EvWALSync emission: a group-commit log emits its
-	// own sync events (with batch sizes) at the physical sync, so the
-	// per-caller Sync must stay silent to avoid double counting.
-	syncEvents bool
 }
 
 // WrapLog returns a wal.Log that forwards to inner and emits EvWALAppend
 // and EvWALSync events at node. A nil tracer or nil inner returns inner
 // unchanged.
 func WrapLog(inner wal.Log, tr *Tracer, node string) wal.Log {
-	if tr == nil || inner == nil {
-		return inner
-	}
-	return &tracedLog{Log: inner, tr: tr, node: node, syncEvents: true}
-}
-
-// WrapAppends is WrapLog without the EvWALSync events: appends are traced,
-// syncs pass through silently. Used when a wal.GroupCommitLog sits between
-// the callers and the physical log — the group commit layer reports each
-// physical sync (with its batch size) through its OnFlush hook instead, so
-// the timeline shows one EvWALSync per fsync rather than one per caller.
-func WrapAppends(inner wal.Log, tr *Tracer, node string) wal.Log {
 	if tr == nil || inner == nil {
 		return inner
 	}
@@ -54,7 +38,7 @@ func (l *tracedLog) Append(rec wal.Record) (uint64, error) {
 
 func (l *tracedLog) Sync() error {
 	err := l.Log.Sync()
-	if err == nil && l.syncEvents {
+	if err == nil {
 		l.tr.Emit(l.node, EvWALSync, "", "", "")
 	}
 	return err

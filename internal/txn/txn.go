@@ -461,9 +461,7 @@ func (t *Txn) Commit() error {
 // exposure point — Theorem 2's write-ahead discipline requires the record
 // of Ti's writes to be durable before the early lock release exposes them
 // to other transactions (a reader could otherwise commit against state
-// whose provenance a crash then erases). Under a wal.GroupCommitLog the
-// sync coalesces with concurrent committers; the wait still completes
-// before this transaction's locks fall.
+// whose provenance a crash then erases).
 func (t *Txn) CommitDurable() error {
 	t.mu.Lock()
 	if t.status != StatusActive && t.status != StatusPrepared {

@@ -7,7 +7,7 @@ import (
 )
 
 // FileLog is a file-backed Log for the multi-process deployment. Records are
-// buffered and flushed on Sync (group commit is the caller's policy).
+// buffered and flushed on Sync.
 type FileLog struct {
 	mu      sync.Mutex
 	f       *os.File
