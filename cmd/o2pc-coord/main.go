@@ -1,6 +1,15 @@
 // Command o2pc-coord runs a coordinator process over TCP: it serves
 // Resolve inquiries from blocked participants and executes global
-// transactions against o2pc-site processes.
+// transactions against o2pc-site processes. It runs in one of three modes:
+//
+//   - -txn runs one fixed transaction (-repeat N times, with a latency
+//     summary);
+//   - -n N and/or -duration D drive generated load: -clients workers
+//     issue one-shot transfers and multi-shot sessions, scrape /metrics
+//     endpoints, print a live table and write a BENCH-style summary (see
+//     load.go);
+//   - with neither, the process only serves Resolve requests until
+//     SIGINT/SIGTERM. This is the default.
 //
 // A transaction is described with -txn as slash-separated subtransactions,
 // each "site:op:key[:arg[:arg]]" with ops:
@@ -16,34 +25,40 @@
 //	    -site s0=127.0.0.1:7101 -site s1=127.0.0.1:7102 \
 //	    -txn "s0:addmin:acct:-40:0 / s1:add:acct:40" -protocol o2pc -marking p1
 //
-// With -repeat N the transaction runs N times and a latency summary is
-// printed. Without -txn the coordinator just serves Resolve requests.
+// Transaction IDs are "<name>-<start instant in base36>-T<seq>", so a
+// restarted coordinator never re-issues an ID that long-lived sites have
+// already seen decided (sites fence those as stale).
+//
+// On start the coordinator recovers from its decision log before serving:
+// undecided transactions are presumed aborted and every logged decision is
+// re-delivered, so with -wal FILE a restarted coordinator answers Resolve
+// inquiries for the transactions it decided before the restart.
 //
 // With -protocol paxos (or an explicit -replog-replicas N) the coordinator
 // replicates every commit decision through Paxos Commit: N in-process
 // acceptor replicas are served over loopback TCP and a DECISION is only
 // delivered once a majority has acked its ballot, so the decision survives
 // the coordinator's own WAL. /readyz on the ops plane then reflects
-// leadership over the replica group.
+// leadership over the replica group, and recovery is leader takeover.
 //
 // Observability: -trace FILE writes the coordinator's protocol event log
 // as JSONL on exit, -trace-chrome FILE writes the same log as Chrome
 // trace-event JSON (loadable in Perfetto or chrome://tracing), and
 // -metrics FILE writes the coordinator's counters, gauges, and latency
-// histograms in Prometheus text exposition form.
+// histograms in Prometheus text exposition form. -ops-addr serves them
+// live (see internal/ops).
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"net"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -60,13 +75,14 @@ import (
 	"o2pc/internal/wal"
 )
 
+// addrList collects repeated name=value flags.
 type addrList map[string]string
 
 func (a addrList) String() string { return fmt.Sprint(map[string]string(a)) }
 func (a addrList) Set(v string) error {
 	name, addr, ok := strings.Cut(v, "=")
 	if !ok {
-		return fmt.Errorf("want name=host:port, got %q", v)
+		return fmt.Errorf("want name=value, got %q", v)
 	}
 	a[name] = addr
 	return nil
@@ -82,36 +98,50 @@ func main() {
 
 // run is the whole command, factored so tests can drive every path: flags
 // are parsed from args, output goes to stdout, and the serve-only path
-// (no -txn, no -demo) blocks until ctx is cancelled instead of forever.
+// blocks until ctx is cancelled instead of forever.
 func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("o2pc-coord", flag.ContinueOnError)
-	name := fs.String("name", "c0", "coordinator node name")
+	name := fs.String("name", "c0", "coordinator node name (sites route Resolve inquiries to it with -coord <name>=<listen>)")
 	listen := fs.String("listen", "127.0.0.1:7001", "listen address for Resolve inquiries")
 	walPath := fs.String("wal", "", "decision log file (default: in-memory)")
-	txnSpec := fs.String("txn", "", "transaction description (see package docs)")
+	txnSpec := fs.String("txn", "", "run this transaction (see package docs)")
 	protocolName := fs.String("protocol", "o2pc", "commit protocol: 2pc | o2pc | paxos")
-	markingName := fs.String("marking", "p1", "marking protocol: none | p1 | p2")
-	repeat := fs.Int("repeat", 1, "run the transaction N times")
-	demo := fs.Int("demo", 0, "run N random transfers of key 'acct' across the sites and report")
-	demoDoom := fs.Float64("demo-doom", 0.1, "fraction of demo transfers that attempt an over-withdrawal (aborted by the AddMin constraint)")
-	demoSeed := fs.Int64("demo-seed", 1, "seed for the demo's transfer choices (same seed, same transfer sequence)")
-	comp := fs.String("comp", "semantic", "compensation mode: semantic | before-image | none")
+	markingName := fs.String("marking", "p1", "marking protocol: none | p1 | p2 | simple")
+	repeat := fs.Int("repeat", 1, "run the -txn transaction N times")
+	compName := fs.String("comp", "semantic", "compensation mode: semantic | before-image | none")
 	tracePath := fs.String("trace", "", "write the protocol event log as JSONL to this file on exit")
 	chromePath := fs.String("trace-chrome", "", "write the protocol event log as Chrome trace-event JSON (Perfetto-loadable) to this file on exit")
 	metricsPath := fs.String("metrics", "", "write coordinator metrics in Prometheus text form to this file on exit")
-	opsAddr := fs.String("ops-addr", "", "serve the operations HTTP plane (metrics, health, pprof, trace) on this address")
+	opsAddr := fs.String("ops-addr", "", "serve the operations HTTP plane (metrics, health, pprof, trace) on this address; load mode also scrapes it as target \"self\"")
 	replicas := fs.Int("replog-replicas", 0, "run N in-process decision-log replicas and log decisions through Paxos Commit ballots (0 = local WAL; defaults to 3 under -protocol paxos)")
 	sites := addrList{}
 	fs.Var(sites, "site", "site address as name=host:port (repeatable)")
+	var load loadConfig
+	load.bindFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	switch {
+	case load.enabled() && *txnSpec != "":
+		return errors.New("-txn conflicts with -n/-duration: pick one mode")
+	case load.enabled() && len(sites) < 2:
+		return errors.New("load mode needs at least two -site entries to transfer between")
+	case load.rounds < 1:
+		return errors.New("-rounds must be at least 1")
+	case load.nkeys < 1:
+		return errors.New("-keys must be at least 1")
+	}
+	protocol, marking, comp := protocolOf(*protocolName), markingOf(*markingName), parseComp(*compName)
 
+	// One ID prefix per process start: sites fence IDs of transactions
+	// they have seen decided, so a counter restarting at T1 would collide
+	// with the previous run's transactions.
+	idPrefix := *name + "-" + strconv.FormatInt(sim.Real().Now().UnixNano(), 36) + "-"
 	var tracer *trace.Tracer
 	if *tracePath != "" || *chromePath != "" || *opsAddr != "" {
 		tracer = trace.New(sim.Real(), trace.DefaultNodeCapacity)
 	}
-	cfg := coord.Config{Name: *name, Tracer: tracer}
+	cfg := coord.Config{Name: *name, IDPrefix: idPrefix, Tracer: tracer}
 	if *walPath != "" {
 		fl, err := wal.OpenFileLog(*walPath)
 		if err != nil {
@@ -121,7 +151,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		defer fl.Close()
 		cfg.Log = fl
 	}
-	if strings.EqualFold(*protocolName, "paxos") && *replicas == 0 {
+	if protocol == proto.Paxos && *replicas == 0 {
 		*replicas = 3
 	}
 	var leader *replog.Leader
@@ -167,6 +197,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 	c := coord.New(cfg, rpc.NewTCPClient(sites))
 	defer c.Close()
+	// Recover before serving: Resolve answers come from the decided set the
+	// log rebuilds. An empty log recovers nothing; under Paxos this is the
+	// leader's takeover of its replica group.
+	if err := c.Recover(ctx); err != nil {
+		return fmt.Errorf("recover: %w", err)
+	}
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -175,19 +211,15 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	defer stopServer(rpc.NewServer(*name, c.Handle).Start(ln), stdout, "serve")
 	fmt.Fprintf(stdout, "coordinator %s serving on %s\n", *name, ln.Addr())
 
+	selfMetrics := ""
 	if *opsAddr != "" {
 		opsSrv := ops.NewServer(ops.Config{
 			Node:     *name,
 			Registry: metrics.NewRegistry(),
-			Collect: func(r *metrics.Registry) {
-				c.Stats().Publish(r, "o2pc_coord_")
-				if leader != nil {
-					leader.Stats().Publish(r, "o2pc_coord_replog_")
-				}
-			},
-			Health: c.Health,
-			Ready:  c.Ready,
-			Tracer: tracer,
+			Collect:  func(r *metrics.Registry) { publish(r, c, leader) },
+			Health:   c.Health,
+			Ready:    c.Ready,
+			Tracer:   tracer,
 			Vars: map[string]any{
 				"name":     *name,
 				"listen":   *listen,
@@ -195,14 +227,17 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 				"protocol": *protocolName,
 				"marking":  *markingName,
 				"replicas": *replicas,
+				"clients":  load.clients,
+				"n":        load.n,
+				"duration": load.duration.String(),
 			},
-			Sample: true,
 		})
 		bound, err := opsSrv.Start(*opsAddr)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "coordinator %s ops plane on http://%s\n", *name, bound)
+		selfMetrics = "http://" + bound + "/metrics"
 		defer func() {
 			sctx, cancel := sim.Real().WithTimeout(context.Background(), 3*time.Second)
 			defer cancel()
@@ -212,10 +247,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	}
 
 	switch {
-	case *demo > 0:
-		err = runDemo(stdout, c, sites, *demo, *demoDoom, *demoSeed, protocolOf(*protocolName), markingOf(*markingName))
+	case load.enabled():
+		load.protocol, load.marking, load.comp = protocol, marking, comp
+		err = runLoad(ctx, stdout, c, &load, *name, idPrefix, sites, selfMetrics)
 	case *txnSpec != "":
-		err = runTxn(ctx, stdout, c, *txnSpec, parseComp(*comp), protocolOf(*protocolName), markingOf(*markingName), *repeat)
+		err = runTxn(ctx, stdout, c, *txnSpec, comp, protocol, marking, *repeat)
 	default:
 		<-ctx.Done() // serve Resolve inquiries until cancelled
 	}
@@ -233,19 +269,17 @@ func stopServer(stop func() error, stdout io.Writer, what string) {
 	}
 }
 
+// publish exposes the coordinator's stats, and its replica group leader's
+// when decisions are replicated, under the o2pc_coord_ prefix.
+func publish(r *metrics.Registry, c *coord.Coordinator, leader *replog.Leader) {
+	c.Stats().Publish(r, "o2pc_coord_")
+	if leader != nil {
+		leader.Stats().Publish(r, "o2pc_coord_replog_")
+	}
+}
+
 // writeArtifacts dumps the trace and metrics files requested by flags.
 func writeArtifacts(c *coord.Coordinator, leader *replog.Leader, tracer *trace.Tracer, tracePath, chromePath, metricsPath string) error {
-	writeFile := func(path string, write func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
 	if tracePath != "" {
 		events := tracer.Events()
 		if err := writeFile(tracePath, func(w io.Writer) error { return trace.WriteJSONL(w, events) }); err != nil {
@@ -260,15 +294,25 @@ func writeArtifacts(c *coord.Coordinator, leader *replog.Leader, tracer *trace.T
 	}
 	if metricsPath != "" {
 		reg := metrics.NewRegistry()
-		c.Stats().Publish(reg, "o2pc_coord_")
-		if leader != nil {
-			leader.Stats().Publish(reg, "o2pc_coord_replog_")
-		}
+		publish(reg, c, leader)
 		if err := writeFile(metricsPath, reg.WriteText); err != nil {
 			return fmt.Errorf("write metrics: %w", err)
 		}
 	}
 	return nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // runTxn parses and executes the -txn transaction -repeat times.
@@ -328,56 +372,6 @@ func markingOf(name string) proto.MarkProtocol {
 	default:
 		return proto.MarkNone
 	}
-}
-
-// runDemo drives random transfers of the key "acct" between the configured
-// sites, with a fraction refused at vote time, and prints outcome counts
-// and a latency summary — a self-contained way to exercise a TCP
-// deployment (seed the sites with -seed acct=<amount> first).
-func runDemo(stdout io.Writer, c *coord.Coordinator, sites addrList, n int, doom float64, seed int64, protocol proto.Protocol, marking proto.MarkProtocol) error {
-	names := make([]string, 0, len(sites))
-	for name := range sites {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	if len(names) < 2 {
-		return fmt.Errorf("-demo needs at least two -site entries")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	lat := metrics.NewHistogram()
-	committed, refused, failed := 0, 0, 0
-	for i := 0; i < n; i++ {
-		from := names[rng.Intn(len(names))]
-		to := names[rng.Intn(len(names))]
-		for to == from {
-			to = names[rng.Intn(len(names))]
-		}
-		amount := int64(1 + rng.Intn(25))
-		if rng.Float64() < doom {
-			amount = 1 << 40 // guaranteed over-withdrawal: the source site aborts the transaction
-		}
-		spec := coord.TxnSpec{
-			Protocol: protocol,
-			Marking:  marking,
-			Subtxns: []coord.SubtxnSpec{
-				{Site: from, Ops: []proto.Operation{proto.AddMin("acct", -amount, 0)}, Comp: proto.CompSemantic},
-				{Site: to, Ops: []proto.Operation{proto.Add("acct", amount)}, Comp: proto.CompSemantic},
-			},
-		}
-		res := c.Run(context.Background(), spec)
-		switch {
-		case res.Committed():
-			committed++
-			lat.ObserveDuration(res.Latency)
-		case res.Outcome == coord.AbortedExec:
-			failed++
-		default:
-			refused++
-		}
-	}
-	fmt.Fprintf(stdout, "demo: %d committed, %d insufficient-funds, %d other aborts\n", committed, failed, refused)
-	fmt.Fprintf(stdout, "latency(ms): %s\n", lat.Snapshot())
-	return nil
 }
 
 func parseComp(s string) proto.CompMode {

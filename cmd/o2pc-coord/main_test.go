@@ -3,11 +3,15 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"o2pc/internal/proto"
 	"o2pc/internal/rpc"
@@ -15,6 +19,26 @@ import (
 	"o2pc/internal/storage"
 	"o2pc/internal/trace"
 )
+
+// syncBuffer is a goroutine-safe stdout sink: load mode's live table and
+// scrape goroutines write concurrently with the main run, and a serve-only
+// run is read while it is still going.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
 
 // startTestSite serves a real site over TCP loopback, seeded with
 // acct=1000, and returns its -site flag value.
@@ -31,15 +55,26 @@ func startTestSite(t *testing.T, name string) string {
 	return name + "=" + ln.Addr().String()
 }
 
+// readMetrics parses a -metrics file.
+func readMetrics(t *testing.T, path string) (string, map[string]float64) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("metrics file: %v", err)
+	}
+	samples, err := parsePromText(bytes.NewReader(b))
+	if err != nil {
+		t.Fatalf("metrics parse: %v", err)
+	}
+	return string(b), samples
+}
+
 // TestRunPaths drives the run() entrypoint end to end over TCP loopback:
-// the single-transaction, repeat, demo, and serve paths, each with and
+// the single-transaction, repeat, load, and serve paths, each with and
 // without trace/metrics artifacts.
 func TestRunPaths(t *testing.T) {
 	dir := t.TempDir()
 
-	// Each case gets fresh sites: a coordinator's generated transaction IDs
-	// restart at T1 per run() invocation, and sites fence IDs they have
-	// already resolved.
 	cases := []struct {
 		name      string
 		args      func(s0, s1 string) []string
@@ -49,6 +84,7 @@ func TestRunPaths(t *testing.T) {
 		jsonl     string   // expect a JSONL trace at this path containing a txn.begin
 		chrome    string   // expect Chrome trace JSON at this path
 		metrics   []string // expect these substrings in the -metrics file
+		nonzero   []string // expect these samples in the -metrics file to be > 0
 	}{
 		{
 			name: "single txn with artifacts",
@@ -77,16 +113,32 @@ func TestRunPaths(t *testing.T) {
 			wantOut: []string{"3/3 committed"},
 		},
 		{
-			name: "demo with trace",
+			// One client moving money between the seeded bare "acct" keys,
+			// half the transfers doomed to fail the AddMin floor.
+			name: "load with trace",
 			args: func(s0, s1 string) []string {
 				return []string{
 					"-listen", "127.0.0.1:0", "-site", s0, "-site", s1,
-					"-demo", "6", "-demo-seed", "1", "-demo-doom", "0.5",
-					"-trace", filepath.Join(dir, "demo.jsonl"),
+					"-n", "6", "-clients", "1", "-session-frac", "0", "-keys", "1", "-fund", "0",
+					"-doom", "0.5", "-seed", "1", "-table", "0",
+					"-trace", filepath.Join(dir, "load.jsonl"),
 				}
 			},
-			wantOut: []string{"demo: ", "insufficient-funds"},
-			jsonl:   filepath.Join(dir, "demo.jsonl"),
+			wantOut: []string{"load: 6 txns", "insufficient-funds"},
+			jsonl:   filepath.Join(dir, "load.jsonl"),
+		},
+		{
+			name: "load under paxos replicates decisions",
+			args: func(s0, s1 string) []string {
+				return []string{
+					"-listen", "127.0.0.1:0", "-site", s0, "-site", s1, "-protocol", "paxos",
+					"-n", "10", "-clients", "2", "-table", "0",
+					"-metrics", filepath.Join(dir, "txn.metrics"),
+				}
+			},
+			wantOut: []string{"replicating decisions to 3 replicas", "funded 4 account(s)", "load: 10 txns"},
+			metrics: []string{"o2pc_coord_replog_leader 1"},
+			nonzero: []string{"o2pc_coord_replog_majority_acks_total", "o2pc_coord_commits_total"},
 		},
 		{
 			name: "serve path exits on context cancel",
@@ -139,9 +191,9 @@ func TestRunPaths(t *testing.T) {
 			wantErr: "unknown op",
 		},
 		{
-			name: "demo needs two sites",
+			name: "load needs two sites",
 			args: func(s0, s1 string) []string {
-				return []string{"-listen", "127.0.0.1:0", "-site", s0, "-demo", "3"}
+				return []string{"-listen", "127.0.0.1:0", "-site", s0, "-n", "3"}
 			},
 			wantErr: "at least two -site",
 		},
@@ -155,8 +207,8 @@ func TestRunPaths(t *testing.T) {
 			if tc.cancelCtx {
 				cancel()
 			}
-			var out bytes.Buffer
-			err := run(ctx, tc.args(s0, s1), &out)
+			out := &syncBuffer{}
+			err := run(ctx, tc.args(s0, s1), out)
 			// run closes its servers and waits for their accept loops, so
 			// nothing can write to out after it returns.
 			if strings.Contains(out.String(), "serve:") {
@@ -205,24 +257,278 @@ func TestRunPaths(t *testing.T) {
 					t.Errorf("chrome trace missing traceEvents envelope: %s", b[:min(len(b), 200)])
 				}
 			}
-			for _, want := range tc.metrics {
-				b, err := os.ReadFile(filepath.Join(dir, "txn.metrics"))
-				if err != nil {
-					t.Fatalf("metrics file: %v", err)
+			if len(tc.metrics)+len(tc.nonzero) > 0 {
+				text, samples := readMetrics(t, filepath.Join(dir, "txn.metrics"))
+				for _, want := range tc.metrics {
+					if !strings.Contains(text, want) {
+						t.Errorf("metrics missing %q:\n%s", want, text)
+					}
 				}
-				if !strings.Contains(string(b), want) {
-					t.Errorf("metrics missing %q:\n%s", want, b)
+				for _, name := range tc.nonzero {
+					if samples[name] <= 0 {
+						t.Errorf("metric %s = %v, want > 0:\n%s", name, samples[name], text)
+					}
 				}
 			}
 		})
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// committedID runs one -txn transfer and returns the transaction ID from
+// its "ID: committed" line, failing the test if it did not commit.
+func committedID(t *testing.T, args ...string) string {
+	t.Helper()
+	out := &syncBuffer{}
+	args = append([]string{"-listen", "127.0.0.1:0", "-txn", "s0:addmin:acct:-40:0 / s1:add:acct:40"}, args...)
+	if err := run(context.Background(), args, out); err != nil {
+		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
-	return b
+	for _, line := range strings.Split(out.String(), "\n") {
+		if id, rest, ok := strings.Cut(line, ": "); ok && strings.HasPrefix(rest, "committed") {
+			return id
+		}
+	}
+	t.Fatalf("transaction did not commit:\n%s", out.String())
+	return ""
+}
+
+// TestRunTwiceAgainstSameSites pins distinct transaction IDs across
+// coordinator runs: long-lived sites fence IDs they have seen decided, so
+// a second run that restarted its IDs at T1 would be aborted as stale.
+func TestRunTwiceAgainstSameSites(t *testing.T) {
+	s0 := startTestSite(t, "s0")
+	s1 := startTestSite(t, "s1")
+	first := committedID(t, "-site", s0, "-site", s1)
+	second := committedID(t, "-site", s0, "-site", s1)
+	if first == second {
+		t.Fatalf("both runs used transaction ID %q", first)
+	}
+}
+
+// TestWALRestartAnswersResolve restarts a -wal coordinator serve-only over
+// the decision log of a run that committed, and asks it about that
+// transaction the way a participant blocked in doubt would.
+func TestWALRestartAnswersResolve(t *testing.T) {
+	s0 := startTestSite(t, "s0")
+	s1 := startTestSite(t, "s1")
+	walPath := filepath.Join(t.TempDir(), "c0.wal")
+	id := committedID(t, "-site", s0, "-site", s1, "-wal", walPath)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := &syncBuffer{}
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-listen", "127.0.0.1:0", "-site", s0, "-site", s1, "-wal", walPath}, out)
+	}()
+	var addr string
+	for deadline := time.Now().Add(5 * time.Second); addr == ""; time.Sleep(5 * time.Millisecond) {
+		if _, rest, ok := strings.Cut(out.String(), "serving on "); ok {
+			addr, _, _ = strings.Cut(rest, "\n")
+		} else if time.Now().After(deadline) {
+			t.Fatalf("restarted coordinator never served:\n%s", out.String())
+		}
+	}
+	client := rpc.NewTCPClient(map[string]string{"c0": addr})
+	defer client.Close()
+	raw, err := client.Call(ctx, "s0", "c0", proto.ResolveRequest{TxnID: id})
+	if err != nil {
+		t.Fatalf("resolve: %v", err)
+	}
+	if rep, ok := raw.(proto.ResolveReply); !ok || !rep.Known || !rep.Commit {
+		t.Fatalf("resolve %s after restart = %#v, want Known=true Commit=true", id, raw)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("serve-only run: %v\noutput:\n%s", err, out.String())
+	}
+}
+
+// TestLoadgenRun drives load mode against two live TCP sites: a mixed
+// one-shot/session workload with dooms, self-scraping through the
+// coordinator's own ops plane, and a BENCH-style summary whose scraped
+// view must agree with the client-measured one.
+func TestLoadgenRun(t *testing.T) {
+	s0 := startTestSite(t, "s0")
+	s1 := startTestSite(t, "s1")
+	out := &syncBuffer{}
+	summaryPath := filepath.Join(t.TempDir(), "summary.json")
+
+	err := run(context.Background(), []string{
+		"-name", "lg", "-listen", "127.0.0.1:0",
+		"-site", s0, "-site", s1,
+		"-clients", "4", "-n", "60",
+		"-session-frac", "0.4", "-rounds", "2",
+		"-doom", "0.2", "-seed", "1",
+		"-scrape-interval", "20ms", "-table", "25ms",
+		"-ops-addr", "127.0.0.1:0",
+		"-out", summaryPath,
+	}, out)
+	if err != nil {
+		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
+	}
+
+	text := out.String()
+	if strings.Contains(text, "serve:") {
+		t.Errorf("resolve server reported an error:\n%s", text)
+	}
+	for _, want := range []string{
+		"coordinator lg serving on",
+		"funded 4 account(s) x 2 site(s)",
+		"ops plane on http://",
+		"load: 60 txns",
+		"committed",
+		"client latency(ms):",
+		"scraped self:",
+		"summary written to",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("output missing %q:\n%s", want, text)
+		}
+	}
+
+	raw, err := os.ReadFile(summaryPath)
+	if err != nil {
+		t.Fatalf("summary: %v", err)
+	}
+	var summary struct {
+		Benchmarks map[string]map[string]float64 `json:"benchmarks"`
+	}
+	if err := json.Unmarshal(raw, &summary); err != nil {
+		t.Fatalf("summary parse: %v\n%s", err, raw)
+	}
+	total := summary.Benchmarks["Loadgen/total"]
+	if total == nil {
+		t.Fatalf("summary missing Loadgen/total: %s", raw)
+	}
+	if total["iterations"] != 60 {
+		t.Errorf("iterations = %v, want 60", total["iterations"])
+	}
+	if total["txn_per_s"] <= 0 || total["p50_ms"] <= 0 || total["p99_ms"] <= 0 {
+		t.Errorf("degenerate totals: %+v", total)
+	}
+	// With site-ordered transfer subtxns and funded accounts, the only
+	// systematic aborts are the 20% dooms — the run must commit well over
+	// half its transactions rather than collapsing into lock-timeout churn.
+	if total["pct_commit"] < 50 {
+		t.Errorf("pct_commit = %.1f, want > 50 (deadlock/funding regression?)\n%s", total["pct_commit"], text)
+	}
+	scraped := summary.Benchmarks["Loadgen/scraped"]
+	if scraped == nil {
+		t.Fatalf("summary missing Loadgen/scraped: %s", raw)
+	}
+	// The scraped coordinator counted exactly the transactions the clients
+	// issued, so the two throughput numbers must agree well inside the 10%
+	// acceptance band.
+	if rel := math.Abs(scraped["txn_per_s"]-total["txn_per_s"]) / total["txn_per_s"]; rel > 0.10 {
+		t.Errorf("scraped txn/s %.2f vs client %.2f: off by %.1f%%",
+			scraped["txn_per_s"], total["txn_per_s"], 100*rel)
+	}
+	if scraped["iterations"] != 60 {
+		t.Errorf("scraped iterations = %v, want 60", scraped["iterations"])
+	}
+	// Latency is measured at two points of the same call path (around
+	// c.Run vs inside it); on loopback they track closely, but leave slack
+	// for scheduler noise under -race.
+	if total["p50_ms"] > 0 && scraped["p50_ms"] > 0 {
+		if ratio := scraped["p50_ms"] / total["p50_ms"]; ratio < 0.5 || ratio > 1.5 {
+			t.Errorf("scraped p50 %.3fms vs client %.3fms: ratio %.2f", scraped["p50_ms"], total["p50_ms"], ratio)
+		}
+	}
+	if oneshot := summary.Benchmarks["Loadgen/oneshot"]; oneshot["iterations"]+summary.Benchmarks["Loadgen/session"]["iterations"] != 60 {
+		t.Errorf("one-shot (%v) + session (%v) iterations != 60",
+			oneshot["iterations"], summary.Benchmarks["Loadgen/session"]["iterations"])
+	}
+}
+
+// TestLoadgenStopsResolveServer pins the shutdown order on an error path
+// taken after the resolve server is up: run closes the server and waits
+// for its accept loop before returning, so no "serve:" line reaches the
+// output, then or later.
+func TestLoadgenStopsResolveServer(t *testing.T) {
+	s0 := startTestSite(t, "s0")
+	s1 := startTestSite(t, "s1")
+	out := &syncBuffer{}
+	err := run(context.Background(), []string{
+		"-listen", "127.0.0.1:0", "-site", s0, "-site", s1, "-n", "1",
+		"-ops-addr", "127.0.0.1:-1", // fails after the resolve server is up
+	}, out)
+	if err == nil {
+		t.Fatalf("run with an unusable -ops-addr succeeded:\n%s", out.String())
+	}
+	time.Sleep(20 * time.Millisecond) // a leaked accept loop would report by now
+	if strings.Contains(out.String(), "serve:") {
+		t.Fatalf("accept loop outlived run:\n%s", out.String())
+	}
+}
+
+// TestLoadgenFlagValidation exercises the fail-fast paths.
+func TestLoadgenFlagValidation(t *testing.T) {
+	two := []string{"-site", "s0=127.0.0.1:1", "-site", "s1=127.0.0.1:2"}
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"no sites", []string{"-n", "5"}, "two -site"},
+		{"one site", []string{"-n", "5", "-site", "s0=127.0.0.1:1"}, "two -site"},
+		{"bad rounds", append([]string{"-n", "5", "-rounds", "0"}, two...), "-rounds"},
+		{"bad keys", append([]string{"-n", "5", "-keys", "0"}, two...), "-keys"},
+		{"bad site flag", []string{"-site", "s0"}, "name=value"},
+		{"txn with n", append([]string{"-txn", "s0:add:acct:1", "-n", "5"}, two...), "-txn conflicts"},
+		{"txn with duration", append([]string{"-txn", "s0:add:acct:1", "-duration", "1s"}, two...), "-txn conflicts"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := run(context.Background(), tc.args, &syncBuffer{})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want substring %q", err, tc.want)
+			}
+		})
+	}
+}
+
+func TestNormalizeScrapeURL(t *testing.T) {
+	cases := map[string]string{
+		"127.0.0.1:9100":                "http://127.0.0.1:9100/metrics",
+		"127.0.0.1:9100/metrics":        "http://127.0.0.1:9100/metrics",
+		"http://h:1/metrics":            "http://h:1/metrics",
+		"http://h:1":                    "http://h:1/metrics",
+		"https://h:1/custom/path":       "https://h:1/custom/path",
+		"h.example.com:9100/other/path": "http://h.example.com:9100/other/path",
+	}
+	for in, want := range cases {
+		if got := normalizeScrapeURL(in); got != want {
+			t.Errorf("normalizeScrapeURL(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+func TestParsePromText(t *testing.T) {
+	in := `# HELP m_total things
+# TYPE m_total counter
+m_total 41
+m_ms{quantile="0.5"} 1.25
+m_ms{site="a b",quantile="0.99"} 7
+malformed line without number trailing
+`
+	got, err := parsePromText(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got["m_total"] != 41 {
+		t.Errorf("m_total = %v", got["m_total"])
+	}
+	if got[`m_ms{quantile="0.5"}`] != 1.25 {
+		t.Errorf("quantile sample = %v", got[`m_ms{quantile="0.5"}`])
+	}
+	// Label values may contain spaces; the split is at the LAST space.
+	if got[`m_ms{site="a b",quantile="0.99"}`] != 7 {
+		t.Errorf("labeled sample = %v", got)
+	}
+	if _, ok := got["malformed line without number"]; ok {
+		t.Errorf("malformed line parsed: %v", got)
+	}
 }
 
 func TestParseTxnSingleOps(t *testing.T) {

@@ -140,7 +140,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 				"coords": map[string]string(coords),
 				"seeds":  map[string]int64(seeds),
 			},
-			Sample: true,
 		})
 		bound, err := opsSrv.Start(*opsAddr)
 		if err != nil {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
@@ -67,62 +66,23 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 func (g *Gauge) Reset() { g.v.Store(0) }
 
 // Histogram records a stream of duration (or generic numeric) samples and
-// reports order statistics. By default it keeps all samples: experiment
-// runs in this repository are bounded, so exactness is preferred over a
-// sketch, and golden tests rely on exact quantiles.
-//
-// For long benchmark runs the retained-sample memory grows without bound;
-// NewReservoirHistogram caps it with uniform reservoir sampling
-// (Algorithm R). In reservoir mode Count, Sum, and Mean stay exact (they
-// are tracked outside the reservoir) while Quantile, Min, and Max become
-// unbiased estimates whose error shrinks with the reservoir size — the
-// usual tradeoff of bounded memory for approximate order statistics.
+// reports order statistics. It keeps all samples: experiment runs in this
+// repository are bounded, so exactness is preferred over a sketch, and
+// golden tests rely on exact quantiles.
 type Histogram struct {
 	mu      sync.Mutex
 	samples []float64
 	sorted  bool
 	sum     float64
-
-	// Reservoir mode (resCap > 0): count tracks all observations even
-	// when only resCap samples are retained; rng drives Algorithm R's
-	// replacement choice and is seeded explicitly so runs stay
-	// deterministic (no global rand — the randdet analyzer forbids it).
-	resCap int
-	count  int
-	rng    *rand.Rand
 }
 
 // NewHistogram returns an empty exact histogram that retains every sample.
 func NewHistogram() *Histogram { return &Histogram{} }
 
-// NewReservoirHistogram returns a histogram that retains at most cap
-// samples using uniform reservoir sampling (Vitter's Algorithm R), seeded
-// deterministically. Count/Sum/Mean remain exact; quantiles are estimates.
-// A cap <= 0 yields an exact histogram.
-func NewReservoirHistogram(cap int, seed int64) *Histogram {
-	if cap <= 0 {
-		return NewHistogram()
-	}
-	return &Histogram{
-		resCap: cap,
-		rng:    rand.New(rand.NewSource(seed)),
-	}
-}
-
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
 	h.mu.Lock()
-	h.count++
 	h.sum += v
-	if h.resCap > 0 && len(h.samples) >= h.resCap {
-		// Algorithm R: keep the new sample with probability cap/count.
-		if j := h.rng.Intn(h.count); j < h.resCap {
-			h.samples[j] = v
-			h.sorted = false
-		}
-		h.mu.Unlock()
-		return
-	}
 	h.samples = append(h.samples, v)
 	h.sorted = false
 	h.mu.Unlock()
@@ -133,11 +93,11 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(float64(d) / float64(time.Millisecond))
 }
 
-// Count returns the number of observations (exact in every mode).
+// Count returns the number of observations.
 func (h *Histogram) Count() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.count
+	return len(h.samples)
 }
 
 // Sum returns the sum of all recorded samples.
@@ -147,15 +107,14 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Mean returns the arithmetic mean (exact in every mode), or 0 for an
-// empty histogram.
+// Mean returns the arithmetic mean, or 0 for an empty histogram.
 func (h *Histogram) Mean() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.count == 0 {
+	if len(h.samples) == 0 {
 		return 0
 	}
-	return h.sum / float64(h.count)
+	return h.sum / float64(len(h.samples))
 }
 
 // ensureSortedLocked sorts the sample slice if needed. Callers must hold mu.
@@ -197,12 +156,11 @@ func (h *Histogram) Min() float64 { return h.Quantile(0) }
 // Max returns the largest sample, or 0 for an empty histogram.
 func (h *Histogram) Max() float64 { return h.Quantile(1) }
 
-// Reset discards all samples (the reservoir seed stream is not rewound).
+// Reset discards all samples.
 func (h *Histogram) Reset() {
 	h.mu.Lock()
 	h.samples = h.samples[:0]
 	h.sum = 0
-	h.count = 0
 	h.sorted = false
 	h.mu.Unlock()
 }

@@ -179,65 +179,6 @@ func TestHistogramReset(t *testing.T) {
 	}
 }
 
-func TestReservoirHistogramBoundsMemory(t *testing.T) {
-	h := NewReservoirHistogram(128, 1)
-	for i := 1; i <= 100000; i++ {
-		h.Observe(float64(i))
-	}
-	h.mu.Lock()
-	retained := len(h.samples)
-	h.mu.Unlock()
-	if retained != 128 {
-		t.Fatalf("retained %d samples, want 128", retained)
-	}
-	// Count/Sum/Mean are exact regardless of the reservoir.
-	if h.Count() != 100000 {
-		t.Fatalf("count = %d, want 100000", h.Count())
-	}
-	wantSum := float64(100000) * float64(100001) / 2
-	if h.Sum() != wantSum {
-		t.Fatalf("sum = %v, want %v", h.Sum(), wantSum)
-	}
-	if h.Mean() != wantSum/100000 {
-		t.Fatalf("mean = %v", h.Mean())
-	}
-	// Quantiles are approximate but must stay inside the observed range
-	// and roughly near the true value for a uniform stream.
-	p50 := h.Quantile(0.5)
-	if p50 < 1 || p50 > 100000 {
-		t.Fatalf("p50 = %v out of range", p50)
-	}
-	if p50 < 20000 || p50 > 80000 {
-		t.Fatalf("p50 = %v implausibly far from 50000 for a uniform stream", p50)
-	}
-}
-
-func TestReservoirHistogramDeterministic(t *testing.T) {
-	a := NewReservoirHistogram(64, 42)
-	b := NewReservoirHistogram(64, 42)
-	for i := 0; i < 10000; i++ {
-		v := float64(i % 977)
-		a.Observe(v)
-		b.Observe(v)
-	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-		if a.Quantile(q) != b.Quantile(q) {
-			t.Fatalf("q=%v: %v != %v; same seed must give the same reservoir", q, a.Quantile(q), b.Quantile(q))
-		}
-	}
-}
-
-func TestReservoirHistogramBelowCapIsExact(t *testing.T) {
-	h := NewReservoirHistogram(1000, 3)
-	for _, v := range []float64{1, 2, 3, 4, 5} {
-		h.Observe(v)
-	}
-	if h.Quantile(0.5) != 3 || h.Min() != 1 || h.Max() != 5 {
-		t.Fatalf("below-cap reservoir not exact: p50=%v min=%v max=%v",
-			h.Quantile(0.5), h.Min(), h.Max())
-	}
-}
-
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b").Inc()
@@ -468,7 +409,7 @@ func TestWriteTextConcurrentWithObserve(t *testing.T) {
 }
 
 // TestHistogramQuantilePins pins arbitrary-p interpolation behavior the
-// loadgen live table relies on.
+// live table of o2pc-coord's load mode relies on.
 func TestHistogramQuantilePins(t *testing.T) {
 	h := NewHistogram()
 	for i := 1; i <= 10; i++ {

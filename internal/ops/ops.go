@@ -61,13 +61,6 @@ type Config struct {
 	Tracer *trace.Tracer
 	// Vars is merged into /debug/vars (flag values, seeds, config).
 	Vars map[string]any
-	// Sample enables the live runtime sampler: goroutine and heap gauges
-	// (ops_* names) refreshed on every scrape and every SamplePeriod.
-	// Leave it off in deterministic runs — the gauges read the real
-	// runtime and would differ run to run.
-	Sample bool
-	// SamplePeriod is the background sampling interval; 0 means 5s.
-	SamplePeriod time.Duration
 }
 
 // Server serves the operations plane for one node. Create with NewServer,
@@ -79,21 +72,19 @@ type Server struct {
 	start   time.Time
 	sampler *sampler
 
-	mu       sync.Mutex
-	httpSrv  *http.Server
-	addr     string
-	stopTick chan struct{}
+	mu      sync.Mutex
+	httpSrv *http.Server
+	addr    string
 }
 
-// NewServer builds the ops plane for a node. cfg.Registry must be set.
+// NewServer builds the ops plane for a node. cfg.Registry must be set; the
+// live runtime gauges (ops_* names) are registered in it and refreshed on
+// every /metrics scrape.
 func NewServer(cfg Config) *Server {
 	if cfg.Registry == nil {
 		panic("ops: Config.Registry is required")
 	}
-	s := &Server{cfg: cfg, mux: http.NewServeMux(), start: time.Now()}
-	if cfg.Sample {
-		s.sampler = newSampler(cfg.Registry)
-	}
+	s := &Server{cfg: cfg, mux: http.NewServeMux(), start: time.Now(), sampler: newSampler(cfg.Registry)}
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", checkHandler(cfg.Health))
 	ready := cfg.Ready
@@ -119,9 +110,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Start listens on addr ("host:port", port 0 for ephemeral) and serves in
 // a background goroutine until Shutdown. It returns the bound address.
-// When sampling is enabled, block/mutex profiling rates are switched on
-// for the server's lifetime and a background sampler keeps the ops_*
-// gauges fresh between scrapes.
+// Block/mutex profiling rates are switched on for the server's lifetime.
 func (s *Server) Start(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -137,29 +126,7 @@ func (s *Server) Start(addr string) (string, error) {
 		// already surfaced to clients as failed scrapes.
 		_ = srv.Serve(ln)
 	}()
-	if s.sampler != nil {
-		s.sampler.enableProfiles()
-		stop := make(chan struct{})
-		s.mu.Lock()
-		s.stopTick = stop
-		s.mu.Unlock()
-		period := s.cfg.SamplePeriod
-		if period <= 0 {
-			period = 5 * time.Second
-		}
-		go func() {
-			t := time.NewTicker(period)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					s.sampler.sample(time.Since(s.start))
-				}
-			}
-		}()
-	}
+	enableProfiles()
 	return s.addr, nil
 }
 
@@ -170,25 +137,18 @@ func (s *Server) Addr() string {
 	return s.addr
 }
 
-// Shutdown gracefully stops the server: in-flight scrapes finish, the
-// sampler stops, and profiling rates are restored. Safe to call without a
-// prior Start (no-op) and at most once after one.
+// Shutdown gracefully stops the server: in-flight scrapes finish and
+// profiling rates are restored. Safe to call without a prior Start (no-op)
+// and more than once after one.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	srv := s.httpSrv
-	stop := s.stopTick
 	s.httpSrv = nil
-	s.stopTick = nil
 	s.mu.Unlock()
-	if stop != nil {
-		close(stop)
-	}
-	if s.sampler != nil {
-		s.sampler.disableProfiles()
-	}
 	if srv == nil {
 		return nil
 	}
+	disableProfiles()
 	return srv.Shutdown(ctx)
 }
 
@@ -196,9 +156,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Collect != nil {
 		s.cfg.Collect(s.cfg.Registry)
 	}
-	if s.sampler != nil {
-		s.sampler.sample(time.Since(s.start))
-	}
+	s.sampler.sample(time.Since(s.start))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	// Write errors mean the scraper went away mid-response; there is no
 	// one left to report them to.

@@ -251,7 +251,7 @@ func TestHealthzDuringRecover(t *testing.T) {
 func TestStartServeShutdown(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Counter("up_total").Inc()
-	s := NewServer(Config{Node: "n0", Registry: reg, Sample: true, SamplePeriod: 10 * time.Millisecond})
+	s := NewServer(Config{Node: "n0", Registry: reg})
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

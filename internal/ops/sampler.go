@@ -7,11 +7,11 @@ import (
 	"o2pc/internal/metrics"
 )
 
-// sampler refreshes live runtime gauges in a registry. It is the one
-// deliberately non-deterministic corner of the metrics surface: the
-// gauges read the real runtime and real elapsed time, so it is only
-// wired up when Config.Sample is set (the cluster binaries, never the
-// virtual-time harness).
+// sampler refreshes live runtime gauges in a registry on every scrape. It
+// is the one deliberately non-deterministic corner of the metrics surface:
+// the gauges read the real runtime and real elapsed time, which is why
+// only the cluster binaries build an ops plane, never the virtual-time
+// harness.
 type sampler struct {
 	goroutines *metrics.Gauge
 	heapAlloc  *metrics.Gauge
@@ -45,12 +45,12 @@ func (s *sampler) sample(uptime time.Duration) {
 // enableProfiles switches on block and mutex profiling at modest rates so
 // /debug/pprof/{block,mutex} carry data. The rates are process-global;
 // disableProfiles restores them on Shutdown.
-func (s *sampler) enableProfiles() {
+func enableProfiles() {
 	runtime.SetBlockProfileRate(100_000) // one sample per 100µs blocked
 	runtime.SetMutexProfileFraction(5)
 }
 
-func (s *sampler) disableProfiles() {
+func disableProfiles() {
 	runtime.SetBlockProfileRate(0)
 	runtime.SetMutexProfileFraction(0)
 }
