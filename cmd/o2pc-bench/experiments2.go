@@ -11,16 +11,26 @@ import (
 	"o2pc/internal/workload"
 )
 
-// runE6 — message census. With no aborts, every protocol stack exchanges
-// exactly the same messages per transaction — O2PC and P1 add none (all
-// their state piggybacks on the standard exchange). Under aborts, O2PC
-// still matches 2PC exactly; P1's counts differ only because R1
-// rejections change control flow (retried ExecRequests, skipped vote
-// rounds for refused transactions), never because of new message types or
-// extra rounds for admitted transactions.
+// runE6 — message census. O2PC and P1 add no message to the classic
+// exchange (exec, vote, decision per participant): with no aborts O2PC and
+// O2PC+P1 exchange exactly the same messages, and under aborts P1's counts
+// differ only because R1 rejections change control flow (retried
+// ExecRequests, skipped vote rounds for refused transactions), never
+// because of new message types or extra rounds for admitted transactions.
+// 2PC and Paxos Commit keep their locks at the YES vote, so the vote rides
+// the exec: no VoteRequest or VoteReply at all — one request/reply pair
+// per participant fewer — and a NO at an early site stops the later
+// subtransactions from shipping. Paxos adds its decision-log ballots to
+// three replicas. TestMessageCensus (internal/coord) pins the counts per
+// committed transaction.
 func runE6(e *env) {
 	counts := func(st stack, abortProb float64) (map[string]int64, int64) {
-		cl := e.cluster(core.Config{Sites: 4})
+		cfg := core.Config{Sites: 4}
+		if st.protocol == proto.Paxos {
+			cfg.Replicas = 3
+		}
+		cl := e.cluster(cfg)
+		defer cl.Close()
 		rep := workload.Run(bg(), cl, workload.Config{
 			Seed:          e.seed,
 			Clients:       4,
@@ -34,31 +44,36 @@ func runE6(e *env) {
 		})
 		return cl.MessageCounts(), rep.Committed + rep.Aborted
 	}
-	stacks := []stack{st2PC, stO2PC, stO2PCP1}
+	stacks := []stack{st2PC, stPaxos, stO2PC, stO2PCP1}
 	for _, scenario := range []struct {
 		name      string
 		abortProb float64
 	}{{"no aborts", 0}, {"15% vote aborts", 0.15}} {
 		all := map[string]map[string]int64{}
+		perTxn := map[string]float64{}
 		typeSet := map[string]bool{}
 		for _, st := range stacks {
-			c, _ := counts(st, scenario.abortProb)
+			c, txns := counts(st, scenario.abortProb)
 			all[st.name] = c
-			for name := range c {
+			var total int64
+			for name, n := range c {
 				typeSet[name] = true
+				total += n
 			}
+			perTxn[st.name] = float64(total) / float64(max(txns, 1))
 		}
 		var types []string
 		for name := range typeSet {
 			types = append(types, name)
 		}
 		sort.Strings(types)
-		e.row("["+scenario.name+"]", "", "", "", "")
-		e.row("message type", "2PC", "O2PC", "O2PC+P1", "2PC==O2PC")
+		e.row("["+scenario.name+"]", "", "", "", "", "")
+		e.row("message type", "2PC", "Paxos", "O2PC", "O2PC+P1", "O2PC==O2PC+P1")
 		for _, name := range types {
-			a, bb, c := all["2PC"][name], all["O2PC"][name], all["O2PC+P1"][name]
-			e.row(name, d(a), d(bb), d(c), b(a == bb))
+			o, p1 := all["O2PC"][name], all["O2PC+P1"][name]
+			e.row(name, d(all["2PC"][name]), d(all["Paxos"][name]), d(o), d(p1), b(o == p1))
 		}
+		e.row("messages/txn", f1(perTxn["2PC"]), f1(perTxn["Paxos"]), f1(perTxn["O2PC"]), f1(perTxn["O2PC+P1"]), "")
 	}
 }
 

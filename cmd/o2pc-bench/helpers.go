@@ -176,6 +176,7 @@ func dangerousScenario(marking proto.MarkProtocol, seed int64) (*core.Cluster, c
 func pct(x float64) string       { return fmt.Sprintf("%.1f%%", 100*x) }
 func ms(x float64) string        { return fmt.Sprintf("%.3f", x) }
 func f0(x float64) string        { return fmt.Sprintf("%.0f", x) }
+func f1(x float64) string        { return fmt.Sprintf("%.1f", x) }
 func d(x int64) string           { return fmt.Sprintf("%d", x) }
 func b(x bool) string            { return fmt.Sprintf("%v", x) }
 func dur(x time.Duration) string { return x.Round(10 * time.Microsecond).String() }

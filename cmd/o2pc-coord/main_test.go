@@ -85,6 +85,7 @@ func TestRunPaths(t *testing.T) {
 		chrome    string   // expect Chrome trace JSON at this path
 		metrics   []string // expect these substrings in the -metrics file
 		nonzero   []string // expect these samples in the -metrics file to be > 0
+		votes     bool     // the JSONL trace pairs votereq.send with vote.recv at s0 and s1
 	}{
 		{
 			name: "single txn with artifacts",
@@ -162,6 +163,28 @@ func TestRunPaths(t *testing.T) {
 			metrics: []string{
 				"# TYPE o2pc_coord_phase_vote_decision_ms summary",
 				"o2pc_coord_phase_decision_ack_ms_count 1",
+				`o2pc_coord_phase_prepare_vote_ms{site="s0",quantile="0.5"}`,
+				`o2pc_coord_phase_prepare_vote_ms{site="s1",quantile="0.5"}`,
+			},
+		},
+		{
+			// Under 2PC the VOTE-REQ rides the exec; the vote round stays
+			// visible in the trace (what o2pc-trace stats pairs) and in the
+			// per-site prepare->vote histograms.
+			name: "2pc vote rides the exec",
+			args: func(s0, s1 string) []string {
+				return []string{
+					"-listen", "127.0.0.1:0", "-site", s0, "-site", s1,
+					"-txn", "s0:addmin:acct:-40:0 / s1:add:acct:40", "-protocol", "2pc",
+					"-trace", filepath.Join(dir, "2pc.jsonl"),
+					"-metrics", filepath.Join(dir, "txn.metrics"),
+				}
+			},
+			wantOut: []string{"committed"},
+			jsonl:   filepath.Join(dir, "2pc.jsonl"),
+			votes:   true,
+			metrics: []string{
+				"o2pc_coord_phase_vote_decision_ms_count 1",
 				`o2pc_coord_phase_prepare_vote_ms{site="s0",quantile="0.5"}`,
 				`o2pc_coord_phase_prepare_vote_ms{site="s1",quantile="0.5"}`,
 			},
@@ -247,6 +270,9 @@ func TestRunPaths(t *testing.T) {
 				if !found {
 					t.Errorf("trace %s has no txn.begin among %d events", tc.jsonl, len(events))
 				}
+				if tc.votes {
+					requireVotePairs(t, events, "s0", "s1")
+				}
 			}
 			if tc.chrome != "" {
 				b, err := os.ReadFile(tc.chrome)
@@ -271,6 +297,25 @@ func TestRunPaths(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// requireVotePairs checks that the coordinator's trace shows a vote round
+// trip to each site: a votereq.send answered by a vote.recv.
+func requireVotePairs(t *testing.T, events []trace.Event, sites ...string) {
+	t.Helper()
+	sent, recv := make(map[string]int), make(map[string]int)
+	for _, e := range events {
+		if e.Type == trace.EvVoteReqSend {
+			sent[e.Peer]++
+		} else if e.Type == trace.EvVoteRecv {
+			recv[e.Peer]++
+		}
+	}
+	for _, site := range sites {
+		if sent[site] == 0 || sent[site] != recv[site] {
+			t.Errorf("%s: %d votereq.send, %d vote.recv; want a matching nonzero pair", site, sent[site], recv[site])
+		}
 	}
 }
 

@@ -4,10 +4,13 @@
 // decisions for recovery, answers in-doubt Resolve inquiries, and hosts the
 // marking Board that aggregates UDUM1 witnesses.
 //
-// The coordinator deliberately uses the same message pattern for every
-// protocol variant — ExecRequest, VoteRequest, Decision per participant —
-// so that the message census of experiment E6 compares like with like and
-// reproduces the paper's "no extra messages" claim.
+// The message pattern per participant follows the lock-release point.
+// Under O2PC — with or without marking — it is the classic ExecRequest,
+// VoteRequest, Decision, so the message census of experiment E6 reproduces
+// the paper's "no extra messages" claim against standard 2PC. Under 2PC
+// and Paxos Commit, whose YES vote keeps the locks, the VOTE-REQ rides the
+// ExecRequest and the vote its reply: ExecRequest, Decision. Multi-shot
+// sessions keep the separate vote round under every protocol.
 package coord
 
 import (
@@ -147,8 +150,9 @@ type Stats struct {
 	PhaseDeliver *metrics.Histogram
 
 	// voteRTT holds one histogram per participant measuring the
-	// prepare→vote round trip (VOTE-REQ send to vote reply receipt).
-	// Sites appear lazily as they first vote, so access is guarded.
+	// prepare→vote round trip (VOTE-REQ send to vote receipt; under 2PC
+	// and Paxos the VOTE-REQ rides the exec, so this is the exec+vote round
+	// trip). Sites appear lazily as they first vote, so access is guarded.
 	mu      sync.Mutex
 	voteRTT map[string]*metrics.Histogram
 }
@@ -210,7 +214,7 @@ func (s *Stats) Publish(reg *metrics.Registry, prefix string) {
 	reg.Adopt(prefix+"phase_decision_ack_ms", s.PhaseDeliver)
 	reg.SetHelp(prefix+"phase_vote_decision_ms", "coordinator collect window: first VOTE-REQ sent to decision reached")
 	reg.SetHelp(prefix+"phase_decision_ack_ms", "decision logged to last participant ack")
-	reg.SetHelp(prefix+"phase_prepare_vote_ms", "per-site VOTE-REQ send to vote reply receipt")
+	reg.SetHelp(prefix+"phase_prepare_vote_ms", "per-site VOTE-REQ send to vote receipt (2PC/Paxos: the exec+vote round trip)")
 	for _, site := range s.voteRTTSites() {
 		reg.Adopt(prefix+metrics.Label("phase_prepare_vote_ms", "site", site), s.VoteRTT(site))
 	}

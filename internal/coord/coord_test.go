@@ -243,46 +243,6 @@ func TestBlockedParticipantResolvesAfterCoordRecovery(t *testing.T) {
 	}, "participant-initiated resolution")
 }
 
-func TestMessageCensusIdenticalAcrossProtocols(t *testing.T) {
-	// E6 in miniature: committed transactions exchange exactly the same
-	// number of messages under 2PC, O2PC, and O2PC+P1.
-	counts := func(p proto.Protocol, m proto.MarkProtocol) map[string]int64 {
-		// An effectively-disabled resolver: under O2PC a site re-asks for
-		// the decision after ResolvePeriod, and on a loaded machine the
-		// rig's default 2ms can elapse before the decision lands, adding
-		// timing-dependent Resolve traffic to a census of the happy path.
-		r := newRigResolve(t, 2, time.Hour)
-		r.seed("acct", 1000)
-		for i := 0; i < 5; i++ {
-			res := r.coord.Run(bg(), transfer(r, p, m, "", 1))
-			if !res.Committed() {
-				t.Fatalf("%v/%v txn failed: %v", p, m, res.Err)
-			}
-		}
-		out := make(map[string]int64)
-		reg := r.net.Counts()
-		for _, name := range reg.CounterNames() {
-			out[name] = reg.Counter(name).Value()
-		}
-		return out
-	}
-	base := counts(proto.TwoPC, proto.MarkNone)
-	for _, tc := range []struct {
-		p proto.Protocol
-		m proto.MarkProtocol
-	}{{proto.O2PC, proto.MarkNone}, {proto.O2PC, proto.MarkP1}} {
-		got := counts(tc.p, tc.m)
-		if len(got) != len(base) {
-			t.Fatalf("%v/%v message types differ: %v vs %v", tc.p, tc.m, got, base)
-		}
-		for name, n := range base {
-			if got[name] != n {
-				t.Fatalf("%v/%v: %s = %d, want %d (extra messages!)", tc.p, tc.m, name, got[name], n)
-			}
-		}
-	}
-}
-
 func TestMarkingRetryCounted(t *testing.T) {
 	r := newRig(t, 2)
 	r.seed("acct", 100)

@@ -7,14 +7,19 @@
 // transaction's per-site work is shipped as a single ExecRequest carrying
 // the whole operation list (the restricted model's "well-defined repertoire
 // of operations forming an interface at each site"), and all marking
-// (P1/P2) state piggybacks on the existing messages. The resulting message
-// pattern per participant is exactly:
+// (P1/P2) state piggybacks on the existing messages. The message pattern
+// per participant of a one-shot transaction is, under O2PC and O2PC+P1,
+// the classic exchange
 //
 //	ExecRequest/ExecReply, VoteRequest/VoteReply, Decision/Ack
 //
-// identical for 2PC, O2PC and O2PC+P1 — reproducing the paper's claim that
-// the revised protocols need "no messages other than the standard 2PC
-// messages".
+// — reproducing the paper's claim that the revised protocols need "no
+// messages other than the standard 2PC messages". Under 2PC and Paxos
+// Commit, whose YES vote keeps the locks (KeepsLocksAtVote), the VOTE-REQ
+// rides the ExecRequest and the vote rides the ExecReply, so the pattern
+// is one pair shorter:
+//
+//	ExecRequest+vote/ExecReply+vote, Decision/Ack
 package proto
 
 import "fmt"
@@ -37,6 +42,13 @@ const (
 	// blocks a YES-voting participant once a majority of replicas is up.
 	Paxos
 )
+
+// KeepsLocksAtVote reports whether a participant's YES vote retains its
+// locks until the DECISION (2PC, Paxos Commit) rather than releasing them
+// by locally committing (O2PC). Such a vote exposes nothing, so a site may
+// cast it as the last action of its exec: the coordinator ships every
+// one-shot ExecRequest of these protocols with Vote set.
+func (p Protocol) KeepsLocksAtVote() bool { return p == TwoPC || p == Paxos }
 
 // String returns the protocol mnemonic.
 func (p Protocol) String() string {
@@ -209,6 +221,17 @@ type ExecRequest struct {
 	// admission check against its current marking state and appends the
 	// round's operations to the open subtransaction).
 	Round int
+	// Vote carries the VOTE-REQ on a one-shot (Round 0) request: a site
+	// whose exec succeeds votes as the exec's last action and returns the
+	// vote in ExecReply.Vote. Set only for protocols that keep locks at the
+	// vote (Protocol.KeepsLocksAtVote).
+	Vote bool
+	// Last marks the transaction's last subtransaction. Once it has
+	// executed, the transaction holds every lock it will ever take (its 2PL
+	// lock point), so a vote riding it may release locks early — the
+	// read-only exit, released read locks — as a stand-alone VOTE-REQ may.
+	// A vote riding an earlier exec keeps every lock until the decision.
+	Last bool
 }
 
 // ExecReply reports subtransaction execution.
@@ -229,9 +252,14 @@ type ExecReply struct {
 	// transaction never reaches its vote round.
 	Witnesses []WitnessDelta
 	Err       string
+	// Vote is the site's vote when the request set Vote and the exec
+	// succeeded (OK). Its witnesses are merged into Witnesses above.
+	Vote VoteReply
 }
 
-// VoteRequest is the coordinator's VOTE-REQ (PREPARE) message.
+// VoteRequest is the coordinator's VOTE-REQ (PREPARE) message. It travels
+// on its own under O2PC and for multi-shot sessions; a one-shot 2PC or
+// Paxos subtransaction carries it as ExecRequest.Vote instead.
 type VoteRequest struct {
 	TxnID string
 }

@@ -16,6 +16,7 @@ package proto
 //   - strings and []byte are a uvarint byte length followed by the bytes;
 //   - slices and maps are a uvarint element count followed by the elements
 //     (map entries in sorted key order, so encoding is deterministic);
+//   - a nested struct (ExecReply.Vote) is its fields in place, untagged;
 //   - zero-length slices, maps and []byte decode as nil — exactly what a
 //     gob round trip produces (FuzzWireCodec checks the codec against
 //     encoding/gob as a reference).
@@ -36,7 +37,8 @@ import (
 // WireVersion identifies this codec generation. The TCP transport sends it
 // in every frame header and refuses mismatches loudly (rpc.ErrWireVersion),
 // so an old peer and a new peer never half-understand each other.
-const WireVersion = 1
+// Version 2 added ExecRequest.Vote, ExecRequest.Last and ExecReply.Vote.
+const WireVersion = 2
 
 // Wire type tags, one per message in the protocol vocabulary. Tag values
 // are part of the wire format; append only.
@@ -84,9 +86,9 @@ func AppendMessage(buf []byte, msg any) ([]byte, error) {
 	case *VoteRequest:
 		return appendString(append(buf, wtVoteRequest), m.TxnID), nil
 	case VoteReply:
-		return appendVoteReply(buf, &m), nil
+		return appendVote(append(buf, wtVoteReply), &m), nil
 	case *VoteReply:
-		return appendVoteReply(buf, m), nil
+		return appendVote(append(buf, wtVoteReply), m), nil
 	case Decision:
 		return appendDecision(buf, &m), nil
 	case *Decision:
@@ -161,7 +163,8 @@ func appendExecRequest(buf []byte, m *ExecRequest) []byte {
 	buf = appendStrings(buf, m.TransMarks)
 	buf = appendBool(buf, m.Visited)
 	buf = binary.AppendVarint(buf, int64(m.Round))
-	return buf
+	buf = appendBool(buf, m.Vote)
+	return appendBool(buf, m.Last)
 }
 
 func decodeExecRequest(r *wireReader) ExecRequest {
@@ -186,6 +189,8 @@ func decodeExecRequest(r *wireReader) ExecRequest {
 	m.TransMarks = r.strs()
 	m.Visited = r.bool()
 	m.Round = int(r.varint())
+	m.Vote = r.bool()
+	m.Last = r.bool()
 	return m
 }
 
@@ -210,7 +215,7 @@ func appendExecReply(buf []byte, m *ExecReply) []byte {
 	buf = appendStrings(buf, m.Marks)
 	buf = appendWitnesses(buf, m.Witnesses)
 	buf = appendString(buf, m.Err)
-	return buf
+	return appendVote(buf, &m.Vote)
 }
 
 func decodeExecReply(r *wireReader) ExecReply {
@@ -229,15 +234,26 @@ func decodeExecReply(r *wireReader) ExecReply {
 	m.Marks = r.strs()
 	m.Witnesses = decodeWitnesses(r)
 	m.Err = r.str()
+	m.Vote = decodeVote(r)
 	return m
 }
 
-func appendVoteReply(buf []byte, m *VoteReply) []byte {
-	buf = append(buf, wtVoteReply)
+// appendVote encodes a VoteReply's fields without a tag: the body of a
+// VoteReply message, and the vote inside an ExecReply.
+func appendVote(buf []byte, m *VoteReply) []byte {
 	buf = appendBool(buf, m.Commit)
 	buf = appendBool(buf, m.ReadOnly)
 	buf = appendString(buf, m.Reason)
 	return appendWitnesses(buf, m.Witnesses)
+}
+
+func decodeVote(r *wireReader) VoteReply {
+	var m VoteReply
+	m.Commit = r.bool()
+	m.ReadOnly = r.bool()
+	m.Reason = r.str()
+	m.Witnesses = decodeWitnesses(r)
+	return m
 }
 
 func appendDecision(buf []byte, m *Decision) []byte {
@@ -347,12 +363,7 @@ func decodeAny(r *wireReader) (any, error) {
 	case wtVoteRequest:
 		msg = VoteRequest{TxnID: r.str()}
 	case wtVoteReply:
-		var m VoteReply
-		m.Commit = r.bool()
-		m.ReadOnly = r.bool()
-		m.Reason = r.str()
-		m.Witnesses = decodeWitnesses(r)
-		msg = m
+		msg = decodeVote(r)
 	case wtDecision:
 		var m Decision
 		m.TxnID = r.str()

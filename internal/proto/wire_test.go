@@ -78,11 +78,13 @@ func sampleMessages(id, key, s string, val []byte, d1, d2 int64, b1, b2, b3 bool
 	}
 	return []any{
 		ExecRequest{TxnID: id, Ops: ops, Comp: CompMode(n%4 + 1), Compensator: s,
-			Protocol: Protocol(n%2 + 1), Marking: MarkProtocol(n % 4), TransMarks: marks,
-			Visited: b1, Round: int(n)},
+			Protocol: Protocol(n%3 + 1), Marking: MarkProtocol(n % 4), TransMarks: marks,
+			Visited: b1, Round: int(n), Vote: b2, Last: b3},
 		ExecRequest{},
 		ExecReply{OK: b1, Rejected: b2, Fatal: b3, Reason: s, Reads: reads,
 			Marks: marks, Witnesses: ws, Err: id},
+		ExecReply{OK: true, Reads: reads, Marks: marks, Witnesses: ws,
+			Vote: VoteReply{Commit: b1, ReadOnly: b3, Reason: s, Witnesses: ws}},
 		VoteRequest{TxnID: id},
 		VoteReply{Commit: b1, ReadOnly: b2, Reason: s, Witnesses: ws},
 		Decision{TxnID: id, Commit: b1, Unmarks: marks},
@@ -108,6 +110,8 @@ func FuzzWireCodec(f *testing.F) {
 	f.Add("T1", "acct", "s0", []byte{1, 2, 3}, int64(-40), int64(0), true, false, true, uint8(3))
 	f.Add("", "", "", []byte(nil), int64(0), int64(0), false, false, false, uint8(0))
 	f.Add("T\x00x", "k\xff", "росо", []byte{0}, int64(1<<62), int64(-1<<62), true, true, true, uint8(255))
+	// A 2PC exec+vote: Vote set on the request, a YES with witnesses on the reply.
+	f.Add("T2", "acct", "site unilaterally aborted", []byte{7}, int64(5), int64(0), true, true, false, uint8(0))
 	f.Fuzz(func(t *testing.T, id, key, s string, val []byte, d1, d2 int64, b1, b2, b3 bool, n uint8) {
 		for _, msg := range sampleMessages(id, key, s, val, d1, d2, b1, b2, b3, n) {
 			got := wireRoundTrip(t, msg)
@@ -136,6 +140,13 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{9, 2, wtVoteRequest, 1, 'x', wtAck, 1, 'y', 1})
 	f.Add([]byte{10, 1, 0, 0})
 	f.Add([]byte{})
+	// The exec+vote fields: a request carrying the VOTE-REQ, and a reply
+	// carrying a read-only vote and a witness.
+	seed, _ = AppendMessage(nil, ExecRequest{TxnID: "T2", Protocol: TwoPC, Vote: true, Last: true})
+	f.Add(seed)
+	seed, _ = AppendMessage(nil, ExecReply{OK: true, Witnesses: []WitnessDelta{{Forward: "T0", Site: "s0"}},
+		Vote: VoteReply{Commit: true, ReadOnly: true, Reason: "r"}})
+	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := DecodeMessage(data)
 		if len(data) > 0 && bytes.IndexByte(reservedTags, data[0]) >= 0 && !errors.Is(err, ErrUnknownWireType) {
@@ -194,5 +205,30 @@ func TestWireCodecRejectsUnknown(t *testing.T) {
 	b, _ := AppendMessage(nil, Ack{TxnID: "T", Marked: true})
 	if _, err := DecodeMessage(append(b, 0x7)); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+}
+
+// TestWireExecVoteRoundTrip pins the exec+vote fields: the VOTE-REQ (and
+// the last-subtransaction flag) on an ExecRequest and the vote, with its own and the exec's witnesses, on an
+// ExecReply survive the codec, and a stand-alone VoteReply shares the
+// vote's encoding.
+func TestWireExecVoteRoundTrip(t *testing.T) {
+	ws := []WitnessDelta{{Forward: "T0", Site: "s1"}}
+	for _, msg := range []any{
+		ExecRequest{TxnID: "T1", Ops: []Operation{AddMin("acct", -5, 0)}, Protocol: Paxos, Vote: true},
+		ExecRequest{TxnID: "T1", Protocol: TwoPC, Vote: true, Last: true},
+		ExecReply{OK: true, Marks: []string{"T0"}, Witnesses: ws,
+			Vote: VoteReply{Commit: true, ReadOnly: true, Reason: "read-only", Witnesses: ws}},
+		ExecReply{OK: true, Vote: VoteReply{Reason: "site unilaterally aborted"}},
+	} {
+		if got := wireRoundTrip(t, msg); !reflect.DeepEqual(got, msg) {
+			t.Errorf("round trip:\n got %#v\nwant %#v", got, msg)
+		}
+	}
+	vote := VoteReply{Commit: true, Reason: "x", Witnesses: ws}
+	reply, _ := AppendMessage(nil, ExecReply{Vote: vote})
+	alone, _ := AppendMessage(nil, vote)
+	if !bytes.HasSuffix(reply, alone[1:]) {
+		t.Errorf("ExecReply.Vote is not encoded as a tagless VoteReply:\n% x\n% x", reply, alone)
 	}
 }

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -178,6 +179,22 @@ func TestTCPVersionMismatch(t *testing.T) {
 	_, err = client.Call(ctx, "a", "b", proto.VoteRequest{TxnID: "T1"})
 	if !errors.Is(err, ErrWireVersion) {
 		t.Fatalf("err = %v, want ErrWireVersion", err)
+	}
+}
+
+// TestWireVersion1FrameRefused pins the bump that added the exec+vote
+// fields: a frame stamped with version 1 — whose ExecRequest and ExecReply
+// lack the vote — is refused with ErrWireVersion rather than decoded.
+func TestWireVersion1FrameRefused(t *testing.T) {
+	for _, msg := range []any{proto.ExecRequest{TxnID: "T1"}, proto.ExecReply{OK: true}} {
+		frame, err := appendRequestFrame(nil, "a", msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame[2] = 1
+		if _, _, err := readFrame(bufio.NewReader(bytes.NewReader(frame)), nil); !errors.Is(err, ErrWireVersion) {
+			t.Errorf("%T in a version-1 frame: err = %v, want ErrWireVersion", msg, err)
+		}
 	}
 }
 

@@ -71,7 +71,9 @@ type Config struct {
 	// Name is the site's node name on the network.
 	Name string
 	// ReleaseSharedAtVote releases read locks when the VOTE-REQ arrives
-	// even under plain 2PC (permitted by Section 2; ablation A1).
+	// even under plain 2PC (permitted by Section 2; ablation A1). A vote
+	// riding an exec releases them only at the transaction's last
+	// subtransaction (ExecRequest.Last), its lock point.
 	ReleaseSharedAtVote bool
 	// CheckStrategy selects the R1 locking discipline.
 	CheckStrategy CheckStrategy
@@ -90,8 +92,10 @@ type Config struct {
 	// ReadOnlyVotes enables the classic read-only participant
 	// optimization: a subtransaction that wrote nothing answers its
 	// VOTE-REQ with a READ-ONLY vote, releases everything immediately and
-	// drops out of the protocol (no DECISION is sent to it). Off by
-	// default so the message census of experiment E6 compares the
+	// drops out of the protocol (no DECISION is sent to it). Under 2PC and
+	// Paxos only a stand-alone VOTE-REQ or a vote riding the last exec may
+	// exit early; earlier read-only subtransactions vote an ordinary YES.
+	// Off by default so the message census of experiment E6 compares the
 	// unoptimized protocols; experiment A4 measures the saving.
 	ReadOnlyVotes bool
 	// Clock supplies the site's notion of time (lock timeouts, resolver
@@ -460,7 +464,7 @@ func (s *Site) Handle(ctx context.Context, from string, req any) (any, error) {
 	}()
 	switch m := req.(type) {
 	case proto.ExecRequest:
-		return s.handleExec(ctx, m), nil
+		return s.handleExec(ctx, from, m), nil
 	case proto.VoteRequest:
 		return s.handleVote(ctx, from, m), nil
 	case proto.Decision:
@@ -478,10 +482,12 @@ func (s *Site) nextSysID() string {
 	return fmt.Sprintf("sys%d@%s", s.sysSeq, s.cfg.Name)
 }
 
-// handleExec executes a subtransaction shipped by a coordinator. Every
-// reply — success, failure or rejection — carries the site's pending UDUM1
-// witness facts, so unmarking is never delayed behind a vote round.
-func (s *Site) handleExec(ctx context.Context, req proto.ExecRequest) proto.ExecReply {
+// handleExec executes a subtransaction shipped by a coordinator. When the
+// request carries the VOTE-REQ, a successful one-shot exec votes as its
+// last action and the vote rides the reply. Every reply — success, failure
+// or rejection — carries the site's pending UDUM1 witness facts, so
+// unmarking is never delayed behind a vote round.
+func (s *Site) handleExec(ctx context.Context, from string, req proto.ExecRequest) proto.ExecReply {
 	s.stats.Execs.Inc()
 	detail := ""
 	if req.Round > 0 {
@@ -489,8 +495,11 @@ func (s *Site) handleExec(ctx context.Context, req proto.ExecRequest) proto.Exec
 	}
 	s.tracer.Emit(s.cfg.Name, trace.EvExecRecv, req.TxnID, "", detail)
 	reply := s.execLocked(ctx, req)
-	reply.Witnesses = s.drainWitnesses()
 	s.tracer.Emit(s.cfg.Name, trace.EvExecDone, req.TxnID, "", execDetail(reply))
+	if reply.OK && req.Vote && req.Round == 0 {
+		reply.Vote = s.vote(ctx, from, req.TxnID, req.Last)
+	}
+	reply.Witnesses = s.drainWitnesses()
 	return reply
 }
 
@@ -823,8 +832,9 @@ func (s *Site) rollbackAsCompensation(ctx context.Context, t *txn.Txn, mark prot
 }
 
 // rollbackUnexposed rolls back a subtransaction that was never exposed:
-// the vote phase has not begun, every site still holds this transaction's
-// locks, and nothing could have observed its effects. The roll-back keeps
+// every site still holds this transaction's locks (the vote phase has not
+// begun, or the protocol keeps locks at the vote), and nothing could have
+// observed its effects. The roll-back keeps
 // the original writers of the restored versions and voids the recorded
 // operations — the committed-projection history is as if the
 // subtransaction never ran. This also covers stale subtransactions (an

@@ -14,27 +14,45 @@ import (
 	"o2pc/internal/wal"
 )
 
-// handleVote answers a VOTE-REQ. This is where the two protocols diverge:
+// handleVote answers a stand-alone VOTE-REQ (O2PC, multi-shot sessions).
+// The reply carries the site's pending UDUM1 witness facts, drained before
+// the vote.
+func (s *Site) handleVote(ctx context.Context, from string, req proto.VoteRequest) proto.VoteReply {
+	witnesses := s.drainWitnesses()
+	reply := s.vote(ctx, from, req.TxnID, true)
+	reply.Witnesses = witnesses
+	return reply
+}
+
+// vote casts the site's vote on an executed subtransaction, for a VOTE-REQ
+// on its own or one riding the ExecRequest. This is where the protocols
+// diverge:
 //
-//   - 2PC (and O2PC subtransactions flagged CompNone, i.e. real actions):
-//     the participant logs PREPARED and retains its exclusive locks — the
-//     blocking window begins;
+//   - 2PC and Paxos Commit (and O2PC subtransactions flagged CompNone, i.e.
+//     real actions): the participant logs PREPARED and retains its
+//     exclusive locks — the blocking window begins;
 //   - O2PC: the participant locally commits the subtransaction and
 //     releases every lock at once; the transaction is now exposed and an
 //     eventual abort decision will be honoured by compensation.
-func (s *Site) handleVote(ctx context.Context, from string, req proto.VoteRequest) proto.VoteReply {
-	witnesses := s.drainWitnesses()
-	s.tracer.Emit(s.cfg.Name, trace.EvVoteReqRecv, req.TxnID, from, "")
+//
+// lockPoint reports that the global transaction has taken its last lock:
+// true for a stand-alone VOTE-REQ, which follows every exec, and for a vote
+// riding the last exec. Only then may a held-locks vote release anything
+// early (the read-only exit, ReleaseSharedAtVote): releasing a lock at an
+// earlier site and then locking at a later one would break two-phase
+// locking across sites.
+func (s *Site) vote(ctx context.Context, from, txnID string, lockPoint bool) proto.VoteReply {
+	s.tracer.Emit(s.cfg.Name, trace.EvVoteReqRecv, txnID, from, "")
 
 	s.mu.Lock()
-	p, ok := s.pend[req.TxnID]
+	p, ok := s.pend[txnID]
 	injector := s.injector
 	s.mu.Unlock()
 	if !ok {
 		// Exec failed or never arrived: the site has already rolled back.
 		s.stats.VotesNo.Inc()
-		s.tracer.Emit(s.cfg.Name, trace.EvVoteNo, req.TxnID, from, "unknown txn")
-		return proto.VoteReply{Commit: false, Reason: "unknown or already rolled-back transaction", Witnesses: witnesses}
+		s.tracer.Emit(s.cfg.Name, trace.EvVoteNo, txnID, from, "unknown txn")
+		return proto.VoteReply{Commit: false, Reason: "unknown or already rolled-back transaction"}
 	}
 	// Serialize against a concurrently-arriving decision for this
 	// transaction (see the pending type's comment).
@@ -42,8 +60,8 @@ func (s *Site) handleVote(ctx context.Context, from string, req proto.VoteReques
 	defer p.mu.Unlock()
 	if p.decided {
 		s.stats.VotesNo.Inc()
-		s.tracer.Emit(s.cfg.Name, trace.EvVoteNo, req.TxnID, from, "already decided")
-		return proto.VoteReply{Commit: false, Reason: "transaction already decided", Witnesses: witnesses}
+		s.tracer.Emit(s.cfg.Name, trace.EvVoteNo, txnID, from, "already decided")
+		return proto.VoteReply{Commit: false, Reason: "transaction already decided"}
 	}
 	s.mu.Lock() // coord is read by the resolver's scan (see pending)
 	p.coord = from
@@ -54,16 +72,16 @@ func (s *Site) handleVote(ctx context.Context, from string, req proto.VoteReques
 		// VOTE-REQ (delayed in the network across the crash) answers NO
 		// without touching anything — the resolver is already inquiring.
 		s.stats.VotesNo.Inc()
-		s.tracer.Emit(s.cfg.Name, trace.EvVoteNo, req.TxnID, from, "recovered entry")
-		return proto.VoteReply{Commit: false, Reason: "subtransaction recovered from WAL; awaiting decision", Witnesses: witnesses}
+		s.tracer.Emit(s.cfg.Name, trace.EvVoteNo, txnID, from, "recovered entry")
+		return proto.VoteReply{Commit: false, Reason: "subtransaction recovered from WAL; awaiting decision"}
 	}
 
 	// Site autonomy: the site may abort any subtransaction before it
 	// terminates (vote-abort injection models a local decision to do so).
-	if injector != nil && injector(req.TxnID) {
+	if injector != nil && injector(txnID) {
 		s.voteNo(ctx, p)
-		s.tracer.Emit(s.cfg.Name, trace.EvVoteNo, req.TxnID, from, "unilateral abort")
-		return proto.VoteReply{Commit: false, Reason: "site unilaterally aborted", Witnesses: witnesses}
+		s.tracer.Emit(s.cfg.Name, trace.EvVoteNo, txnID, from, "unilateral abort")
+		return proto.VoteReply{Commit: false, Reason: "site unilaterally aborted"}
 	}
 
 	// Multi-shot sessions re-validate R1 at the vote. Each round validated
@@ -77,8 +95,8 @@ func (s *Site) handleVote(ctx context.Context, from string, req proto.VoteReques
 			s.stats.RevalidateFail.Inc()
 			s.stats.ReadmitRejects.Inc()
 			s.voteNo(ctx, p)
-			s.tracer.Emit(s.cfg.Name, trace.EvVoteNo, req.TxnID, from, "session revalidation")
-			return proto.VoteReply{Commit: false, Reason: "marking validation failed at vote", Witnesses: witnesses}
+			s.tracer.Emit(s.cfg.Name, trace.EvVoteNo, txnID, from, "session revalidation")
+			return proto.VoteReply{Commit: false, Reason: "marking validation failed at vote"}
 		}
 	}
 
@@ -91,13 +109,13 @@ func (s *Site) handleVote(ctx context.Context, from string, req proto.VoteReques
 	if p.req.Marking == proto.MarkP2 || p.req.Marking == proto.MarkSimple {
 		if err := s.mgr.Locks().Acquire(ctx, p.t.ID(), MarkKey, lock.Exclusive); err != nil {
 			s.voteNo(ctx, p)
-			s.tracer.Emit(s.cfg.Name, trace.EvVoteNo, req.TxnID, from, "marking-set lock")
-			return proto.VoteReply{Commit: false, Reason: "marking-set lock: " + err.Error(), Witnesses: witnesses}
+			s.tracer.Emit(s.cfg.Name, trace.EvVoteNo, txnID, from, "marking-set lock")
+			return proto.VoteReply{Commit: false, Reason: "marking-set lock: " + err.Error()}
 		}
 		if err := s.lc.MarkUndone(p.req.TxnID); err != nil {
 			s.voteNo(ctx, p)
-			s.tracer.Emit(s.cfg.Name, trace.EvVoteNo, req.TxnID, from, "marking-set log")
-			return proto.VoteReply{Commit: false, Reason: "marking-set log: " + err.Error(), Witnesses: witnesses}
+			s.tracer.Emit(s.cfg.Name, trace.EvVoteNo, txnID, from, "marking-set log")
+			return proto.VoteReply{Commit: false, Reason: "marking-set log: " + err.Error()}
 		}
 	}
 
@@ -105,11 +123,11 @@ func (s *Site) handleVote(ctx context.Context, from string, req proto.VoteReques
 	// compensate — release everything and leave the protocol. (The
 	// subtransaction still counts as executed for marking purposes; its
 	// locks are what serialized it.)
-	if s.cfg.ReadOnlyVotes && len(p.t.WriteSet()) == 0 {
+	if s.cfg.ReadOnlyVotes && lockPoint && len(p.t.WriteSet()) == 0 {
 		if err := p.t.Commit(); err != nil {
 			s.voteNo(ctx, p)
-			s.tracer.Emit(s.cfg.Name, trace.EvVoteNo, req.TxnID, from, "read-only commit failed")
-			return proto.VoteReply{Commit: false, Reason: err.Error(), Witnesses: witnesses}
+			s.tracer.Emit(s.cfg.Name, trace.EvVoteNo, txnID, from, "read-only commit failed")
+			return proto.VoteReply{Commit: false, Reason: err.Error()}
 		}
 		s.mu.Lock()
 		delete(s.pend, p.req.TxnID)
@@ -117,27 +135,26 @@ func (s *Site) handleVote(ctx context.Context, from string, req proto.VoteReques
 		s.mu.Unlock()
 		s.stats.PendingGlobal.Dec()
 		s.stats.VotesYes.Inc()
-		s.tracer.Emit(s.cfg.Name, trace.EvLockRelease, req.TxnID, "", "read-only")
-		s.tracer.Emit(s.cfg.Name, trace.EvVoteYes, req.TxnID, from, "read-only")
-		return proto.VoteReply{Commit: true, ReadOnly: true, Witnesses: witnesses}
+		s.tracer.Emit(s.cfg.Name, trace.EvLockRelease, txnID, "", "read-only")
+		s.tracer.Emit(s.cfg.Name, trace.EvVoteYes, txnID, from, "read-only")
+		return proto.VoteReply{Commit: true, ReadOnly: true}
 	}
 
 	// Paxos Commit participants behave exactly like 2PC participants at
 	// the sites (Gray & Lamport): what the replicated decision log removes
 	// is the wait-on-a-dead-coordinator, not the prepared state.
-	holdLocks := p.req.Protocol == proto.TwoPC || p.req.Protocol == proto.Paxos ||
-		p.req.Comp == proto.CompNone
+	holdLocks := p.req.Protocol.KeepsLocksAtVote() || p.req.Comp == proto.CompNone
 	if holdLocks {
 		if err := p.t.Prepare(from); err != nil {
 			s.voteNo(ctx, p)
-			s.tracer.Emit(s.cfg.Name, trace.EvVoteNo, req.TxnID, from, "prepare failed")
-			return proto.VoteReply{Commit: false, Reason: err.Error(), Witnesses: witnesses}
+			s.tracer.Emit(s.cfg.Name, trace.EvVoteNo, txnID, from, "prepare failed")
+			return proto.VoteReply{Commit: false, Reason: err.Error()}
 		}
-		if s.cfg.ReleaseSharedAtVote {
+		if s.cfg.ReleaseSharedAtVote && lockPoint {
 			p.t.ReleaseSharedLocks()
 		}
 		s.setState(p, statePrepared)
-		s.tracer.Emit(s.cfg.Name, trace.EvPrepared, req.TxnID, from, "locks retained")
+		s.tracer.Emit(s.cfg.Name, trace.EvPrepared, txnID, from, "locks retained")
 		s.armResolver()
 	} else {
 		// O2PC: locally commit durably and release everything now. The
@@ -154,27 +171,27 @@ func (s *Site) handleVote(ctx context.Context, from string, req proto.VoteReques
 			Aux:   encodeExposure(exposure{Coord: from, Req: p.req}),
 		}); err != nil {
 			s.voteNo(ctx, p)
-			s.tracer.Emit(s.cfg.Name, trace.EvVoteNo, req.TxnID, from, "exposure log failed")
-			return proto.VoteReply{Commit: false, Reason: err.Error(), Witnesses: witnesses}
+			s.tracer.Emit(s.cfg.Name, trace.EvVoteNo, txnID, from, "exposure log failed")
+			return proto.VoteReply{Commit: false, Reason: err.Error()}
 		}
 		if err := p.t.CommitDurable(); err != nil {
 			s.voteNo(ctx, p)
-			s.tracer.Emit(s.cfg.Name, trace.EvVoteNo, req.TxnID, from, "local commit failed")
-			return proto.VoteReply{Commit: false, Reason: err.Error(), Witnesses: witnesses}
+			s.tracer.Emit(s.cfg.Name, trace.EvVoteNo, txnID, from, "local commit failed")
+			return proto.VoteReply{Commit: false, Reason: err.Error()}
 		}
 		s.setState(p, stateLocallyCommitted)
 		p.exposedAt = s.clock.Now()
-		s.tracer.Emit(s.cfg.Name, trace.EvExposed, req.TxnID, from, "")
-		s.tracer.Emit(s.cfg.Name, trace.EvLocalCommit, req.TxnID, "", "")
-		s.tracer.Emit(s.cfg.Name, trace.EvLockRelease, req.TxnID, "", "")
+		s.tracer.Emit(s.cfg.Name, trace.EvExposed, txnID, from, "")
+		s.tracer.Emit(s.cfg.Name, trace.EvLocalCommit, txnID, "", "")
+		s.tracer.Emit(s.cfg.Name, trace.EvLockRelease, txnID, "", "")
 		// The site still carries on with the second phase of the protocol
 		// (Section 2): if the decision is lost to a coordinator failure it
 		// inquires — without holding any locks meanwhile.
 		s.armResolver()
 	}
 	s.stats.VotesYes.Inc()
-	s.tracer.Emit(s.cfg.Name, trace.EvVoteYes, req.TxnID, from, "")
-	return proto.VoteReply{Commit: true, Witnesses: witnesses}
+	s.tracer.Emit(s.cfg.Name, trace.EvVoteYes, txnID, from, "")
+	return proto.VoteReply{Commit: true}
 }
 
 // setState publishes a YES vote's outcome under s.mu as well as p.mu, for
@@ -185,15 +202,31 @@ func (s *Site) setState(p *pending, st pendingState) {
 	s.mu.Unlock()
 }
 
-// voteNo rolls the subtransaction back (standard recovery, modeled as
-// CTik) and forgets it.
+// voteNo rolls the subtransaction back and forgets it.
 func (s *Site) voteNo(ctx context.Context, p *pending) {
 	s.stats.VotesNo.Inc()
-	s.rollbackAsCompensation(ctx, p.t, p.req.Marking)
+	s.rollbackVoted(ctx, p)
 	s.mu.Lock()
 	delete(s.pend, p.req.TxnID)
 	s.mu.Unlock()
 	s.stats.PendingGlobal.Dec()
+}
+
+// rollbackVoted rolls back a live subtransaction that reached its vote
+// with its locks held: a NO vote, or an abort decision after a YES that
+// retained the locks. Under 2PC and Paxos Commit no sibling subtransaction
+// ever exposes — every one keeps its locks until the decision — so nothing
+// could have observed the effects and the roll-back is unexposed: no
+// undone mark, which would otherwise reject later transactions that can
+// never witness the sibling sites. Under O2PC (a NO vote, or a real action
+// flagged CompNone) siblings may already have exposed, so the roll-back is
+// the degenerate CTik and carries the mark.
+func (s *Site) rollbackVoted(ctx context.Context, p *pending) {
+	if p.req.Protocol.KeepsLocksAtVote() {
+		s.rollbackUnexposed(p.t)
+		return
+	}
+	s.rollbackAsCompensation(ctx, p.t, p.req.Marking)
 }
 
 // drainWitnesses converts pending local witness facts into the piggyback
@@ -368,11 +401,8 @@ func (s *Site) applyAbort(ctx context.Context, p *pending) {
 			s.rollbackUnexposed(p.t)
 			break
 		}
-		// Locks still held after a YES vote (2PC or a real action):
-		// standard roll-back, modeled as the degenerate CTik — sibling
-		// subtransactions under O2PC may have been exposed, so the undone
-		// mark applies.
-		s.rollbackAsCompensation(ctx, p.t, p.req.Marking)
+		// Locks still held after a YES vote (2PC, Paxos or a real action).
+		s.rollbackVoted(ctx, p)
 	case stateLocallyCommitted:
 		// Epoch scope, not the delivery context: compensation is the
 		// site's own obligation once the abort decision is logged — it
