@@ -105,11 +105,11 @@ func TestExplorerMatrix(t *testing.T) {
 // behaviour" leaves them alone; a change that is meant to move a trace
 // pastes the digest the failing test prints, in a commit of its own.
 const (
-	goldenHistoryDigest   = "5eb5862c8bd920cb80a6b6e68c848395b216f558ce2ec51daae54b2f0cb2ed7f"
-	goldenTraceDigest     = "5e0042a9c92a1e25fb5d439cc5fef641ac235026542c61b3de954a150b6cd81a"
-	goldenMultiShotDigest = "773e691b0ba2e3d4fe4cd51f824a3ac34a15500d82a218177798b6bf31df55aa"
-	goldenPaxosDigest     = "5012004071d750daa2a5dd6a9f7b85a742e1be8f49a148516cec8cced17a7604"
-	goldenSiteCrashDigest = "bf24083f22c77571426112966b5860391dc3d7c40fa46cdebff58deb08cd37e3"
+	goldenHistoryDigest   = "e7d815a7988f84d906f446cadea689cbcf92df4090d3b50517f509cf724774d2"
+	goldenTraceDigest     = "ce22226a06f42eeb579327c2ffc1e8be1d634191e901b6e083e9ed4c90569807"
+	goldenMultiShotDigest = "fc456d0d69a051bb43ff5dcb1ec29a69cc27809a6d8f72c8b325f69a2fb9faed"
+	goldenPaxosDigest     = "cc3790c023211f11f8eace8e31a8fc4fcdb2a374bb5f314369a9e02398b2a42c"
+	goldenSiteCrashDigest = "77a439042c017f24dfb89b69211e4c13a8db45fe68aa26250a061957a3469f08"
 )
 
 // pinDigest fails unless the SHA-256 of data is want. A mismatch is either
