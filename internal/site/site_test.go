@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"o2pc/internal/compensate"
 	"o2pc/internal/history"
 	"o2pc/internal/proto"
 	"o2pc/internal/storage"
@@ -317,6 +318,60 @@ func TestDuplicateDecisionIdempotent(t *testing.T) {
 	decide(t, s, "T1", true) // retransmit
 	if got := s.ReadInt64("n"); got != 1 {
 		t.Fatalf("n = %d after duplicate decision", got)
+	}
+}
+
+// TestDuplicateAbortAckWaitsForCompensation: a second abort DECISION that
+// arrives while the first is still compensating (the coordinator's and the
+// resolver's, say) must ack with the undone mark the compensation sets. An
+// ack reporting Marked=false would leave the UDUM1 board believing the site
+// unmarked, so it would never send the unmark notice.
+func TestDuplicateAbortAckWaitsForCompensation(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	reg := compensate.NewRegistry()
+	reg.Register("slow", func(ctx context.Context, tx *txn.Txn, f compensate.Forward) error {
+		close(entered)
+		<-release
+		return compensate.SemanticPlan(ctx, tx, f)
+	})
+	s := newTestSite(t, Config{Compensators: reg})
+	s.SeedInt64("n", 10)
+	req := o2pcReq("T1", proto.Add("n", 5))
+	req.Comp, req.Compensator = proto.CompCustom, "slow"
+	exec(t, s, req)
+	if v := vote(t, s, "T1"); !v.Commit {
+		t.Fatalf("vote = %+v", v)
+	}
+
+	abort := func(acks chan<- proto.Ack) {
+		raw, err := s.Handle(bg(), "c0", proto.Decision{TxnID: "T1"})
+		if err != nil {
+			t.Errorf("decision: %v", err)
+		}
+		ack, _ := raw.(proto.Ack)
+		acks <- ack
+	}
+	first, dup := make(chan proto.Ack, 1), make(chan proto.Ack, 1)
+	go abort(first)
+	<-entered
+	go abort(dup)
+	select {
+	case ack := <-dup:
+		close(release)
+		if !ack.Marked {
+			t.Fatalf("duplicate ack during compensation: Marked=false")
+		}
+	case <-time.After(20 * time.Millisecond):
+		close(release)
+		if ack := <-dup; !ack.Marked {
+			t.Fatalf("duplicate ack after compensation: Marked=false")
+		}
+	}
+	if ack := <-first; !ack.Marked {
+		t.Fatalf("first ack: Marked=false")
+	}
+	if got := s.ReadInt64("n"); got != 10 {
+		t.Fatalf("n = %d, want 10 after one compensation", got)
 	}
 }
 
