@@ -262,10 +262,7 @@ func (r *Replica) accept(from string, m proto.RepAccept) (any, error) {
 	t.state = StateAccepted
 	t.accTerm = m.Term
 	t.commit = m.Commit
-	aux := "abort"
-	if m.Commit {
-		aux = "commit"
-	}
+	aux := wal.DecisionAux(m.Commit)
 	if _, err := r.wal.Append(wal.Record{
 		Type:  wal.RecAccept,
 		TxnID: m.TxnID,
@@ -432,7 +429,8 @@ func splitAcceptAux(aux string) (string, bool, uint64, error) {
 	if i < 0 {
 		return "", false, 0, fmt.Errorf("malformed ACCEPT aux %q", aux)
 	}
-	return rest[:i], rest[i+1:] == "commit", term, nil
+	commit, _ := wal.ParseDecision(rest[i+1:]) // anything else reads as abort
+	return rest[:i], commit, term, nil
 }
 
 // parseMark inverts proto.MarkProtocol.String. Unknown spellings fall back

@@ -118,15 +118,14 @@ func CarryRecords(records []Record) []Record {
 		if a.Status[txn] != StatusCommitted {
 			continue // exposure appended but the local commit failed; rolled back
 		}
-		switch a.Decisions[txn] {
-		case "commit":
-			// Decided and resolved.
-		case "abort":
-			if !a.CompensationComplete(txn) {
-				carry[txn] = true
-			}
-		default:
+		commit, decided := a.Decisions[txn]
+		switch {
+		case !decided:
 			carry[txn] = true // undecided: the blocking-free window Recover must rebuild
+		case commit:
+			// Decided and resolved.
+		case !a.CompensationComplete(txn):
+			carry[txn] = true
 		}
 	}
 

@@ -80,6 +80,27 @@ const (
 	MarkSetLC     = "lc"
 )
 
+// DecisionAux spells a commit decision as the Aux of a RecDecision record
+// ("commit" or "abort"), the decision field of a replica's RecAccept, and
+// the decision detail of trace events.
+func DecisionAux(commit bool) string {
+	if commit {
+		return "commit"
+	}
+	return "abort"
+}
+
+// ParseDecision inverts DecisionAux; ok is false for any other spelling.
+func ParseDecision(aux string) (commit, ok bool) {
+	switch aux {
+	case "commit":
+		return true, true
+	case "abort":
+		return false, true
+	}
+	return false, false
+}
+
 // String returns the record type mnemonic.
 func (t RecordType) String() string {
 	switch t {
@@ -271,8 +292,8 @@ type Analysis struct {
 	// Updates maps transaction ID to its update records in log order.
 	Updates map[string][]Record
 	// Decisions maps transaction ID to the recorded coordinator outcome
-	// ("commit" or "abort"), if a RecDecision record exists.
-	Decisions map[string]string
+	// (true for commit), if a RecDecision record exists.
+	Decisions map[string]bool
 	// Exposed maps transaction ID to the Aux payload of its RecExposed
 	// record: the subtransaction locally committed and released its locks
 	// before the global decision. Whether it is still undecided is read off
@@ -304,7 +325,7 @@ func Analyze(records []Record) Analysis {
 	a := Analysis{
 		Status:      make(map[string]TxnStatus),
 		Updates:     make(map[string][]Record),
-		Decisions:   make(map[string]string),
+		Decisions:   make(map[string]bool),
 		Exposed:     make(map[string]string),
 		Marks:       make(map[string]map[string]bool),
 		CompForward: make(map[string]string),
@@ -330,7 +351,9 @@ func Analyze(records []Record) Analysis {
 		case RecAbort:
 			a.Status[rec.TxnID] = StatusAborted
 		case RecDecision:
-			a.Decisions[rec.TxnID] = rec.Aux
+			if commit, ok := ParseDecision(rec.Aux); ok {
+				a.Decisions[rec.TxnID] = commit
+			}
 		case RecExposed:
 			a.Exposed[rec.TxnID] = rec.Aux
 		case RecMark:
@@ -491,14 +514,15 @@ func recoverRecords(store *storage.Store, records []Record) (RecoverResult, erro
 			ApplyUndo(store, a.Updates[txn], "recovery:"+txn)
 			res.Undone = append(res.Undone, txn)
 		case StatusPrepared:
-			switch a.Decisions[txn] {
-			case "commit":
+			commit, decided := a.Decisions[txn]
+			switch {
+			case !decided:
+				res.InDoubt = append(res.InDoubt, txn)
+			case commit:
 				res.Redone = append(res.Redone, txn)
-			case "abort":
+			default:
 				ApplyUndo(store, a.Updates[txn], "recovery:"+txn)
 				res.Undone = append(res.Undone, txn)
-			default:
-				res.InDoubt = append(res.InDoubt, txn)
 			}
 		case StatusAborted:
 			// The log-order pass above already replayed the undo at the

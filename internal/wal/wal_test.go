@@ -83,10 +83,18 @@ func TestAnalyzeStatuses(t *testing.T) {
 func TestAnalyzeDecisions(t *testing.T) {
 	a := Analyze([]Record{
 		{Type: RecPrepared, TxnID: "T1"},
-		{Type: RecDecision, TxnID: "T1", Aux: "commit"},
+		{Type: RecDecision, TxnID: "T1", Aux: DecisionAux(true)},
+		{Type: RecDecision, TxnID: "T2", Aux: DecisionAux(false)},
+		{Type: RecDecision, TxnID: "T3", Aux: "garbled"},
 	})
-	if a.Decisions["T1"] != "commit" {
-		t.Fatalf("decision = %q", a.Decisions["T1"])
+	if commit, ok := a.Decisions["T1"]; !commit || !ok {
+		t.Fatalf("T1 decision = %v, %v; want commit", commit, ok)
+	}
+	if commit, ok := a.Decisions["T2"]; commit || !ok {
+		t.Fatalf("T2 decision = %v, %v; want abort", commit, ok)
+	}
+	if _, ok := a.Decisions["T3"]; ok {
+		t.Fatalf("garbled decision record counted as a decision")
 	}
 }
 
