@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"o2pc/internal/history"
@@ -73,11 +74,10 @@ type Session struct {
 	state SessionState
 	round int
 
-	executed   []string // sites visited, in first-visit order
-	seen       map[string]bool
-	transmarks []string
-	visited    bool
-	retries    int
+	executed []string // sites visited, in first-visit order
+	seen     map[string]bool
+	marks    execMarks
+	retries  int
 
 	res Result // final result, valid once the session leaves SessionActive
 }
@@ -92,17 +92,7 @@ func (c *Coordinator) OpenSession(spec SessionSpec) (*Session, error) {
 	if id == "" {
 		id = c.nextID()
 	}
-	retries := spec.MarkingRetries
-	if retries == 0 {
-		retries = 3
-	}
-	c.mu.Lock()
-	crashed := c.crashed
-	if !crashed {
-		c.started[id] = nil
-	}
-	c.mu.Unlock()
-	if crashed {
+	if c.Crashed() {
 		return nil, ErrCrashed
 	}
 	if rec := c.cfg.Recorder; rec != nil {
@@ -122,7 +112,7 @@ func (c *Coordinator) OpenSession(spec SessionSpec) (*Session, error) {
 		start:   c.clock.Now(),
 		state:   SessionActive,
 		seen:    make(map[string]bool),
-		retries: retries,
+		retries: markingRetries(spec.MarkingRetries),
 	}, nil
 }
 
@@ -176,68 +166,37 @@ func (s *Session) Round(ctx context.Context, subtxns []SubtxnSpec) (map[string]m
 				Err: fmt.Errorf("coord: logging session sites for %s: %w", s.id, err)})
 			return nil, s.res.Err
 		}
-		c.mu.Lock()
-		if _, ok := c.started[s.id]; ok {
-			c.started[s.id] = append([]string(nil), s.executed...)
-		}
-		c.mu.Unlock()
 	}
 
 	c.tracer.Emit(c.cfg.Name, trace.EvSessionRound, s.id, "",
-		"round="+strconv.Itoa(s.round)+" sites="+joinSites(s.executed))
+		"round="+strconv.Itoa(s.round)+" sites="+strings.Join(s.executed, ","))
+	// A session round is round s.round of the exec loop, never carrying the
+	// VOTE-REQ: the session's vote round runs at Commit.
 	res := Result{ID: s.id}
-	var reads map[string]map[string][]byte
-	for _, st := range subtxns {
-		req := proto.ExecRequest{
-			TxnID:       s.id,
-			Ops:         st.Ops,
-			Comp:        st.Comp,
-			Compensator: st.Compensator,
-			Protocol:    s.spec.Protocol,
-			Marking:     s.spec.Marking,
-			TransMarks:  s.transmarks,
-			Visited:     s.visited,
-			Round:       s.round,
-		}
-		reply, err := c.execWithRetry(ctx, s.id, st.Site, req, s.retries, &res)
-		if err != nil {
-			res.Err = err
-			if res.Outcome == 0 {
-				res.Outcome = AbortedExec
-			}
-			res.MarkRetries += s.res.MarkRetries
-			res.Reads = s.res.Reads
-			// Every site of the round — including the failing one, which may
-			// have applied the round even though the reply was lost — is in
-			// s.executed: the participant list grew before anything shipped.
-			c.decide(ctx, s.id, false, s.executed, TxnSpec{Protocol: s.spec.Protocol, Marking: s.spec.Marking})
-			s.settle(res)
-			return nil, err
-		}
-		if len(reply.Reads) > 0 {
-			if reads == nil {
-				reads = make(map[string]map[string][]byte)
-			}
-			reads[st.Site] = reply.Reads
-		}
-		s.transmarks = reply.Marks
-		s.visited = true
+	req := proto.ExecRequest{TxnID: s.id, Protocol: s.spec.Protocol, Marking: s.spec.Marking, Round: s.round}
+	if _, err := c.execSubtxns(ctx, req, subtxns, s.retries, &s.marks, nil, &res); err != nil {
+		res.MarkRetries += s.res.MarkRetries
+		res.Reads = s.res.Reads
+		// Every site of the round — including the failing one, which may
+		// have applied the round even though the reply was lost — is in
+		// s.executed: the participant list grew before anything shipped.
+		c.decide(ctx, s.id, false, s.executed, s.spec.Marking)
+		s.settle(res)
+		return nil, err
 	}
 	s.res.MarkRetries += res.MarkRetries
-	if len(reads) > 0 {
-		if s.res.Reads == nil {
-			s.res.Reads = make(map[string]map[string][]byte)
+	if len(res.Reads) > 0 && s.res.Reads == nil {
+		s.res.Reads = make(map[string]map[string][]byte)
+	}
+	for site, kv := range res.Reads {
+		if s.res.Reads[site] == nil {
+			s.res.Reads[site] = make(map[string][]byte)
 		}
-		for site, kv := range reads {
-			if s.res.Reads[site] == nil {
-				s.res.Reads[site] = make(map[string][]byte)
-			}
-			for k, v := range kv {
-				s.res.Reads[site][k] = v
-			}
+		for k, v := range kv {
+			s.res.Reads[site][k] = v
 		}
 	}
-	return reads, nil
+	return res.Reads, nil
 }
 
 // Commit drives the ordinary commit point over every site the session
@@ -250,15 +209,15 @@ func (s *Session) Commit(ctx context.Context) Result {
 	res := Result{ID: s.id, Reads: s.res.Reads, MarkRetries: s.res.MarkRetries}
 	if len(s.executed) == 0 {
 		// An empty session commits vacuously: nothing executed anywhere.
-		// decide still runs so the coordinator's in-memory state (decided
-		// set, started bookkeeping) matches the reported outcome.
+		// decide still runs so the coordinator's decided set matches the
+		// reported outcome.
 		res.Outcome = Committed
-		s.c.decide(ctx, s.id, true, nil, TxnSpec{Protocol: s.spec.Protocol, Marking: s.spec.Marking})
+		s.c.decide(ctx, s.id, true, nil, s.spec.Marking)
 		s.settle(res)
 		return s.res
 	}
-	spec := TxnSpec{Protocol: s.spec.Protocol, Marking: s.spec.Marking}
-	s.c.finishCommit(ctx, s.id, append([]string(nil), s.executed...), spec, &res)
+	v := s.c.collectVotes(ctx, s.id, s.executed)
+	s.c.commitPoint(ctx, s.id, s.executed, v, s.spec.Marking, &res)
 	s.settle(res)
 	return s.res
 }
@@ -271,16 +230,14 @@ func (s *Session) Abort(ctx context.Context) Result {
 		return s.res
 	}
 	res := Result{ID: s.id, Outcome: AbortedClient, MarkRetries: s.res.MarkRetries}
-	s.c.decide(ctx, s.id, false, append([]string(nil), s.executed...),
-		TxnSpec{Protocol: s.spec.Protocol, Marking: s.spec.Marking})
+	s.c.decide(ctx, s.id, false, s.executed, s.spec.Marking)
 	s.settle(res)
 	return s.res
 }
 
-// settle finalizes the session with Run's accounting: latency and outcome
-// counters, the outcome trace event, and the in-flight gauge.
+// settle finalizes the session with Run's accounting (see
+// Coordinator.settle).
 func (s *Session) settle(res Result) {
-	c := s.c
 	if s.state != SessionActive {
 		return
 	}
@@ -289,19 +246,6 @@ func (s *Session) settle(res Result) {
 	} else {
 		s.state = SessionAborted
 	}
+	s.c.settle(s.start, &res)
 	s.res = res
-	c.stats.InFlight.Dec()
-	s.res.Latency = c.clock.Since(s.start)
-	c.stats.Latency.ObserveDuration(s.res.Latency)
-	switch s.res.Outcome {
-	case Committed:
-		c.stats.Commits.Inc()
-		c.stats.CommitLatency.ObserveDuration(s.res.Latency)
-	case AbortedMarking:
-		c.stats.MarkingAborts.Inc()
-		c.stats.Aborts.Inc()
-	default:
-		c.stats.Aborts.Inc()
-	}
-	c.tracer.Emit(c.cfg.Name, trace.EvTxnOutcome, s.id, "", s.res.Outcome.String())
 }
