@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 
 	"o2pc/internal/analyzers/framework"
 )
@@ -31,230 +32,34 @@ var Lockheld = &framework.Analyzer{
 }
 
 func runLockheld(pass *framework.Pass) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				checkMutexParams(pass, fn.Recv, fn.Type)
-				if fn.Body != nil {
-					w := &lockWalker{pass: pass}
-					w.block(fn.Body, lockSet{})
-				}
-				return false // nested literals are walked by lockWalker
-			case *ast.FuncLit:
-				checkMutexParams(pass, nil, fn.Type)
-				w := &lockWalker{pass: pass}
-				w.block(fn.Body, lockSet{})
-				return false
-			}
-			return true
-		})
+	f := &flow[lockSet]{
+		info: pass.TypesInfo,
+		join: func(a, b lockSet) lockSet {
+			out := make(lockSet, len(a)+len(b))
+			maps.Copy(out, b)
+			maps.Copy(out, a) // a's Lock position wins
+			return out
+		},
+		call: func(held lockSet, call *ast.CallExpr) lockSet { return lockheldCall(pass, call, held) },
+		enter: func(_ lockSet, recv *ast.FieldList, typ *ast.FuncType) lockSet {
+			checkMutexParams(pass, recv, typ)
+			return nil
+		},
 	}
+	f.funcs(pass.Files, nil)
 	return nil
 }
 
 // lockSet maps a canonical mutex expression ("s.mu") to its Lock position.
+// Sets are never mutated once built: flow shares one across branches.
 type lockSet map[string]token.Pos
 
-func (s lockSet) clone() lockSet {
-	out := make(lockSet, len(s))
-	for k, v := range s {
-		out[k] = v
-	}
-	return out
-}
-
-func (s lockSet) union(other lockSet) {
-	for k, v := range other {
-		if _, ok := s[k]; !ok {
-			s[k] = v
-		}
-	}
-}
-
-type lockWalker struct {
-	pass *framework.Pass
-}
-
-// block walks stmts sequentially, threading the held-set through; it
-// returns the exit state and whether control cannot flow past the block.
-func (w *lockWalker) block(b *ast.BlockStmt, state lockSet) (lockSet, bool) {
-	return w.stmts(b.List, state)
-}
-
-func (w *lockWalker) stmts(list []ast.Stmt, state lockSet) (lockSet, bool) {
-	for _, stmt := range list {
-		var terminated bool
-		state, terminated = w.stmt(stmt, state)
-		if terminated {
-			return state, true
-		}
-	}
-	return state, false
-}
-
-func (w *lockWalker) stmt(stmt ast.Stmt, state lockSet) (lockSet, bool) {
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		w.expr(s.X, state)
-		if call, ok := s.X.(*ast.CallExpr); ok && isPanic(w.pass.TypesInfo, call) {
-			return state, true
-		}
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.expr(e, state)
-		}
-		for _, e := range s.Lhs {
-			w.expr(e, state)
-		}
-	case *ast.DeclStmt, *ast.IncDecStmt, *ast.SendStmt:
-		ast.Inspect(stmt, w.exprVisitor(state))
-	case *ast.DeferStmt:
-		// A deferred Unlock runs at return: the mutex stays held for the
-		// remainder of the function, so the held-set is unchanged. Other
-		// deferred calls (and deferred closures) run outside the critical
-		// path being analyzed.
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			w.block(lit.Body, lockSet{})
-		}
-		for _, arg := range s.Call.Args {
-			w.expr(arg, state)
-		}
-	case *ast.GoStmt:
-		if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-			w.block(lit.Body, lockSet{})
-		}
-		for _, arg := range s.Call.Args {
-			w.expr(arg, state)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			w.expr(e, state)
-		}
-		return state, true
-	case *ast.BranchStmt:
-		// break/continue/goto leave the linear walk; treat as terminating
-		// so their state does not merge into the fall-through path.
-		return state, true
-	case *ast.BlockStmt:
-		return w.block(s, state)
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, state)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			state, _ = w.stmt(s.Init, state)
-		}
-		w.expr(s.Cond, state)
-		thenExit, thenTerm := w.block(s.Body, state.clone())
-		elseExit, elseTerm := state, false
-		if s.Else != nil {
-			elseExit, elseTerm = w.stmt(s.Else, state.clone())
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return state, true
-		case thenTerm:
-			return elseExit, false
-		case elseTerm:
-			return thenExit, false
-		default:
-			thenExit.union(elseExit)
-			return thenExit, false
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			state, _ = w.stmt(s.Init, state)
-		}
-		if s.Cond != nil {
-			w.expr(s.Cond, state)
-		}
-		bodyExit, _ := w.block(s.Body, state.clone())
-		if s.Post != nil {
-			w.stmt(s.Post, bodyExit)
-		}
-		state.union(bodyExit)
-		return state, false
-	case *ast.RangeStmt:
-		w.expr(s.X, state)
-		bodyExit, _ := w.block(s.Body, state.clone())
-		state.union(bodyExit)
-		return state, false
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		return w.clauses(stmt, state)
-	}
-	return state, false
-}
-
-// clauses handles the branchy statements whose bodies all start from the
-// same entry state and merge by union.
-func (w *lockWalker) clauses(stmt ast.Stmt, state lockSet) (lockSet, bool) {
-	var bodies [][]ast.Stmt
-	switch s := stmt.(type) {
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			state, _ = w.stmt(s.Init, state)
-		}
-		if s.Tag != nil {
-			w.expr(s.Tag, state)
-		}
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CaseClause)
-			for _, e := range cc.List {
-				w.expr(e, state)
-			}
-			bodies = append(bodies, cc.Body)
-		}
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			state, _ = w.stmt(s.Init, state)
-		}
-		for _, c := range s.Body.List {
-			bodies = append(bodies, c.(*ast.CaseClause).Body)
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			if cc.Comm != nil {
-				w.stmt(cc.Comm, state.clone())
-			}
-			bodies = append(bodies, cc.Body)
-		}
-	}
-	merged := state.clone()
-	allTerm := len(bodies) > 0
-	for _, body := range bodies {
-		exit, term := w.stmts(body, state.clone())
-		if !term {
-			merged.union(exit)
-			allTerm = false
-		}
-	}
-	return merged, allTerm
-}
-
-// expr scans one expression for lock transitions and blocking calls.
-func (w *lockWalker) expr(e ast.Expr, state lockSet) {
-	ast.Inspect(e, w.exprVisitor(state))
-}
-
-func (w *lockWalker) exprVisitor(state lockSet) func(ast.Node) bool {
-	return func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			checkMutexParams(w.pass, nil, x.Type)
-			w.block(x.Body, lockSet{})
-			return false
-		case *ast.CallExpr:
-			w.call(x, state)
-		}
-		return true
-	}
-}
-
-func (w *lockWalker) call(call *ast.CallExpr, state lockSet) {
-	fn := calleeFunc(w.pass.TypesInfo, call)
+// lockheldCall reports a blocking call made with held non-empty and
+// returns the held-set after call.
+func lockheldCall(pass *framework.Pass, call *ast.CallExpr, held lockSet) lockSet {
+	fn := calleeFunc(pass.TypesInfo, call)
 	if fn == nil {
-		return
+		return held
 	}
 	path := funcPkgPath(fn)
 	name := fn.Name()
@@ -262,20 +67,25 @@ func (w *lockWalker) call(call *ast.CallExpr, state lockSet) {
 	if path == "sync" && isMutexType(recvNamed(fn)) {
 		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 		if !ok {
-			return
+			return held
 		}
 		key := types.ExprString(sel.X)
 		switch name {
 		case "Lock", "RLock":
-			state[key] = call.Pos()
+			out := make(lockSet, len(held)+1)
+			maps.Copy(out, held)
+			out[key] = call.Pos()
+			return out
 		case "Unlock", "RUnlock":
-			delete(state, key)
+			out := maps.Clone(held)
+			delete(out, key)
+			return out
 		}
 		// TryLock/TryRLock are not tracked: on their failure path nothing
 		// is held, so treating them as acquisitions would flag the
 		// poll-through-the-clock idiom (site.lockPending) that exists
 		// precisely to avoid blocking with the lock contended.
-		return
+		return held
 	}
 
 	var verb string
@@ -285,13 +95,14 @@ func (w *lockWalker) call(call *ast.CallExpr, state lockSet) {
 	case pathEndsWith(path, "internal/rpc") && (name == "Call" || name == "Send"):
 		verb = "performs a network round-trip"
 	default:
-		return
+		return held
 	}
-	for key, pos := range state {
-		w.pass.Reportf(call.Pos(),
+	for key, pos := range held {
+		pass.Reportf(call.Pos(),
 			"%s %s while %s (locked at line %d) is still held; release the mutex first or hand off to a clock-tracked goroutine",
-			name, verb, key, w.pass.Fset.Position(pos).Line)
+			name, verb, key, pass.Fset.Position(pos).Line)
 	}
+	return held
 }
 
 // checkMutexParams reports receiver and parameter declarations that pass a
@@ -322,13 +133,4 @@ func isMutexType(named *types.Named) bool {
 	}
 	name := named.Obj().Name()
 	return named.Obj().Pkg().Path() == "sync" && (name == "Mutex" || name == "RWMutex")
-}
-
-func isPanic(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "panic"
 }

@@ -15,9 +15,10 @@ import (
 // compensation, which is precisely the SeedInt64 bypass class of bug this
 // pass exists to catch.
 //
-// The walk is intraprocedural and path-sensitive: branches fork the
+// The walk (flow) is intraprocedural and path-sensitive: branches fork the
 // "appended" flag and merge by conjunction, so a mutation is clean only
 // when every path from the function entry to it passes through an append.
+// Function literals start unappended: they may run anywhere.
 var Walorder = &framework.Analyzer{
 	Name: "walorder",
 	Doc: "in internal/site, storage mutations must be dominated by a " +
@@ -57,204 +58,20 @@ func runWalorder(pass *framework.Pass) error {
 	if !pathEndsWith(pass.Pkg.Path(), "internal/site") {
 		return nil
 	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					w := &walWalker{pass: pass}
-					w.block(fn.Body, false)
-				}
-				return false
-			case *ast.FuncLit:
-				w := &walWalker{pass: pass}
-				w.block(fn.Body, false)
-				return false
-			}
-			return true
-		})
+	f := &flow[bool]{
+		info:  pass.TypesInfo,
+		join:  func(a, b bool) bool { return a && b },
+		call:  func(appended bool, call *ast.CallExpr) bool { return walorderCall(pass, call, appended) },
+		enter: func(bool, *ast.FieldList, *ast.FuncType) bool { return false },
 	}
+	f.funcs(pass.Files, false)
 	return nil
 }
 
-type walWalker struct {
-	pass *framework.Pass
-}
-
-// block walks stmts threading the appended flag; it returns the exit flag
-// and whether control cannot flow past the block.
-func (w *walWalker) block(b *ast.BlockStmt, appended bool) (bool, bool) {
-	return w.stmts(b.List, appended)
-}
-
-func (w *walWalker) stmts(list []ast.Stmt, appended bool) (bool, bool) {
-	for _, stmt := range list {
-		var terminated bool
-		appended, terminated = w.stmt(stmt, appended)
-		if terminated {
-			return appended, true
-		}
-	}
-	return appended, false
-}
-
-func (w *walWalker) stmt(stmt ast.Stmt, appended bool) (bool, bool) {
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		appended = w.expr(s.X, appended)
-		if call, ok := s.X.(*ast.CallExpr); ok && isPanic(w.pass.TypesInfo, call) {
-			return appended, true
-		}
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			appended = w.expr(e, appended)
-		}
-		for _, e := range s.Lhs {
-			appended = w.expr(e, appended)
-		}
-	case *ast.DeclStmt, *ast.IncDecStmt, *ast.SendStmt:
-		appended = w.exprStmtScan(stmt, appended)
-	case *ast.DeferStmt, *ast.GoStmt:
-		var call *ast.CallExpr
-		if d, ok := s.(*ast.DeferStmt); ok {
-			call = d.Call
-		} else {
-			call = s.(*ast.GoStmt).Call
-		}
-		if lit, ok := call.Fun.(*ast.FuncLit); ok {
-			w.block(lit.Body, false)
-		}
-		for _, arg := range call.Args {
-			appended = w.expr(arg, appended)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range s.Results {
-			appended = w.expr(e, appended)
-		}
-		return appended, true
-	case *ast.BranchStmt:
-		return appended, true
-	case *ast.BlockStmt:
-		return w.block(s, appended)
-	case *ast.LabeledStmt:
-		return w.stmt(s.Stmt, appended)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			appended, _ = w.stmt(s.Init, appended)
-		}
-		appended = w.expr(s.Cond, appended)
-		thenExit, thenTerm := w.block(s.Body, appended)
-		elseExit, elseTerm := appended, false
-		if s.Else != nil {
-			elseExit, elseTerm = w.stmt(s.Else, appended)
-		}
-		switch {
-		case thenTerm && elseTerm:
-			return appended, true
-		case thenTerm:
-			return elseExit, false
-		case elseTerm:
-			return thenExit, false
-		default:
-			return thenExit && elseExit, false
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			appended, _ = w.stmt(s.Init, appended)
-		}
-		if s.Cond != nil {
-			appended = w.expr(s.Cond, appended)
-		}
-		w.block(s.Body, appended)
-		return appended, false
-	case *ast.RangeStmt:
-		appended = w.expr(s.X, appended)
-		w.block(s.Body, appended)
-		return appended, false
-	case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-		return w.clauses(stmt, appended)
-	}
-	return appended, false
-}
-
-func (w *walWalker) clauses(stmt ast.Stmt, appended bool) (bool, bool) {
-	var bodies [][]ast.Stmt
-	switch s := stmt.(type) {
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			appended, _ = w.stmt(s.Init, appended)
-		}
-		if s.Tag != nil {
-			appended = w.expr(s.Tag, appended)
-		}
-		for _, c := range s.Body.List {
-			bodies = append(bodies, c.(*ast.CaseClause).Body)
-		}
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			appended, _ = w.stmt(s.Init, appended)
-		}
-		for _, c := range s.Body.List {
-			bodies = append(bodies, c.(*ast.CaseClause).Body)
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			if cc.Comm != nil {
-				w.stmt(cc.Comm, appended)
-			}
-			bodies = append(bodies, cc.Body)
-		}
-	}
-	merged := true
-	allTerm := len(bodies) > 0
-	anyLive := false
-	for _, body := range bodies {
-		exit, term := w.stmts(body, appended)
-		if !term {
-			merged = merged && exit
-			allTerm = false
-			anyLive = true
-		}
-	}
-	if !anyLive {
-		merged = appended
-	}
-	return merged, allTerm
-}
-
-func (w *walWalker) exprStmtScan(stmt ast.Stmt, appended bool) bool {
-	ast.Inspect(stmt, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			w.block(x.Body, false)
-			return false
-		case *ast.CallExpr:
-			appended = w.call(x, appended)
-		}
-		return true
-	})
-	return appended
-}
-
-// expr scans one expression in evaluation-ish order for storage mutations
-// and wal appends.
-func (w *walWalker) expr(e ast.Expr, appended bool) bool {
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			w.block(x.Body, false)
-			return false
-		case *ast.CallExpr:
-			appended = w.call(x, appended)
-		}
-		return true
-	})
-	return appended
-}
-
-func (w *walWalker) call(call *ast.CallExpr, appended bool) bool {
-	fn := calleeFunc(w.pass.TypesInfo, call)
+// walorderCall reports an unlogged mutation at call and returns the
+// appended flag after it.
+func walorderCall(pass *framework.Pass, call *ast.CallExpr, appended bool) bool {
+	fn := calleeFunc(pass.TypesInfo, call)
 	if fn == nil {
 		return appended
 	}
@@ -273,7 +90,7 @@ func (w *walWalker) call(call *ast.CallExpr, appended bool) bool {
 				return true
 			case "SiteMarks":
 				if !appended {
-					w.pass.Reportf(call.Pos(),
+					pass.Reportf(call.Pos(),
 						"marking.SiteMarks.%s is not dominated by a wal append in this function: "+
 							"an unlogged mark vanishes on crash recovery; "+
 							"mutate through marking.LoggedMarks or append a RecMark/RecUnmark record first", name)
@@ -283,7 +100,7 @@ func (w *walWalker) call(call *ast.CallExpr, appended bool) bool {
 	}
 	if pathEndsWith(path, "internal/storage") && walorderMutators[name] {
 		if named := recvNamed(fn); named != nil && named.Obj().Name() == "Store" && !appended {
-			w.pass.Reportf(call.Pos(),
+			pass.Reportf(call.Pos(),
 				"storage.Store.%s is not dominated by a wal append in this function: "+
 					"a crash here loses the mutation (Theorem 2 needs every exposure-relevant write in the log); "+
 					"append the records first or route the write through the txn manager", name)
