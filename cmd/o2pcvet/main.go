@@ -13,13 +13,8 @@
 //
 // For machine consumption, -json prints the findings as a sorted JSON
 // array of {analyzer, file, line, col, message} objects with repo-relative
-// file paths. A baseline workflow supports ratcheting: -baseline FILE
-// suppresses findings whose (analyzer, file, message) triple appears in
-// FILE (line numbers are deliberately ignored so unrelated edits don't
-// invalidate the baseline), and -update-baseline rewrites FILE with the
-// current findings. The checked-in o2pcvet.baseline.json is empty and must
-// stay empty: new findings are fixed or annotated with a reasoned
-// directive, never baselined away.
+// file paths. New findings are fixed or annotated with a reasoned
+// directive, never suppressed wholesale.
 package main
 
 import (
@@ -56,8 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	only := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	list := fs.Bool("list", false, "list the available analyzers and exit")
 	asJSON := fs.Bool("json", false, "print findings as a JSON array instead of text")
-	baseline := fs.String("baseline", "", "suppress findings recorded in this baseline JSON file")
-	update := fs.Bool("update-baseline", false, "rewrite the -baseline file with the current findings and exit 0")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -85,10 +78,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		suite = picked
 	}
-	if *update && *baseline == "" {
-		fmt.Fprintln(stderr, "o2pcvet: -update-baseline requires -baseline")
-		return 2
-	}
 
 	patterns := fs.Args()
 	if len(patterns) == 0 {
@@ -106,22 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	findings := relativize(diags, *dir)
-	if *baseline != "" && !*update {
-		old, err := readBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintf(stderr, "o2pcvet: %v\n", err)
-			return 2
-		}
-		findings = filterBaselined(findings, old)
-	}
-	if *update {
-		if err := writeBaseline(*baseline, findings); err != nil {
-			fmt.Fprintf(stderr, "o2pcvet: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "o2pcvet: wrote %d finding(s) to %s\n", len(findings), *baseline)
-		return 0
-	}
 
 	if *asJSON {
 		enc := json.NewEncoder(stdout)
@@ -147,8 +120,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // relativize converts framework diagnostics to the JSON shape, rewriting
-// file paths under dir as dir-relative so baselines and artifacts are
-// stable across checkouts. Run already sorted and deduplicated the input.
+// file paths under dir as dir-relative so artifacts are stable across
+// checkouts. Run already sorted and deduplicated the input.
 func relativize(diags []framework.Diagnostic, dir string) []jsonFinding {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -169,54 +142,6 @@ func relativize(diags []framework.Diagnostic, dir string) []jsonFinding {
 			Col:      d.Pos.Column,
 			Message:  d.Message,
 		})
-	}
-	return out
-}
-
-// baselineKey identifies a finding for baseline matching. Line and column
-// are excluded on purpose: a baseline entry keeps suppressing its finding
-// as surrounding code moves, and disappears from -update-baseline output
-// once the finding is actually fixed.
-func baselineKey(f jsonFinding) string {
-	return f.Analyzer + "\x00" + f.File + "\x00" + f.Message
-}
-
-func readBaseline(path string) ([]jsonFinding, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	var out []jsonFinding
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	return out, nil
-}
-
-func writeBaseline(path string, findings []jsonFinding) error {
-	if findings == nil {
-		findings = []jsonFinding{}
-	}
-	data, err := json.MarshalIndent(findings, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func filterBaselined(findings, baseline []jsonFinding) []jsonFinding {
-	if len(baseline) == 0 {
-		return findings
-	}
-	known := make(map[string]bool, len(baseline))
-	for _, f := range baseline {
-		known[baselineKey(f)] = true
-	}
-	var out []jsonFinding
-	for _, f := range findings {
-		if !known[baselineKey(f)] {
-			out = append(out, f)
-		}
 	}
 	return out
 }

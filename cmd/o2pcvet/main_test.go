@@ -25,7 +25,7 @@ func TestRunList(t *testing.T) {
 		t.Fatalf("o2pcvet -list = exit %d, want 0 (stderr: %s)", code, stderr.String())
 	}
 	for _, name := range []string{
-		"walltime", "walorder", "lockheld", "exhaustive", "randdet",
+		"walltime", "walorder", "ackorder", "lockheld", "exhaustive", "randdet",
 		"maporder", "errflow", "lockorder", "goleak",
 	} {
 		if !strings.Contains(stdout.String(), name) {
@@ -64,63 +64,5 @@ func TestRunJSONClean(t *testing.T) {
 	}
 	if got := strings.TrimSpace(stdout.String()); got != "[]" {
 		t.Errorf("clean -json output = %q, want []", got)
-	}
-}
-
-func TestRunUpdateBaselineRequiresPath(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-update-baseline", "."}, &stdout, &stderr); code != 2 {
-		t.Fatalf("-update-baseline without -baseline = exit %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "requires -baseline") {
-		t.Errorf("stderr missing explanation: %s", stderr.String())
-	}
-}
-
-// TestBaselineRoundTrip exercises the baseline file format and its
-// matching rule: entries suppress findings by (analyzer, file, message)
-// regardless of position, and unknown findings survive the filter.
-func TestBaselineRoundTrip(t *testing.T) {
-	old := jsonFinding{Analyzer: "errflow", File: "internal/wal/wal.go", Line: 10, Col: 2, Message: "discards the error"}
-	path := t.TempDir() + "/base.json"
-	if err := writeBaseline(path, []jsonFinding{old}); err != nil {
-		t.Fatalf("writeBaseline: %v", err)
-	}
-	base, err := readBaseline(path)
-	if err != nil {
-		t.Fatalf("readBaseline: %v", err)
-	}
-	moved := old
-	moved.Line, moved.Col = 99, 7
-	novel := jsonFinding{Analyzer: "maporder", File: "internal/site/site.go", Line: 3, Col: 1, Message: "map order"}
-	got := filterBaselined([]jsonFinding{moved, novel}, base)
-	if len(got) != 1 || got[0] != novel {
-		t.Errorf("filterBaselined = %+v, want only the novel finding", got)
-	}
-}
-
-// TestRunBaselineFlags drives -update-baseline and -baseline end to end on
-// a clean package: the update writes an empty array, and a baseline with a
-// stale entry still yields exit 0.
-func TestRunBaselineFlags(t *testing.T) {
-	path := t.TempDir() + "/base.json"
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-analyzers", "randdet", "-baseline", path, "-update-baseline", "."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-update-baseline = exit %d, want 0 (stderr: %s)", code, stderr.String())
-	}
-	base, err := readBaseline(path)
-	if err != nil {
-		t.Fatalf("readBaseline after update: %v", err)
-	}
-	if len(base) != 0 {
-		t.Errorf("baseline of clean package has %d entries, want 0", len(base))
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if err := writeBaseline(path, []jsonFinding{{Analyzer: "randdet", File: "gone.go", Message: "stale"}}); err != nil {
-		t.Fatalf("writeBaseline: %v", err)
-	}
-	if code := run([]string{"-analyzers", "randdet", "-baseline", path, "."}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-baseline run = exit %d, want 0 (stderr: %s)", code, stderr.String())
 	}
 }

@@ -152,7 +152,7 @@ func (s *factStore) decode(analyzer, pkg string, out any) bool {
 
 // Run applies each analyzer to each package and returns the surviving
 // diagnostics sorted by position and deduplicated, so repeated runs over
-// the same tree are byte-identical (the baseline workflow diffs them).
+// the same tree are byte-identical (-json artifacts diff cleanly).
 // Packages must be in dependency order (Load guarantees it): each
 // analyzer's Facts hook runs on every package — dep-only ones included —
 // before its Run reports on the targets, and Finish hooks see the complete
@@ -231,7 +231,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 // dedup drops exact repeats from a sorted diagnostic list. Two analyzer
 // mechanisms can legitimately land on the same coordinate with the same
 // message (an intra-package walk and a fact-driven Finish, or the same
-// helper invoked from two files of a package); the baseline diff must see
+// helper invoked from two files of a package); the -json artifact must see
 // one finding, not a count that shifts with analysis internals.
 func dedup(diags []Diagnostic) []Diagnostic {
 	if len(diags) < 2 {

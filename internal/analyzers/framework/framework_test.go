@@ -35,7 +35,7 @@ func parsePkg(t *testing.T, fset *token.FileSet, path, src string, deps map[stri
 	}
 }
 
-// TestRunDeterministicDedup pins the baseline-workflow contract: the same
+// TestRunDeterministicDedup pins the -json output contract: the same
 // findings reported multiple times, in scrambled order, come out of Run
 // exactly once each, sorted by (file, line, column, analyzer, message) —
 // so two runs over the same tree produce byte-identical output.
