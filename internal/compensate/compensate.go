@@ -181,10 +181,6 @@ type Options struct {
 	// RetryBackoff is the initial delay between attempts after a conflict
 	// abort; it doubles up to 32x. Defaults to 100 microseconds.
 	RetryBackoff time.Duration
-	// EnsureWriteCoverage forces CTi's write set to cover Ti's (Theorem
-	// 2's premise) by rewriting any forward-written key the plan did not
-	// touch with its current value.
-	EnsureWriteCoverage bool
 	// Finalize runs inside the compensating transaction after the plan
 	// (and after coverage enforcement). Protocol P1 uses it to write the
 	// sitemark as the last operation of CTik (rule R2).
@@ -207,7 +203,8 @@ func CTID(forward string) string { return "CT" + forward }
 // honouring persistence of compensation: deadlock victims and transient
 // failures are retried until ctx expires. The compensating transaction is
 // recorded in the history under CTID(forward.TxnID) with kind
-// KindCompensating.
+// KindCompensating. Its write set always covers the forward write set
+// (Theorem 2's premise): see ensureCoverage.
 func Run(ctx context.Context, mgr *txn.Manager, forward Forward, plan Func, opts Options) error {
 	backoff := opts.RetryBackoff
 	if backoff <= 0 {
@@ -254,10 +251,8 @@ func runOnce(ctx context.Context, mgr *txn.Manager, ctID string, forward Forward
 	if err := plan(ctx, t, forward); err != nil {
 		return errors.Join(err, t.Abort(""))
 	}
-	if opts.EnsureWriteCoverage {
-		if err := ensureCoverage(ctx, t, forward); err != nil {
-			return errors.Join(err, t.Abort(""))
-		}
+	if err := ensureCoverage(ctx, t, forward); err != nil {
+		return errors.Join(err, t.Abort(""))
 	}
 	if opts.Finalize != nil {
 		if err := opts.Finalize(ctx, t); err != nil {

@@ -204,7 +204,7 @@ func TestWriteCoverageEnforced(t *testing.T) {
 
 	// A plan that deliberately writes nothing.
 	noop := func(ctx context.Context, tx *txn.Txn, f Forward) error { return nil }
-	if err := Run(bg(), m, fwd, noop, Options{EnsureWriteCoverage: true}); err != nil {
+	if err := Run(bg(), m, fwd, noop, Options{}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	// Coverage rewrote "a" under the CT's identity.
@@ -319,7 +319,7 @@ func TestWriteCoverageDeletesMissingKeys(t *testing.T) {
 		return tx.Delete(bg(), "ghost")
 	})
 	noop := func(ctx context.Context, tx *txn.Txn, f Forward) error { return nil }
-	if err := Run(bg(), m, fwd, noop, Options{EnsureWriteCoverage: true}); err != nil {
+	if err := Run(bg(), m, fwd, noop, Options{}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if _, err := m.Store().Get("ghost"); !storage.IsNotFound(err) {

@@ -58,9 +58,6 @@ type Config struct {
 	// CheckStrategy selects the marking-set locking discipline
 	// (ablation A2).
 	CheckStrategy site.CheckStrategy
-	// DisableWriteCoverage turns off Theorem 2 write-set coverage in
-	// compensating transactions.
-	DisableWriteCoverage bool
 	// Compensators registers custom compensators at every site.
 	Compensators *compensate.Registry
 	// ResolvePeriod tunes the blocked-participant inquiry period.
@@ -127,17 +124,16 @@ func NewCluster(cfg Config) *Cluster {
 	for i := 0; i < cfg.Sites; i++ {
 		name := fmt.Sprintf("s%d", i)
 		s := site.NewSite(site.Config{
-			Name:                 name,
-			ReleaseSharedAtVote:  cfg.ReleaseSharedAtVote,
-			CheckStrategy:        cfg.CheckStrategy,
-			Compensators:         cfg.Compensators,
-			DisableWriteCoverage: cfg.DisableWriteCoverage,
-			Recorder:             cl.recorder,
-			ResolvePeriod:        cfg.ResolvePeriod,
-			LockTimeout:          cfg.LockTimeout,
-			ReadOnlyVotes:        cfg.ReadOnlyVotes,
-			Clock:                clock,
-			Tracer:               cfg.Tracer,
+			Name:                name,
+			ReleaseSharedAtVote: cfg.ReleaseSharedAtVote,
+			CheckStrategy:       cfg.CheckStrategy,
+			Compensators:        cfg.Compensators,
+			Recorder:            cl.recorder,
+			ResolvePeriod:       cfg.ResolvePeriod,
+			LockTimeout:         cfg.LockTimeout,
+			ReadOnlyVotes:       cfg.ReadOnlyVotes,
+			Clock:               clock,
+			Tracer:              cfg.Tracer,
 		})
 		s.SetCaller(cl.network)
 		s.SetVoteAbortInjector(cl.doomed.injectorFor(name))
@@ -417,9 +413,6 @@ func (cl *Cluster) Quiesce(ctx context.Context) error {
 		}
 	}
 }
-
-// Replicas returns the decision-log replicas (empty unless configured).
-func (cl *Cluster) ReplicaNodes() []*replog.Replica { return cl.replicas }
 
 // Leader returns coordinator i's replication leader (nil unless the
 // cluster runs a replicated decision log).

@@ -79,10 +79,6 @@ type Config struct {
 	CheckStrategy CheckStrategy
 	// Compensators resolves CompCustom compensator names.
 	Compensators *compensate.Registry
-	// EnsureWriteCoverage makes every compensating transaction cover the
-	// forward write set (Theorem 2's premise). Defaults to true via
-	// NewSite unless explicitly disabled with DisableWriteCoverage.
-	DisableWriteCoverage bool
 	// Recorder, when non-nil, captures the execution history for the
 	// Section 5 verifier.
 	Recorder *history.Recorder

@@ -419,10 +419,9 @@ func (s *Site) compensateExposed(ctx context.Context, p *pending) {
 	}
 	forward := compensate.Forward{TxnID: p.req.TxnID, Ops: p.req.Ops, Updates: p.updates}
 	opts := compensate.Options{
-		EnsureWriteCoverage: !s.cfg.DisableWriteCoverage,
-		Clock:               s.clock,
-		Tracer:              s.tracer,
-		TraceNode:           s.cfg.Name,
+		Clock:     s.clock,
+		Tracer:    s.tracer,
+		TraceNode: s.cfg.Name,
 	}
 	if p.req.Marking != proto.MarkNone && len(p.updates) > 0 {
 		// Rule R2: the last operation of CTik marks the site undone with
