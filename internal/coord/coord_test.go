@@ -12,6 +12,8 @@ import (
 	"o2pc/internal/rpc"
 	"o2pc/internal/site"
 	"o2pc/internal/storage"
+	"o2pc/internal/trace"
+	"o2pc/internal/wal"
 )
 
 func bg() context.Context { return context.Background() }
@@ -288,36 +290,79 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
 }
 
 func TestReadOnlyParticipantsSkipDecisionRound(t *testing.T) {
-	// Two rigs: optimization off vs on; the read-only site must receive
-	// fewer Decision messages when enabled, with identical outcomes.
-	run := func(readOnly bool) (committed bool, decisions int64) {
-		r := &rig{net: rpc.NewNetwork(rpc.Config{}), rec: history.NewRecorder()}
-		for i := 0; i < 2; i++ {
-			name := siteName(i)
-			s := site.NewSite(site.Config{Name: name, Recorder: r.rec, ReadOnlyVotes: readOnly})
-			s.SetCaller(r.net)
-			r.net.Register(name, s.Handle)
-			r.sites = append(r.sites, s)
-		}
-		r.coord = New(Config{Name: "c0", Recorder: r.rec}, r.net)
-		r.net.Register("c0", r.coord.Handle)
-		r.seed("acct", 100)
+	// The read-only site leaves at its vote: only the writer gets the
+	// decision.
+	r := newRig(t, 2)
+	r.seed("acct", 100)
+	res := r.coord.Run(bg(), TxnSpec{
+		Protocol: proto.O2PC,
+		Subtxns: []SubtxnSpec{
+			{Site: siteName(0), Ops: []proto.Operation{proto.Add("acct", 1)}, Comp: proto.CompSemantic},
+			{Site: siteName(1), Ops: []proto.Operation{proto.Read("acct")}, Comp: proto.CompSemantic},
+		},
+	})
+	if !res.Committed() {
+		t.Fatalf("outcome = %v err=%v", res.Outcome, res.Err)
+	}
+	if n := r.net.Counts().Counter("proto.Decision").Value(); n != 1 {
+		t.Fatalf("decisions = %d, want 1", n)
+	}
+}
 
-		res := r.coord.Run(bg(), TxnSpec{
-			Protocol: proto.O2PC,
-			Subtxns: []SubtxnSpec{
-				{Site: siteName(0), Ops: []proto.Operation{proto.Add("acct", 1)}, Comp: proto.CompSemantic},
-				{Site: siteName(1), Ops: []proto.Operation{proto.Read("acct")}, Comp: proto.CompSemantic},
-			},
-		})
-		return res.Committed(), r.net.Counts().Counter("proto.Decision").Value()
+// TestAllReadOnlyCommitIsADecision: when every participant leaves at its
+// read-only vote there is nobody to deliver to and nothing to log, but the
+// commit is still a decision — the decision.reached event fires and the
+// history records the transaction committed.
+func TestAllReadOnlyCommitIsADecision(t *testing.T) {
+	log := wal.NewMemoryLog()
+	tr := trace.New(nil, 0)
+	r := newRig(t, 2)
+	r.coord = New(Config{Name: "c0", Recorder: r.rec, Log: log, Tracer: tr}, r.net)
+	r.net.Register("c0", r.coord.Handle)
+	r.seed("acct", 100)
+	spec := TxnSpec{ID: "Tro", Protocol: proto.O2PC, Marking: proto.MarkP1, Subtxns: []SubtxnSpec{
+		{Site: siteName(0), Ops: []proto.Operation{proto.Read("acct")}, Comp: proto.CompSemantic},
+		{Site: siteName(1), Ops: []proto.Operation{proto.Read("acct")}, Comp: proto.CompSemantic},
+	}}
+	if res := r.coord.Run(bg(), spec); !res.Committed() {
+		t.Fatalf("outcome = %v err=%v", res.Outcome, res.Err)
 	}
-	okOff, decOff := run(false)
-	okOn, decOn := run(true)
-	if !okOff || !okOn {
-		t.Fatalf("commit failed: off=%v on=%v", okOff, okOn)
+	if n := r.net.Counts().Counter("proto.Decision").Value(); n != 0 {
+		t.Errorf("decisions = %d, want 0", n)
 	}
-	if decOff != 2 || decOn != 1 {
-		t.Fatalf("decisions off=%d (want 2) on=%d (want 1)", decOff, decOn)
+	reached := 0
+	for _, ev := range tr.Events() {
+		if ev.Type == trace.EvDecisionReached && ev.Txn == "Tro" {
+			reached++
+			if ev.Detail != wal.DecisionAux(true) {
+				t.Errorf("decision.reached detail = %q", ev.Detail)
+			}
+		}
+	}
+	if reached != 1 {
+		t.Errorf("%d decision.reached events, want 1", reached)
+	}
+	if fate := r.rec.Snapshot().FateOf("Tro"); fate != history.FateCommitted {
+		t.Errorf("fate = %v, want committed", fate)
+	}
+	for i, s := range r.sites {
+		if got := s.Stats().Commits.Value(); got != 1 {
+			t.Errorf("site %d counted %d commits, want 1 (its read-only exit)", i, got)
+		}
+	}
+	raw, _ := r.coord.Handle(bg(), siteName(0), proto.ResolveRequest{TxnID: "Tro"})
+	if rr := raw.(proto.ResolveReply); !rr.Known || !rr.Commit {
+		t.Errorf("resolve = %+v, want known commit", rr)
+	}
+
+	// Only the BEGIN reached the log. A coordinator restarted over it
+	// presumes abort: no participant asks, and nothing was written to undo.
+	restarted := New(Config{Name: "c0", Log: log}, r.net)
+	if err := restarted.Recover(bg()); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	raw, _ = restarted.Handle(bg(), siteName(0), proto.ResolveRequest{TxnID: "Tro"})
+	if rr := raw.(proto.ResolveReply); !rr.Known || rr.Commit {
+		t.Errorf("restarted resolve = %+v, want known abort (presumed)", rr)
 	}
 }

@@ -341,8 +341,12 @@ func (c *Coordinator) voteReceived(id, site string, sent time.Time, vote proto.V
 // a second, possibly contradictory record would let participants apply
 // divergent outcomes.
 func (c *Coordinator) decide(ctx context.Context, id string, commit bool, executed []string, marking proto.MarkProtocol) bool {
-	// With no participant there is nothing to log or deliver: a
-	// memory-only entry keeps resolve inquiries answerable.
+	// With no participant — every one left at a read-only vote, or an empty
+	// session — there is nothing to log or deliver: a memory-only entry keeps
+	// resolve inquiries answerable. A coordinator restarted over its log
+	// finds the BEGIN with no decision and presumes abort, which no
+	// participant ever asks about and which undoes nothing, since nothing
+	// was written.
 	var empty *decided
 	if len(executed) == 0 {
 		empty = newDecided(commit, false, nil)
@@ -350,6 +354,7 @@ func (c *Coordinator) decide(ctx context.Context, id string, commit bool, execut
 	d := c.adoptPrior(id, executed, empty)
 	if d == nil {
 		if empty != nil {
+			c.reached(id, commit, wal.DecisionAux(commit))
 			return commit
 		}
 		// Durability happens outside c.mu: a replicated decision log runs a

@@ -65,9 +65,6 @@ type Config struct {
 	// LockTimeout tunes the distributed-deadlock lock-wait timeout at the
 	// sites (see site.Config.LockTimeout).
 	LockTimeout time.Duration
-	// ReadOnlyVotes enables the read-only participant optimization at
-	// every site (see site.Config.ReadOnlyVotes; experiment A4).
-	ReadOnlyVotes bool
 	// Clock drives every timer in the cluster — network latency, lock
 	// timeouts, retry backoffs, resolver periods. Nil defaults to the real
 	// clock; pass a sim.VirtualClock for deterministic simulation.
@@ -131,7 +128,6 @@ func NewCluster(cfg Config) *Cluster {
 			Recorder:            cl.recorder,
 			ResolvePeriod:       cfg.ResolvePeriod,
 			LockTimeout:         cfg.LockTimeout,
-			ReadOnlyVotes:       cfg.ReadOnlyVotes,
 			Clock:               clock,
 			Tracer:              cfg.Tracer,
 		})

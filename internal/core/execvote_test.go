@@ -198,43 +198,34 @@ func TestTraceExecVoteTimeline(t *testing.T) {
 // and another transaction could slip between the two — while a vote
 // riding the last exec may release as a stand-alone VOTE-REQ does.
 func TestExecVoteEarlyReleaseOnlyAtLockPoint(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"read-only votes", Config{Sites: 2, ReadOnlyVotes: true}},
-		{"read locks released at vote", Config{Sites: 2, ReleaseSharedAtVote: true}},
-	} {
-		cl := testCluster(t, tc.cfg)
-		cl.SeedInt64("acct", 100)
-		ctx := context.Background()
-		spec := coord.TxnSpec{ID: "Tread", Protocol: proto.TwoPC, Subtxns: []coord.SubtxnSpec{
-			{Site: "s0", Ops: []proto.Operation{proto.Read("acct")}, Comp: proto.CompSemantic},
-			{Site: "s1", Ops: []proto.Operation{proto.Add("acct", 1)}, Comp: proto.CompSemantic},
-		}}
-		heldAtS0 := false
-		cl.Site(1).SetVoteAbortInjector(func(id string) bool {
-			heldAtS0 = cl.Site(0).Manager().Locks().HoldsAny(id)
-			return false
-		})
-		if res := cl.Run(ctx, spec); !res.Committed() {
-			t.Fatalf("%s: %v (%v)", tc.name, res.Outcome, res.Err)
-		}
-		if !heldAtS0 {
-			t.Errorf("%s: s0 released its read lock before s1 executed", tc.name)
-		}
-		if !tc.cfg.ReadOnlyVotes {
-			continue
-		}
-		// Reversed, the read-only subtransaction is the last one: it exits
-		// at its vote and receives no decision.
-		spec.ID, spec.Subtxns[0], spec.Subtxns[1] = "Tlast", spec.Subtxns[1], spec.Subtxns[0]
-		before := cl.MessageCounts()["proto.Decision"]
-		if res := cl.Run(ctx, spec); !res.Committed() {
-			t.Fatalf("Tlast: %v (%v)", res.Outcome, res.Err)
-		}
-		if n := cl.MessageCounts()["proto.Decision"] - before; n != 1 {
-			t.Errorf("Tlast: %d decisions, want 1 (the read-only last site left at its vote)", n)
-		}
+	// s0 only reads, so both releases apply to it: the read-only exit on
+	// every site, and ReleaseSharedAtVote as configured here.
+	cl := testCluster(t, Config{Sites: 2, ReleaseSharedAtVote: true})
+	cl.SeedInt64("acct", 100)
+	ctx := context.Background()
+	spec := coord.TxnSpec{ID: "Tread", Protocol: proto.TwoPC, Subtxns: []coord.SubtxnSpec{
+		{Site: "s0", Ops: []proto.Operation{proto.Read("acct")}, Comp: proto.CompSemantic},
+		{Site: "s1", Ops: []proto.Operation{proto.Add("acct", 1)}, Comp: proto.CompSemantic},
+	}}
+	heldAtS0 := false
+	cl.Site(1).SetVoteAbortInjector(func(id string) bool {
+		heldAtS0 = cl.Site(0).Manager().Locks().HoldsAny(id)
+		return false
+	})
+	if res := cl.Run(ctx, spec); !res.Committed() {
+		t.Fatalf("Tread: %v (%v)", res.Outcome, res.Err)
+	}
+	if !heldAtS0 {
+		t.Errorf("Tread: s0 released its read lock before s1 executed")
+	}
+	// Reversed, the read-only subtransaction is the last one: it exits at
+	// its vote and receives no decision.
+	spec.ID, spec.Subtxns[0], spec.Subtxns[1] = "Tlast", spec.Subtxns[1], spec.Subtxns[0]
+	before := cl.MessageCounts()["proto.Decision"]
+	if res := cl.Run(ctx, spec); !res.Committed() {
+		t.Fatalf("Tlast: %v (%v)", res.Outcome, res.Err)
+	}
+	if n := cl.MessageCounts()["proto.Decision"] - before; n != 1 {
+		t.Errorf("Tlast: %d decisions, want 1 (the read-only last site left at its vote)", n)
 	}
 }

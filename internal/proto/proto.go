@@ -272,11 +272,11 @@ type WitnessDelta struct {
 	Site    string
 }
 
-// VoteReply is the participant's VOTE message. ReadOnly implements the
-// classic read-only participant optimization (as in R*, which the paper
-// builds on): a participant whose subtransaction wrote nothing releases
-// everything at its vote and drops out of the protocol — the coordinator
-// sends it no DECISION. Enabled per site via site.Config.ReadOnlyVotes.
+// VoteReply is the participant's VOTE message. ReadOnly is the classic
+// read-only exit (as in R*, which the paper builds on): a participant whose
+// subtransaction wrote nothing commits it at its vote, releases everything
+// and drops out of the protocol — the coordinator sends it no DECISION.
+// Every site takes the exit at the transaction's lock point.
 type VoteReply struct {
 	Commit    bool
 	ReadOnly  bool

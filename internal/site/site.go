@@ -85,15 +85,6 @@ type Config struct {
 	// ResolvePeriod is how often a blocked prepared participant re-asks
 	// the coordinator for a lost decision. Defaults to 5ms.
 	ResolvePeriod time.Duration
-	// ReadOnlyVotes enables the classic read-only participant
-	// optimization: a subtransaction that wrote nothing answers its
-	// VOTE-REQ with a READ-ONLY vote, releases everything immediately and
-	// drops out of the protocol (no DECISION is sent to it). Under 2PC and
-	// Paxos only a stand-alone VOTE-REQ or a vote riding the last exec may
-	// exit early; earlier read-only subtransactions vote an ordinary YES.
-	// Off by default so the message census of experiment E6 compares the
-	// unoptimized protocols; experiment A4 measures the saving.
-	ReadOnlyVotes bool
 	// Clock supplies the site's notion of time (lock timeouts, resolver
 	// periods, background retries). Nil defaults to the real clock.
 	Clock sim.Clock
@@ -121,7 +112,7 @@ type Stats struct {
 	ExecFailures   *metrics.Counter
 	VotesYes       *metrics.Counter
 	VotesNo        *metrics.Counter
-	Commits        *metrics.Counter
+	Commits        *metrics.Counter // subtransactions committed: at the decision, or at a read-only exit
 	Aborts         *metrics.Counter
 	Compensations  *metrics.Counter
 	Rollbacks      *metrics.Counter

@@ -537,7 +537,7 @@ func TestCheckEarlyStrategyReleasesMarkLock(t *testing.T) {
 }
 
 func TestReadOnlyVoteOptimization(t *testing.T) {
-	s := newTestSite(t, Config{ReadOnlyVotes: true})
+	s := newTestSite(t, Config{})
 	s.SeedInt64("n", 7)
 	req := o2pcReq("Tro", proto.Read("n"))
 	req.Protocol = proto.TwoPC // even 2PC readers drop out
@@ -559,8 +559,48 @@ func TestReadOnlyVoteOptimization(t *testing.T) {
 	}
 }
 
+// TestReadOnlyExitCommits: a subtransaction that leaves at its read-only
+// vote has committed there — no decision will arrive to count it — so the
+// exit counts the commit, leaves nothing pending, and fences a late
+// ExecRequest. Under P2 it writes no locally-committed mark, which only a
+// decision would clear.
+func TestReadOnlyExitCommits(t *testing.T) {
+	for _, m := range []proto.MarkProtocol{proto.MarkP1, proto.MarkP2} {
+		s := newTestSite(t, Config{})
+		s.SeedInt64("n", 7)
+		req := o2pcReq("Tro", proto.Read("n"))
+		req.Marking = m
+		if reply := exec(t, s, req); !reply.OK {
+			t.Fatalf("%v: exec = %+v", m, reply)
+		}
+		if got := s.Stats().PendingGlobal.Value(); got != 1 {
+			t.Fatalf("%v: pending = %d after exec, want 1", m, got)
+		}
+		if v := vote(t, s, "Tro"); !v.Commit || !v.ReadOnly {
+			t.Fatalf("%v: vote = %+v, want read-only YES", m, v)
+		}
+		if got := s.Stats().Commits.Value(); got != 1 {
+			t.Errorf("%v: commits = %d, want 1", m, got)
+		}
+		if got := s.Stats().PendingGlobal.Value(); got != 0 {
+			t.Errorf("%v: pending = %d, want 0", m, got)
+		}
+		if lc := s.LCMarks().Snapshot(); len(lc) != 0 {
+			t.Errorf("%v: read-only exit left locally-committed marks %v", m, lc)
+		}
+		if reply := exec(t, s, req); reply.OK {
+			t.Errorf("%v: late ExecRequest after the read-only exit accepted", m)
+		}
+		// A stray decision is acknowledged without a second commit.
+		decide(t, s, "Tro", true)
+		if got := s.Stats().Commits.Value(); got != 1 {
+			t.Errorf("%v: commits = %d after a stray decision, want 1", m, got)
+		}
+	}
+}
+
 func TestReadOnlyVoteNotUsedForWriters(t *testing.T) {
-	s := newTestSite(t, Config{ReadOnlyVotes: true})
+	s := newTestSite(t, Config{})
 	s.SeedInt64("n", 7)
 	exec(t, s, o2pcReq("Tw", proto.Add("n", 1)))
 	v := vote(t, s, "Tw")

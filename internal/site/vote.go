@@ -90,6 +90,29 @@ func (s *Site) vote(ctx context.Context, from, txnID string, lockPoint bool) pro
 		}
 	}
 
+	// The read-only exit (R*, which the paper builds on): a subtransaction
+	// that wrote nothing has nothing to make durable and nothing to
+	// compensate, so it commits here, releases everything and leaves the
+	// protocol — the coordinator sends it no decision. Its locks are what
+	// serialized it, so it may leave only at the transaction's lock point.
+	// It leaves before P2's locally-committed mark below: it exposes
+	// nothing, and no decision would ever arrive to clear the mark.
+	if lockPoint && !p.t.Wrote() {
+		if err := p.t.Commit(); err != nil {
+			return s.voteNo(ctx, p, from, "read-only commit failed", err.Error())
+		}
+		s.mu.Lock()
+		delete(s.pend, p.req.TxnID)
+		s.resolved[p.req.TxnID] = true // fence late ExecRequests, as a decision does
+		s.mu.Unlock()
+		s.stats.PendingGlobal.Dec()
+		s.stats.VotesYes.Inc()
+		s.stats.Commits.Inc()
+		s.tracer.Emit(s.cfg.Name, trace.EvLockRelease, txnID, "", "read-only")
+		s.tracer.Emit(s.cfg.Name, trace.EvVoteYes, txnID, from, "read-only")
+		return proto.VoteReply{Commit: true, ReadOnly: true}
+	}
+
 	// Under the dual protocol P2 the site's mark set tracks transactions
 	// the site is locally-committed with respect to: the mark is written
 	// at the YES vote — inside the voting transaction itself, under an
@@ -103,25 +126,6 @@ func (s *Site) vote(ctx context.Context, from, txnID string, lockPoint bool) pro
 		if err := s.lc.MarkUndone(p.req.TxnID); err != nil {
 			return s.voteNo(ctx, p, from, "marking-set log", "marking-set log: "+err.Error())
 		}
-	}
-
-	// Read-only participant optimization: nothing to commit, nothing to
-	// compensate — release everything and leave the protocol. (The
-	// subtransaction still counts as executed for marking purposes; its
-	// locks are what serialized it.)
-	if s.cfg.ReadOnlyVotes && lockPoint && len(p.t.WriteSet()) == 0 {
-		if err := p.t.Commit(); err != nil {
-			return s.voteNo(ctx, p, from, "read-only commit failed", err.Error())
-		}
-		s.mu.Lock()
-		delete(s.pend, p.req.TxnID)
-		s.resolved[p.req.TxnID] = true
-		s.mu.Unlock()
-		s.stats.PendingGlobal.Dec()
-		s.stats.VotesYes.Inc()
-		s.tracer.Emit(s.cfg.Name, trace.EvLockRelease, txnID, "", "read-only")
-		s.tracer.Emit(s.cfg.Name, trace.EvVoteYes, txnID, from, "read-only")
-		return proto.VoteReply{Commit: true, ReadOnly: true}
 	}
 
 	// Paxos Commit participants behave exactly like 2PC participants at

@@ -222,6 +222,14 @@ func (t *Txn) WriteSet() []storage.Key {
 	return keys
 }
 
+// Wrote reports whether the transaction has written anything. Unlike
+// WriteSet it allocates nothing: every vote asks it.
+func (t *Txn) Wrote() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.updates) > 0
+}
+
 func (t *Txn) requireActive() error {
 	if t.status != StatusActive {
 		return fmt.Errorf("%w: %s is %s", ErrNotActive, t.id, t.status)

@@ -42,6 +42,28 @@ func TestWriteReadOwn(t *testing.T) {
 	}
 }
 
+func TestWrote(t *testing.T) {
+	m := newMgr(nil)
+	m.Store().Put("a", storage.Value("v"), "T0")
+	tx, _ := m.Begin("T1", history.KindGlobal, "")
+	if _, err := tx.Read(bg(), "a"); err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if tx.Wrote() {
+		t.Fatalf("a reader reports a write")
+	}
+	if err := tx.Write(bg(), "a", storage.Value("w")); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if !tx.Wrote() {
+		t.Fatalf("a writer reports no write")
+	}
+	// Every vote asks; a YES on a writer must not pay for the answer.
+	if n := testing.AllocsPerRun(100, func() { tx.Wrote() }); n != 0 {
+		t.Fatalf("Wrote allocates %.0f times per call", n)
+	}
+}
+
 func TestCommitMakesVisibleAndReleases(t *testing.T) {
 	m := newMgr(nil)
 	tx, _ := m.Begin("T1", history.KindLocal, "")
