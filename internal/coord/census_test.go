@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +13,8 @@ import (
 	"o2pc/internal/proto"
 	"o2pc/internal/rpc"
 	"o2pc/internal/sim"
+	"o2pc/internal/trace"
+	"o2pc/internal/wal"
 )
 
 // TestMessageCensus is experiment E6 as a test: for each protocol and N
@@ -48,6 +51,12 @@ import (
 //
 // Acks are counted because the coordinator waits for them before Run
 // returns; the decision itself is durable one round trip earlier.
+//
+// The read-only rows have no column in Gray & Lamport's table. A
+// participant that wrote nothing leaves at its vote (the R* read-only
+// exit): with one such participant the Decision/Ack pair goes to the other
+// N−1; with all of them read-only there is no decision round and no
+// decision record at all — N execs and one vote round.
 func TestMessageCensus(t *testing.T) {
 	const (
 		latency  = 10 * time.Millisecond
@@ -59,31 +68,53 @@ func TestMessageCensus(t *testing.T) {
 		protocol proto.Protocol
 		marking  proto.MarkProtocol
 		replicas int
-		// pairs of each request type per participant, and per replica.
+		// readOnly is how many participants, counted from the last, only
+		// read (allReadOnly: every one).
+		readOnly int
+		// pairs of each request type per participant, and per replica; the
+		// read-only participants get no Decision.
 		perSite    []string
 		perReplica []string
 		// rounds is the sequential round trips beyond the N execs.
 		rounds int
+		// logged is the decision records per transaction in the
+		// coordinator's own log (a replicated log's are its RepAccepts).
+		logged int
 	}{
-		{name: "O2PC", protocol: proto.O2PC, perSite: []string{"ExecRequest", "VoteRequest", "Decision"}, rounds: 2},
-		{name: "O2PC+P1", protocol: proto.O2PC, marking: proto.MarkP1, perSite: []string{"ExecRequest", "VoteRequest", "Decision"}, rounds: 2},
-		{name: "2PC", protocol: proto.TwoPC, perSite: []string{"ExecRequest", "Decision"}, rounds: 1},
+		{name: "O2PC", protocol: proto.O2PC, perSite: []string{"ExecRequest", "VoteRequest", "Decision"}, rounds: 2, logged: 1},
+		{name: "O2PC+P1", protocol: proto.O2PC, marking: proto.MarkP1, perSite: []string{"ExecRequest", "VoteRequest", "Decision"}, rounds: 2, logged: 1},
+		{name: "O2PC+P1/one-read-only", protocol: proto.O2PC, marking: proto.MarkP1, readOnly: 1,
+			perSite: []string{"ExecRequest", "VoteRequest", "Decision"}, rounds: 2, logged: 1},
+		{name: "O2PC+P1/all-read-only", protocol: proto.O2PC, marking: proto.MarkP1, readOnly: allReadOnly,
+			perSite: []string{"ExecRequest", "VoteRequest", "Decision"}, rounds: 1, logged: 0},
+		{name: "2PC", protocol: proto.TwoPC, perSite: []string{"ExecRequest", "Decision"}, rounds: 1, logged: 1},
 		{name: "Paxos", protocol: proto.Paxos, replicas: replicas, perSite: []string{"ExecRequest", "Decision"},
 			perReplica: []string{"RepBegin", "RepAccept"}, rounds: 3},
 	} {
 		for _, n := range []int{2, 3} {
 			tc, n := tc, n
 			t.Run(fmt.Sprintf("%s/N=%d", tc.name, n), func(t *testing.T) {
+				readOnly := tc.readOnly
+				if readOnly == allReadOnly {
+					readOnly = n
+				}
 				want := make(map[string]int64)
 				for _, req := range tc.perSite {
-					want["proto."+req] += int64(n * txns)
-					want["proto."+replyOf[req]] += int64(n * txns)
+					sites := n
+					if req == "Decision" {
+						sites -= readOnly
+					}
+					if sites == 0 {
+						continue
+					}
+					want["proto."+req] += int64(sites * txns)
+					want["proto."+replyOf[req]] += int64(sites * txns)
 				}
 				for _, req := range tc.perReplica {
 					want["proto."+req] += int64(tc.replicas * txns)
 					want["proto."+replyOf[req]] += int64(tc.replicas * txns)
 				}
-				got, rtts := census(t, tc.protocol, tc.marking, n, tc.replicas, txns, latency)
+				got, rtts, logged := census(t, tc.protocol, tc.marking, n, readOnly, tc.replicas, txns, latency)
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("messages for %d txns:\n got %v\nwant %v", txns, got, want)
 				}
@@ -92,10 +123,16 @@ func TestMessageCensus(t *testing.T) {
 						t.Errorf("txn %d: %d sequential round trips, want N+%d = %d", i, rt, tc.rounds, n+tc.rounds)
 					}
 				}
+				if logged != tc.logged*txns {
+					t.Errorf("%d decision records for %d txns, want %d", logged, txns, tc.logged*txns)
+				}
 			})
 		}
 	}
 }
+
+// allReadOnly makes every participant of a census case read-only.
+const allReadOnly = -1
 
 // replyOf names each request type's reply.
 var replyOf = map[string]string{
@@ -106,16 +143,20 @@ var replyOf = map[string]string{
 	"RepAccept":   "RepReply",
 }
 
-// census runs one warm-up and then txns committed transfers over n sites
-// in virtual time, and returns the messages the measured transfers
-// exchanged and each one's sequential round trips.
-func census(t *testing.T, p proto.Protocol, m proto.MarkProtocol, n, replicas, txns int, latency time.Duration) (map[string]int64, []int) {
+// census runs one warm-up and then txns committed transactions over n
+// sites in virtual time — transfers, except that the last readOnly sites
+// only read — and returns the messages the measured transactions
+// exchanged, each one's sequential round trips, and the decision records
+// they appended to the coordinator's own log.
+func census(t *testing.T, p proto.Protocol, m proto.MarkProtocol, n, readOnly, replicas, txns int, latency time.Duration) (map[string]int64, []int, int) {
 	t.Helper()
 	clock := sim.NewVirtualClock()
+	tr := trace.New(clock, 0)
 	cl := core.NewCluster(core.Config{
 		Sites:    n,
 		Replicas: replicas,
 		Clock:    clock,
+		Tracer:   tr,
 		Network:  rpc.Config{MinLatency: latency, MaxLatency: latency},
 		// The resolver must not add inquiries to a census of the happy
 		// path: under 2PC a site prepares at its first exec, several round
@@ -128,8 +169,12 @@ func census(t *testing.T, p proto.Protocol, m proto.MarkProtocol, n, replicas, t
 	defer cancel()
 	spec := coord.TxnSpec{Protocol: p, Marking: m}
 	for i := 0; i < n; i++ {
+		op := proto.Add("acct", 1)
+		if i >= n-readOnly {
+			op = proto.Read("acct")
+		}
 		spec.Subtxns = append(spec.Subtxns, coord.SubtxnSpec{
-			Site: fmt.Sprintf("s%d", i), Ops: []proto.Operation{proto.Add("acct", 1)}, Comp: proto.CompSemantic,
+			Site: fmt.Sprintf("s%d", i), Ops: []proto.Operation{op}, Comp: proto.CompSemantic,
 		})
 	}
 	// The warm-up absorbs one-time traffic (the Paxos leader's election).
@@ -137,6 +182,7 @@ func census(t *testing.T, p proto.Protocol, m proto.MarkProtocol, n, replicas, t
 		t.Fatalf("warm-up: %v (%v)", res.Outcome, res.Err)
 	}
 	before := cl.MessageCounts()
+	tr.Drain()
 	var rtts []int
 	for i := 0; i < txns; i++ {
 		res := cl.Run(ctx, spec)
@@ -151,5 +197,11 @@ func census(t *testing.T, p proto.Protocol, m proto.MarkProtocol, n, replicas, t
 			got[name] = d
 		}
 	}
-	return got, rtts
+	logged := 0
+	for _, ev := range tr.Drain() {
+		if ev.Node == "c0" && ev.Type == trace.EvWALAppend && strings.HasPrefix(ev.Detail, wal.RecDecision.String()) {
+			logged++
+		}
+	}
+	return got, rtts, logged
 }
