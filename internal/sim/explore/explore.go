@@ -107,6 +107,13 @@ type Config struct {
 	// to those generated before the protocol existed.
 	TwoPCShare float64
 	PaxosShare float64
+	// ReadOnlyShare (default 0) is the fraction of jobs that only read the
+	// account at both sites instead of transferring: every participant
+	// leaves at its read-only vote, and no decision is delivered. A job
+	// draws for it only when the share is positive, so schedules with
+	// ReadOnlyShare = 0 are byte-identical to those generated before it
+	// existed. Read-only jobs run one-shot even under MultiShot.
+	ReadOnlyShare float64
 	// Replicas sizes the replicated decision log (see core.Config.Replicas).
 	// Defaults to 3 when PaxosShare > 0 and stays 0 — classic local WAL
 	// logging — otherwise.
@@ -265,6 +272,11 @@ func Run(cfg Config) *Result {
 		case f < cfg.TwoPCShare+cfg.PaxosShare:
 			protocol = proto.Paxos
 		}
+		debit, credit := proto.AddMin(acct, -amount, 0), proto.Add(acct, amount)
+		readOnly := cfg.ReadOnlyShare > 0 && rng.Float64() < cfg.ReadOnlyShare
+		if readOnly {
+			debit, credit = proto.Read(acct), proto.Read(acct)
+		}
 		j := job{
 			spec: coord.TxnSpec{
 				ID:             fmt.Sprintf("x%d", i),
@@ -272,13 +284,13 @@ func Run(cfg Config) *Result {
 				Marking:        cfg.Marking,
 				MarkingRetries: 5,
 				Subtxns: []coord.SubtxnSpec{
-					{Site: siteName(from), Ops: []proto.Operation{proto.AddMin(acct, -amount, 0)}, Comp: proto.CompSemantic},
-					{Site: siteName(to), Ops: []proto.Operation{proto.Add(acct, amount)}, Comp: proto.CompSemantic},
+					{Site: siteName(from), Ops: []proto.Operation{debit}, Comp: proto.CompSemantic},
+					{Site: siteName(to), Ops: []proto.Operation{credit}, Comp: proto.CompSemantic},
 				},
 			},
 			coordIdx: rng.Intn(cfg.Coordinators),
 		}
-		if cfg.MultiShot {
+		if cfg.MultiShot && !readOnly {
 			j.rounds = [][]coord.SubtxnSpec{
 				{{Site: siteName(from), Ops: []proto.Operation{proto.Read(acct)}, Comp: proto.CompSemantic}},
 				{{Site: siteName(from), Ops: []proto.Operation{proto.AddMin(acct, -amount, 0)}, Comp: proto.CompSemantic}},
@@ -293,13 +305,13 @@ func Run(cfg Config) *Result {
 	}
 
 	// runJob executes one precomputed job — as a one-shot transaction or,
-	// under MultiShot, as a session of rounds with think time between them —
-	// and reports whether it committed.
+	// when it has rounds, as a session with think time between them — and
+	// reports whether it committed.
 	runJob := func(ctx context.Context, j job) bool {
 		if j.doom != "" {
 			cl.DoomAtSite(j.spec.ID, j.doom)
 		}
-		if !cfg.MultiShot {
+		if j.rounds == nil {
 			return cl.RunAt(ctx, j.coordIdx, j.spec).Committed()
 		}
 		sess, err := cl.OpenSessionAt(j.coordIdx, coord.SessionSpec{
@@ -653,6 +665,11 @@ func shrinkCandidates(c Config) []Config {
 	if c.Faults.DoomRate > 0 {
 		d := c
 		d.Faults.DoomRate = 0
+		out = append(out, d)
+	}
+	if c.ReadOnlyShare > 0 {
+		d := c
+		d.ReadOnlyShare = 0
 		out = append(out, d)
 	}
 	if c.MultiShot {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"o2pc/internal/proto"
+	"o2pc/internal/trace"
 )
 
 var (
@@ -54,6 +55,21 @@ func matrix() []struct {
 		{"multishot-delay", Config{Marking: proto.MarkP2, MultiShot: true,
 			MaxLatency: 4 * time.Millisecond,
 			Faults:     Faults{DropProb: 0.03, DoomRate: 0.2}}},
+		// Read-only jobs beside the transfers: their participants leave at
+		// the vote, so an all-read-only commit is decided with nobody to
+		// deliver to and nothing logged, while a lost read-only vote or a
+		// doomed sibling aborts a transaction whose reader already left.
+		// Under P2 a participant that left must hold no locally-committed
+		// mark, since no decision will clear it.
+		{"readonly-everything", Config{Marking: proto.MarkP1, ReadOnlyShare: 0.5, Faults: Faults{
+			DropProb:         0.03,
+			DoomRate:         0.15,
+			CoordCrashCycles: 2,
+			SiteCrashCycles:  2,
+			PartitionCycles:  1,
+		}}},
+		{"readonly-coord-crash", Config{Marking: proto.MarkP2, ReadOnlyShare: 0.5,
+			Faults: Faults{CoordCrashCycles: 3, DoomRate: 0.15}}},
 		// Paxos Commit entries: every transaction's decision goes through
 		// the replicated log, under the fault classes that distinguish it
 		// from a local WAL — leader (coordinator) crashes mid-ballot,
@@ -95,9 +111,23 @@ func TestExplorerMatrix(t *testing.T) {
 				if res.Committed == 0 {
 					t.Errorf("seed %d: degenerate run, nothing committed", seed)
 				}
+				if cfg.ReadOnlyShare > 0 && !readOnlyExit(res) {
+					t.Errorf("seed %d: no participant left at a read-only vote", seed)
+				}
 			}
 		})
 	}
+}
+
+// readOnlyExit reports whether any participant of the run left at its
+// read-only vote.
+func readOnlyExit(res *Result) bool {
+	for _, ev := range res.Events {
+		if ev.Type == trace.EvVoteYes && ev.Detail == "read-only" {
+			return true
+		}
+	}
+	return false
 }
 
 // Digests of the golden runs below, taken at the parent of every change
