@@ -7,7 +7,6 @@ import (
 	"o2pc/internal/core"
 	"o2pc/internal/proto"
 	"o2pc/internal/rpc"
-	"o2pc/internal/site"
 	"o2pc/internal/workload"
 )
 
@@ -202,76 +201,6 @@ func runE10(e *env) {
 			tps[st.name] = rep.Throughput
 		}
 		e.row(d(int64(w)), f0(tps["2PC"]), f0(tps["O2PC"]), f0(tps["O2PC+P1"]))
-	}
-}
-
-// runA1 — ablation: Section 2 permits releasing read locks at VOTE-REQ
-// even under strict distributed 2PL. How much of O2PC's win is write
-// locks?
-func runA1(e *env) {
-	e.row("config", "txn/s", "holdS mean (ms)", "holdX mean (ms)")
-	for _, cfg := range []struct {
-		name    string
-		release bool
-		st      stack
-	}{
-		{"2PC, S held to decision", false, st2PC},
-		{"2PC, S released at vote", true, st2PC},
-		{"O2PC", false, stO2PC},
-	} {
-		cl := e.cluster(core.Config{
-			Sites:               4,
-			ReleaseSharedAtVote: cfg.release,
-			Network:             rpc.Config{MinLatency: 1 * time.Millisecond, MaxLatency: 2 * time.Millisecond, Seed: e.seed},
-		})
-		rep := workload.Run(bg(), cl, workload.Config{
-			Seed:          e.seed,
-			Clients:       8,
-			TxnsPerClient: e.scale(40, 10),
-			SitesPerTxn:   2,
-			KeysPerSite:   512,
-			HotKeys:       32,
-			HotProb:       0.7,
-			ReadFrac:      0.8, // read-heavy: the S-lock ablation's domain
-			Protocol:      cfg.st.protocol,
-			Marking:       cfg.st.marking,
-		})
-		holdS := 0.0
-		for _, s := range cl.Sites() {
-			holdS += s.Manager().Locks().Stats().HoldTimeS.Mean()
-		}
-		holdS /= float64(len(cl.Sites()))
-		e.row(cfg.name, f0(rep.Throughput), ms(holdS), ms(rep.LockHoldX.Mean))
-	}
-}
-
-// runA2 — ablation: the Section 6.2 marking-set deadlock. Holding the
-// marking-set read lock for the whole subtransaction (CheckHold) invites
-// deadlocks against compensating transactions writing the mark (rule R2);
-// the paper's check-then-revalidate compromise avoids them.
-func runA2(e *env) {
-	e.row("strategy", "commit rate", "deadlock victims", "txn/s")
-	for _, cfg := range []struct {
-		name     string
-		strategy core.Config
-	}{
-		{"early-check + revalidate", core.Config{Sites: 4}},
-		{"hold marking lock (plain 2PL)", core.Config{Sites: 4, CheckStrategy: site.CheckHold}},
-	} {
-		cc := cfg.strategy
-		rep, _ := runLoad(e, cc, workload.Config{
-			Clients:       8,
-			TxnsPerClient: e.scale(50, 12),
-			SitesPerTxn:   2,
-			KeysPerSite:   128,
-			HotKeys:       8,
-			HotProb:       0.7,
-			ReadFrac:      0.3,
-			AbortProb:     0.15, // aborts drive compensation -> R2 writes
-			Protocol:      proto.O2PC,
-			Marking:       proto.MarkP1,
-		})
-		e.row(cfg.name, pct(rep.CommitRate), d(rep.Deadlocks), f0(rep.Throughput))
 	}
 }
 

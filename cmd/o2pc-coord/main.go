@@ -131,7 +131,18 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	case load.nkeys < 1:
 		return errors.New("-keys must be at least 1")
 	}
-	protocol, marking, comp := protocolOf(*protocolName), markingOf(*markingName), parseComp(*compName)
+	protocol, err := protocolOf(*protocolName)
+	if err != nil {
+		return err
+	}
+	marking, err := markingOf(*markingName)
+	if err != nil {
+		return err
+	}
+	comp, err := parseComp(*compName)
+	if err != nil {
+		return err
+	}
 
 	// One ID prefix per process start: sites fence IDs of transactions
 	// they have seen decided, so a counter restarting at T1 would collide
@@ -351,38 +362,45 @@ func runTxn(ctx context.Context, stdout io.Writer, c *coord.Coordinator, txnSpec
 	return nil
 }
 
-func protocolOf(name string) proto.Protocol {
-	switch {
-	case strings.EqualFold(name, "2pc"):
-		return proto.TwoPC
-	case strings.EqualFold(name, "paxos"):
-		return proto.Paxos
-	}
-	return proto.O2PC
-}
-
-func markingOf(name string) proto.MarkProtocol {
+// protocolOf, markingOf and parseComp map flag values to protocol settings.
+// An unknown name is an error that lists the accepted ones: a typo must not
+// silently run a different protocol than the one asked for.
+func protocolOf(name string) (proto.Protocol, error) {
 	switch strings.ToLower(name) {
-	case "p1":
-		return proto.MarkP1
-	case "p2":
-		return proto.MarkP2
-	case "simple":
-		return proto.MarkSimple
-	default:
-		return proto.MarkNone
+	case "2pc":
+		return proto.TwoPC, nil
+	case "o2pc":
+		return proto.O2PC, nil
+	case "paxos":
+		return proto.Paxos, nil
 	}
+	return 0, fmt.Errorf("-protocol %q: want 2pc, o2pc or paxos", name)
 }
 
-func parseComp(s string) proto.CompMode {
-	switch strings.ToLower(s) {
-	case "before-image":
-		return proto.CompBeforeImage
+func markingOf(name string) (proto.MarkProtocol, error) {
+	switch strings.ToLower(name) {
 	case "none":
-		return proto.CompNone
-	default:
-		return proto.CompSemantic
+		return proto.MarkNone, nil
+	case "p1":
+		return proto.MarkP1, nil
+	case "p2":
+		return proto.MarkP2, nil
+	case "simple":
+		return proto.MarkSimple, nil
 	}
+	return 0, fmt.Errorf("-marking %q: want none, p1, p2 or simple", name)
+}
+
+func parseComp(name string) (proto.CompMode, error) {
+	switch strings.ToLower(name) {
+	case "semantic":
+		return proto.CompSemantic, nil
+	case "before-image":
+		return proto.CompBeforeImage, nil
+	case "none":
+		return proto.CompNone, nil
+	}
+	return 0, fmt.Errorf("-comp %q: want semantic, before-image or none", name)
 }
 
 // parseTxn parses "site:op:key[:arg[:arg]] / site:op:..." descriptions.

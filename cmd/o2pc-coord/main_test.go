@@ -522,6 +522,9 @@ func TestLoadgenFlagValidation(t *testing.T) {
 		{"bad site flag", []string{"-site", "s0"}, "name=value"},
 		{"txn with n", append([]string{"-txn", "s0:add:acct:1", "-n", "5"}, two...), "-txn conflicts"},
 		{"txn with duration", append([]string{"-txn", "s0:add:acct:1", "-duration", "1s"}, two...), "-txn conflicts"},
+		{"bad protocol", append([]string{"-n", "5", "-protocol", "3pc"}, two...), "want 2pc, o2pc or paxos"},
+		{"bad marking", append([]string{"-n", "5", "-marking", "p3"}, two...), "want none, p1, p2 or simple"},
+		{"bad comp", append([]string{"-txn", "s0:add:acct:1", "-comp", "foo"}, two...), "want semantic, before-image or none"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -627,13 +630,16 @@ func TestParseTxnErrors(t *testing.T) {
 }
 
 func TestParseComp(t *testing.T) {
-	if parseComp("before-image") != proto.CompBeforeImage {
-		t.Fatalf("before-image")
+	for name, want := range map[string]proto.CompMode{
+		"semantic":     proto.CompSemantic,
+		"before-image": proto.CompBeforeImage,
+		"none":         proto.CompNone,
+	} {
+		if got, err := parseComp(name); err != nil || got != want {
+			t.Errorf("parseComp(%q) = %v, %v; want %v", name, got, err, want)
+		}
 	}
-	if parseComp("none") != proto.CompNone {
-		t.Fatalf("none")
-	}
-	if parseComp("anything-else") != proto.CompSemantic {
-		t.Fatalf("default")
+	if _, err := parseComp("anything-else"); err == nil || !strings.Contains(err.Error(), "semantic, before-image or none") {
+		t.Errorf("parseComp(anything-else) err = %v, want the accepted names", err)
 	}
 }

@@ -50,7 +50,7 @@ type TxnSpec struct {
 	// ID optionally fixes the transaction's node ID; when empty the
 	// coordinator assigns "T<n>" (with its configured prefix).
 	ID string
-	// Protocol selects 2PC or O2PC.
+	// Protocol selects 2PC, O2PC or Paxos Commit.
 	Protocol proto.Protocol
 	// Marking selects the correctness protocol layered over O2PC.
 	Marking proto.MarkProtocol
@@ -251,12 +251,6 @@ type Config struct {
 	// Commit group: decisions are chosen by a majority of decision-log
 	// replicas before any participant learns them.
 	DecisionLog DecisionLog
-	// DecisionRetry is the delay between decision re-sends to unreachable
-	// participants. Defaults to 2ms.
-	DecisionRetry time.Duration
-	// MarkingRetryDelay is the backoff before retrying a retryable R1
-	// rejection. Defaults to 1ms.
-	MarkingRetryDelay time.Duration
 	// Clock supplies the coordinator's notion of time (retry delays,
 	// latency measurement, background delivery). Nil defaults to the real
 	// clock.
@@ -265,6 +259,15 @@ type Config struct {
 	// (txn begin, vote round, decision, delivery) and its WAL writes.
 	Tracer *trace.Tracer
 }
+
+const (
+	// decisionRetry is the delay between decision re-sends to unreachable
+	// participants.
+	decisionRetry = 2 * time.Millisecond
+	// markingRetryDelay is the backoff before retrying a retryable R1
+	// rejection.
+	markingRetryDelay = time.Millisecond
+)
 
 // Coordinator drives global transactions.
 type Coordinator struct {
@@ -285,12 +288,6 @@ type Coordinator struct {
 
 // New assembles a coordinator over the given transport.
 func New(cfg Config, caller rpc.Caller) *Coordinator {
-	if cfg.DecisionRetry <= 0 {
-		cfg.DecisionRetry = 2 * time.Millisecond
-	}
-	if cfg.MarkingRetryDelay <= 0 {
-		cfg.MarkingRetryDelay = time.Millisecond
-	}
 	board := cfg.Board
 	if board == nil {
 		board = marking.NewBoard()

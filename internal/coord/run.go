@@ -257,7 +257,7 @@ func (c *Coordinator) execWithRetry(ctx context.Context, site string, req proto.
 		case reply.Rejected && !reply.Fatal && attempt < retries:
 			res.MarkRetries++
 			c.stats.MarkingRetries.Inc()
-			if err := c.clock.Sleep(ctx, c.cfg.MarkingRetryDelay); err != nil {
+			if err := c.clock.Sleep(ctx, markingRetryDelay); err != nil {
 				return proto.ExecReply{}, err
 			}
 			continue
@@ -507,7 +507,7 @@ func (c *Coordinator) sendDecisionUntilAcked(ctx context.Context, id, site strin
 		if c.Crashed() {
 			return // recovery re-sends
 		}
-		if err := c.clock.Sleep(ctx, c.cfg.DecisionRetry); err != nil {
+		if err := c.clock.Sleep(ctx, decisionRetry); err != nil {
 			return
 		}
 	}

@@ -45,7 +45,8 @@ type SessionSpec struct {
 	// ID optionally fixes the transaction's ID; when empty the coordinator
 	// assigns one.
 	ID string
-	// Protocol selects 2PC or O2PC for the eventual commit point.
+	// Protocol selects 2PC, O2PC or Paxos Commit for the eventual commit
+	// point.
 	Protocol proto.Protocol
 	// Marking selects the correctness protocol layered over O2PC.
 	Marking proto.MarkProtocol

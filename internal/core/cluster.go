@@ -23,7 +23,6 @@ import (
 	"o2pc/internal/history"
 	"o2pc/internal/marking"
 	"o2pc/internal/metrics"
-	"o2pc/internal/proto"
 	"o2pc/internal/replog"
 	"o2pc/internal/rpc"
 	"o2pc/internal/sg"
@@ -53,11 +52,6 @@ type Config struct {
 	// Record enables history capture for the Section 5 verifier. Leave it
 	// on except in throughput-sensitive benchmarks.
 	Record bool
-	// ReleaseSharedAtVote releases read locks at VOTE-REQ (ablation A1).
-	ReleaseSharedAtVote bool
-	// CheckStrategy selects the marking-set locking discipline
-	// (ablation A2).
-	CheckStrategy site.CheckStrategy
 	// Compensators registers custom compensators at every site.
 	Compensators *compensate.Registry
 	// ResolvePeriod tunes the blocked-participant inquiry period.
@@ -121,15 +115,13 @@ func NewCluster(cfg Config) *Cluster {
 	for i := 0; i < cfg.Sites; i++ {
 		name := fmt.Sprintf("s%d", i)
 		s := site.NewSite(site.Config{
-			Name:                name,
-			ReleaseSharedAtVote: cfg.ReleaseSharedAtVote,
-			CheckStrategy:       cfg.CheckStrategy,
-			Compensators:        cfg.Compensators,
-			Recorder:            cl.recorder,
-			ResolvePeriod:       cfg.ResolvePeriod,
-			LockTimeout:         cfg.LockTimeout,
-			Clock:               clock,
-			Tracer:              cfg.Tracer,
+			Name:          name,
+			Compensators:  cfg.Compensators,
+			Recorder:      cl.recorder,
+			ResolvePeriod: cfg.ResolvePeriod,
+			LockTimeout:   cfg.LockTimeout,
+			Clock:         clock,
+			Tracer:        cfg.Tracer,
 		})
 		s.SetCaller(cl.network)
 		s.SetVoteAbortInjector(cl.doomed.injectorFor(name))
@@ -418,15 +410,3 @@ func (cl *Cluster) Leader(i int) *replog.Leader {
 	}
 	return cl.leaders[i]
 }
-
-// Protocol and marking re-exports so callers of core need not import proto.
-const (
-	TwoPC = proto.TwoPC
-	O2PC  = proto.O2PC
-	Paxos = proto.Paxos
-
-	MarkNone   = proto.MarkNone
-	MarkP1     = proto.MarkP1
-	MarkP2     = proto.MarkP2
-	MarkSimple = proto.MarkSimple
-)

@@ -6,9 +6,11 @@ import (
 	"time"
 
 	"o2pc/internal/coord"
+	"o2pc/internal/lock"
 	"o2pc/internal/proto"
 	"o2pc/internal/rpc"
 	"o2pc/internal/sim"
+	"o2pc/internal/storage"
 	"o2pc/internal/trace"
 )
 
@@ -191,16 +193,15 @@ func TestTraceExecVoteTimeline(t *testing.T) {
 	}
 }
 
-// TestExecVoteEarlyReleaseOnlyAtLockPoint: a read-only exit or a read-lock
-// release at the vote keeps a transaction two-phase only after its last
-// lock. A vote riding an earlier exec therefore keeps its locks until the
-// decision — else the transaction would unlock at s0 and then lock at s1,
-// and another transaction could slip between the two — while a vote
-// riding the last exec may release as a stand-alone VOTE-REQ does.
+// TestExecVoteEarlyReleaseOnlyAtLockPoint: the read-only exit keeps a
+// transaction two-phase only after its last lock. A vote riding an earlier
+// exec therefore keeps its locks until the decision — else the transaction
+// would unlock at s0 and then lock at s1, and another transaction could slip
+// between the two — while a vote riding the last exec may exit as a
+// stand-alone VOTE-REQ does. A participant that wrote keeps every lock, its
+// read locks included, through its vote until the decision.
 func TestExecVoteEarlyReleaseOnlyAtLockPoint(t *testing.T) {
-	// s0 only reads, so both releases apply to it: the read-only exit on
-	// every site, and ReleaseSharedAtVote as configured here.
-	cl := testCluster(t, Config{Sites: 2, ReleaseSharedAtVote: true})
+	cl := testCluster(t, Config{Sites: 2})
 	cl.SeedInt64("acct", 100)
 	ctx := context.Background()
 	spec := coord.TxnSpec{ID: "Tread", Protocol: proto.TwoPC, Subtxns: []coord.SubtxnSpec{
@@ -227,5 +228,29 @@ func TestExecVoteEarlyReleaseOnlyAtLockPoint(t *testing.T) {
 	}
 	if n := cl.MessageCounts()["proto.Decision"] - before; n != 1 {
 		t.Errorf("Tlast: %d decisions, want 1 (the read-only last site left at its vote)", n)
+	}
+	// The last participant reads one key and writes another: at the lock
+	// point it votes, and its S lock stays held until the decision.
+	spec = coord.TxnSpec{ID: "Tmixed", Protocol: proto.TwoPC, Subtxns: []coord.SubtxnSpec{
+		{Site: "s0", Ops: []proto.Operation{proto.Add("acct", -1)}, Comp: proto.CompSemantic},
+		{Site: "s1", Ops: []proto.Operation{proto.Read("seen"), proto.Add("acct", 1)}, Comp: proto.CompSemantic},
+	}}
+	cl.SeedInt64("seen", 1)
+	var heldAtVotes map[storage.Key]lock.Mode
+	cl.Coordinator(0).SetCrashInjector(func(id string, phase coord.CrashPhase) bool {
+		if id == "Tmixed" && phase == coord.CrashAfterVotes {
+			heldAtVotes = cl.Site(1).Manager().Locks().Held(id)
+		}
+		return false
+	})
+	if res := cl.Run(ctx, spec); !res.Committed() {
+		t.Fatalf("Tmixed: %v (%v)", res.Outcome, res.Err)
+	}
+	if heldAtVotes["seen"] != lock.Shared || heldAtVotes["acct"] != lock.Exclusive {
+		t.Errorf("Tmixed: s1 held %v after every vote, want S on seen and X on acct", heldAtVotes)
+	}
+	quiesced(t, cl)
+	if cl.Site(1).Manager().Locks().HoldsAny("Tmixed") {
+		t.Errorf("Tmixed: s1 kept locks after the decision")
 	}
 }

@@ -220,15 +220,6 @@ func (r *Recorder) Snapshot() *History {
 	return h
 }
 
-// Reset discards all recorded state.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.ops = nil
-	r.seq = make(map[string]uint64)
-	r.txns = make(map[string]*TxnInfo)
-}
-
 // Sites returns the sorted list of sites appearing in the history.
 func (h *History) Sites() []string {
 	set := make(map[string]bool)

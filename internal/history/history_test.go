@@ -110,20 +110,6 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	r := NewRecorder()
-	r.Record("s0", "T1", OpWrite, "a", "")
-	r.Reset()
-	h := r.Snapshot()
-	if len(h.Ops) != 0 || len(h.Txns) != 0 {
-		t.Fatalf("reset incomplete: %+v", h)
-	}
-	r.Record("s0", "T2", OpWrite, "a", "")
-	if r.Snapshot().OpsAt("s0")[0].Seq != 1 {
-		t.Fatalf("sequence not reset")
-	}
-}
-
 func TestKindAndFateStrings(t *testing.T) {
 	if KindGlobal.String() != "T" || KindCompensating.String() != "CT" || KindLocal.String() != "L" {
 		t.Fatalf("kind strings")

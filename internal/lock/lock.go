@@ -2,14 +2,12 @@
 //
 // The manager provides shared/exclusive locks with lock upgrade, strict
 // FIFO queuing (with priority for upgrades), waits-for-graph deadlock
-// detection with youngest-victim selection, and per-transaction bulk release
-// primitives matching the protocols under study:
-//
-//   - ReleaseAll(txn): release every lock — used by O2PC at the YES vote
-//     ("locally committed"), by 2PC at the DECISION, and at abort.
-//   - ReleaseShared(txn): release only shared locks — the paper notes that
-//     even strict distributed 2PL may release read locks as soon as the
-//     VOTE-REQ message is received (Section 2); this is ablation A1.
+// detection with youngest-victim selection, and a per-transaction bulk
+// release, ReleaseAll(txn), used by O2PC at the YES vote ("locally
+// committed"), by 2PC and Paxos Commit at the DECISION, by a read-only
+// participant at its vote, and at abort. Section 2 permits strict
+// distributed 2PL to drop read locks at the VOTE-REQ; this manager does
+// not offer it, because measuring it moved nothing (EXPERIMENTS.md A1).
 //
 // The lock table is split into key-hashed shards, each with its own mutex,
 // lock states and wait queues, so lock traffic on unrelated keys never
@@ -652,29 +650,6 @@ func (m *Manager) ReleaseAll(txn string) {
 	if locks != nil && len(ts.free) < maxFreeStates {
 		clear(locks)
 		ts.free = append(ts.free, locks)
-	}
-	ts.mu.Unlock()
-	for _, e := range keys {
-		m.release(txn, e.key, e.hl, true)
-	}
-}
-
-// ReleaseShared drops only txn's shared locks (the "read locks at VOTE-REQ"
-// optimization the paper permits for strict distributed 2PL).
-func (m *Manager) ReleaseShared(txn string) {
-	ts := m.txnShardOf(txn)
-	ts.mu.Lock()
-	locks := ts.held[txn]
-	type heldKey struct {
-		key storage.Key
-		hl  heldLock
-	}
-	keys := make([]heldKey, 0, len(locks))
-	for k, hl := range locks {
-		if hl.mode == Shared {
-			keys = append(keys, heldKey{k, hl})
-			delete(locks, k)
-		}
 	}
 	ts.mu.Unlock()
 	for _, e := range keys {

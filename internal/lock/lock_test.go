@@ -172,20 +172,6 @@ func TestSharedBatchGrant(t *testing.T) {
 	}
 }
 
-func TestReleaseShared(t *testing.T) {
-	m := NewManager()
-	mustAcquire(t, m, "T1", "r", Shared)
-	mustAcquire(t, m, "T1", "w", Exclusive)
-	m.ReleaseShared("T1")
-	held := m.Held("T1")
-	if _, ok := held["r"]; ok {
-		t.Fatalf("shared lock survived ReleaseShared")
-	}
-	if held["w"] != Exclusive {
-		t.Fatalf("exclusive lock dropped by ReleaseShared")
-	}
-}
-
 func TestDeadlockDetectedTwoTxns(t *testing.T) {
 	m := NewManager()
 	mustAcquire(t, m, "T1", "a", Exclusive)

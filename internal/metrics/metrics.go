@@ -38,9 +38,6 @@ func (c *Counter) Add(delta int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Reset sets the counter back to zero.
-func (c *Counter) Reset() { c.v.Store(0) }
-
 // Gauge is a concurrency-safe instantaneous value that can rise and fall
 // (in-flight transactions, pending subtransactions, queue depths).
 type Gauge struct {
@@ -61,9 +58,6 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Value returns the gauge's current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Reset sets the gauge back to zero.
-func (g *Gauge) Reset() { g.v.Store(0) }
 
 // Histogram records a stream of duration (or generic numeric) samples and
 // reports order statistics. It keeps all samples: experiment runs in this
@@ -91,6 +85,22 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a duration sample in milliseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(float64(d) / float64(time.Millisecond))
+}
+
+// Merge appends every sample of src to h, so a histogram merged from
+// per-site histograms reports exactly what one histogram that observed
+// every sample would. src is copied before h is locked, so two histograms
+// may merge into each other concurrently.
+func (h *Histogram) Merge(src *Histogram) {
+	src.mu.Lock()
+	samples := append([]float64(nil), src.samples...)
+	sum := src.sum
+	src.mu.Unlock()
+	h.mu.Lock()
+	h.samples = append(h.samples, samples...)
+	h.sum += sum
+	h.sorted = false
+	h.mu.Unlock()
 }
 
 // Count returns the number of observations.
@@ -155,15 +165,6 @@ func (h *Histogram) Min() float64 { return h.Quantile(0) }
 
 // Max returns the largest sample, or 0 for an empty histogram.
 func (h *Histogram) Max() float64 { return h.Quantile(1) }
-
-// Reset discards all samples.
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	h.samples = h.samples[:0]
-	h.sum = 0
-	h.sorted = false
-	h.mu.Unlock()
-}
 
 // Summary is a point-in-time snapshot of a histogram.
 type Summary struct {
@@ -321,22 +322,6 @@ func (r *Registry) HistogramNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Reset zeroes every counter and clears every histogram, keeping the names
-// registered so that concurrent holders of pointers remain valid.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, c := range r.counters {
-		c.Reset()
-	}
-	for _, g := range r.gauges {
-		g.Reset()
-	}
-	for _, h := range r.histograms {
-		h.Reset()
-	}
 }
 
 // sanitizeMetricName maps a registry name onto the Prometheus metric-name

@@ -29,7 +29,8 @@ type Protocol uint8
 
 const (
 	// TwoPC is standard two-phase commit over distributed strict 2PL:
-	// exclusive locks are held from acquisition until the DECISION message.
+	// locks, shared and exclusive, are held from acquisition until the
+	// DECISION message.
 	TwoPC Protocol = iota + 1
 	// O2PC is the paper's optimistic 2PC: a site that votes YES locally
 	// commits and releases all locks immediately; an eventual abort

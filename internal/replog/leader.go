@@ -43,14 +43,15 @@ type Config struct {
 	Clock sim.Clock
 	// Tracer, when set, records takeover events under the group node.
 	Tracer *trace.Tracer
-	// Stats receives replication metrics. Nil allocates an unregistered set.
-	Stats *Stats
-	// Retries bounds the majority rounds attempted per ballot (and the
-	// term guesses per election) before giving up. Defaults to 8.
-	Retries int
-	// RetryDelay paces re-attempts after a failed round. Defaults to 50ms.
-	RetryDelay time.Duration
 }
+
+const (
+	// retries bounds the majority rounds attempted per ballot (and the term
+	// guesses per election) before giving up.
+	retries = 8
+	// retryDelay paces re-attempts after a failed round.
+	retryDelay = 50 * time.Millisecond
+)
 
 // Stats are the leader's replication metrics.
 type Stats struct {
@@ -70,8 +71,8 @@ type Stats struct {
 	Leader *metrics.Gauge
 }
 
-// NewStats returns a fresh, unregistered metric set.
-func NewStats() *Stats {
+// newStats returns a fresh, unregistered metric set.
+func newStats() *Stats {
 	return &Stats{
 		BallotMs:     metrics.NewHistogram(),
 		MajorityAcks: &metrics.Counter{},
@@ -133,20 +134,10 @@ type Leader struct {
 // NewLeader returns an unelected leader for cfg.Group. The first Begin,
 // Decide, Sync, or Snapshot call runs the election.
 func NewLeader(cfg Config) *Leader {
-	if cfg.Retries == 0 {
-		cfg.Retries = 8
-	}
-	if cfg.RetryDelay == 0 {
-		cfg.RetryDelay = 50 * time.Millisecond
-	}
-	stats := cfg.Stats
-	if stats == nil {
-		stats = NewStats()
-	}
 	return &Leader{
 		cfg:       cfg,
 		clock:     sim.OrReal(cfg.Clock),
-		stats:     stats,
+		stats:     newStats(),
 		proposing: make(map[string]bool),
 		chosen:    make(map[string]bool),
 	}
@@ -342,7 +333,7 @@ func (l *Leader) elect(ctx context.Context, guess uint64) error {
 				"term="+strconv.FormatUint(guess, 10)+" txns="+strconv.Itoa(len(rec)))
 			return nil
 		}
-		if attempt >= l.cfg.Retries {
+		if attempt >= retries {
 			return fmt.Errorf("replog %s: no majority for term %d after %d attempts",
 				l.cfg.Group, guess, attempt+1)
 		}
@@ -359,7 +350,7 @@ func (l *Leader) elect(ctx context.Context, guess uint64) error {
 		}
 		// Not rejected, just short of a majority (replicas unreachable):
 		// pace the retry.
-		if err := l.clock.Sleep(ctx, l.cfg.RetryDelay); err != nil {
+		if err := l.clock.Sleep(ctx, retryDelay); err != nil {
 			return err
 		}
 	}
@@ -444,11 +435,11 @@ func (l *Leader) ballot(ctx context.Context, build func(term uint64) any) error 
 			l.depose(higher)
 			return ErrDeposed
 		}
-		if attempt >= l.cfg.Retries {
+		if attempt >= retries {
 			return fmt.Errorf("replog %s: no majority (%d/%d acks) after %d rounds",
 				l.cfg.Group, acks, len(l.cfg.Replicas), attempt+1)
 		}
-		if err := l.clock.Sleep(ctx, l.cfg.RetryDelay); err != nil {
+		if err := l.clock.Sleep(ctx, retryDelay); err != nil {
 			return err
 		}
 	}

@@ -49,12 +49,10 @@ func newHarness(t *testing.T, n int) *harness {
 
 func (h *harness) leader(group string) *Leader {
 	return NewLeader(Config{
-		Group:      group,
-		Replicas:   h.names,
-		Caller:     h.net,
-		Clock:      h.clock,
-		Retries:    3,
-		RetryDelay: 10 * time.Millisecond,
+		Group:    group,
+		Replicas: h.names,
+		Caller:   h.net,
+		Clock:    h.clock,
 	})
 }
 

@@ -42,41 +42,10 @@ import (
 // deadlock scenario the paper discusses).
 const MarkKey storage.Key = "__sitemarks__"
 
-// CheckStrategy selects how the R1 compatibility check interacts with the
-// marking-set lock (the deadlock trade-off of Section 6.2; ablation A2).
-type CheckStrategy uint8
-
-const (
-	// CheckEarlyRevalidate acquires the marking-set read lock, checks,
-	// releases the lock before executing the subtransaction, and validates
-	// the check again as the subtransaction's last action (the paper's
-	// "acceptable compromise").
-	CheckEarlyRevalidate CheckStrategy = iota
-	// CheckHold keeps the marking-set read lock for the subtransaction's
-	// entire duration (plain 2PL; prone to the Section 6.2 deadlock, which
-	// the waits-for detector then resolves).
-	CheckHold
-)
-
-// String returns the strategy mnemonic.
-func (c CheckStrategy) String() string {
-	if c == CheckHold {
-		return "hold"
-	}
-	return "early-revalidate"
-}
-
 // Config parameterizes a Site.
 type Config struct {
 	// Name is the site's node name on the network.
 	Name string
-	// ReleaseSharedAtVote releases read locks when the VOTE-REQ arrives
-	// even under plain 2PC (permitted by Section 2; ablation A1). A vote
-	// riding an exec releases them only at the transaction's last
-	// subtransaction (ExecRequest.Last), its lock point.
-	ReleaseSharedAtVote bool
-	// CheckStrategy selects the R1 locking discipline.
-	CheckStrategy CheckStrategy
 	// Compensators resolves CompCustom compensator names.
 	Compensators *compensate.Registry
 	// Recorder, when non-nil, captures the execution history for the
@@ -595,8 +564,8 @@ func (s *Site) execContinue(ctx context.Context, p *pending, req proto.ExecReque
 // admitAndRun executes req's operations on t under rule R1, for a one-shot
 // exec and a continuation round alike: the compatibility check under a
 // shared lock on MarkKey (coupling the marking set to 2PL), the UDUM1
-// witness and, under the paper's early-revalidate compromise, the MarkKey
-// release before the operations and the revalidation as their last
+// witness and the paper's "acceptable compromise" of Section 6.2: the
+// MarkKey release before the operations and the revalidation as their last
 // action. readmit counts a continuation round's refusals as re-admission
 // refusals. Lock waits — the marking-set acquisition included — are
 // bounded by the manager's wait timeout, so no per-execution deadline
@@ -606,7 +575,6 @@ func (s *Site) execContinue(ctx context.Context, p *pending, req proto.ExecReque
 // the operations ran, leaving writes to void.
 func (s *Site) admitAndRun(ctx context.Context, t *txn.Txn, req proto.ExecRequest, readmit bool) (reply proto.ExecReply, ran bool) {
 	checked := req.Marking != proto.MarkNone
-	early := checked && s.cfg.CheckStrategy != CheckHold
 	var merged []string
 	if checked {
 		if err := s.mgr.Locks().AcquireBounded(ctx, t.ID(), MarkKey, lock.Shared); err != nil {
@@ -624,13 +592,11 @@ func (s *Site) admitAndRun(ctx context.Context, t *txn.Txn, req proto.ExecReques
 				s.marks.RecordWitness(merged)
 			}
 		}
-		if early {
-			// The paper's compromise: unlock the marking set now and
-			// revalidate as the subtransaction's last action. A refused
-			// exec gives the fresh lock back too: a continuation round's
-			// transaction stays open.
-			s.mgr.Locks().Release(t.ID(), MarkKey)
-		}
+		// The paper's compromise: unlock the marking set now and
+		// revalidate as the subtransaction's last action. A refused exec
+		// gives the fresh lock back too: a continuation round's
+		// transaction stays open.
+		s.mgr.Locks().Release(t.ID(), MarkKey)
 		switch verdict {
 		case marking.Admit:
 			// Compatible: execution proceeds below.
@@ -654,7 +620,7 @@ func (s *Site) admitAndRun(ctx context.Context, t *txn.Txn, req proto.ExecReques
 	// later (e.g. at vote time) would race with UDUM1 unmarking and could
 	// admit a reader of inconsistent compensation states. Nothing was
 	// exposed yet, so a failure is final for this transaction.
-	if early && !s.validateMarks(ctx, t.ID(), req.Marking, merged) {
+	if checked && !s.validateMarks(ctx, t.ID(), req.Marking, merged) {
 		reason := "marking validation failed after execution"
 		if readmit {
 			reason = "marking validation failed after session round"
@@ -799,10 +765,9 @@ func (s *Site) rollbackUnexposed(t *txn.Txn) {
 // writeMark adds (or removes) the undone mark for forward under an
 // exclusive lock on MarkKey, as a short system transaction. The wait is
 // bounded by the lock timeout — a protocol handler must never block
-// indefinitely on the marking set (under CheckHold the S holders it waits
-// for may themselves be waiting for this very handler's decision) — and a
-// failed attempt retries in the background: mark maintenance is idempotent
-// and safe at any later time.
+// indefinitely on the marking set (a cross-site lock cycle can run through
+// it) — and a failed attempt retries in the background: mark maintenance
+// is idempotent and safe at any later time.
 func (s *Site) writeMark(ctx context.Context, forward string, add bool, set *marking.LoggedMarks) {
 	if s.tryWriteMark(ctx, forward, add, set) {
 		return

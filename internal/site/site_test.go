@@ -509,28 +509,18 @@ func TestBlockedParticipantResolves(t *testing.T) {
 	t.Fatalf("blocked participant never resolved (resolver calls: %d)", caller.calls)
 }
 
-func TestCheckHoldStrategyKeepsMarkLock(t *testing.T) {
-	s := newTestSite(t, Config{CheckStrategy: CheckHold})
+// TestCheckEarlyStrategyReleasesMarkLock pins Section 6.2's compromise: the
+// R1 check gives the marking-set lock back before the subtransaction runs.
+func TestCheckEarlyStrategyReleasesMarkLock(t *testing.T) {
+	s := newTestSite(t, Config{})
 	s.SeedInt64("n", 0)
 	reply := exec(t, s, o2pcReq("T1", proto.Add("n", 1)))
 	if !reply.OK {
 		t.Fatalf("exec: %+v", reply)
 	}
 	held := s.Manager().Locks().Held("T1")
-	if _, ok := held[MarkKey]; !ok {
-		t.Fatalf("CheckHold did not retain the marking-set lock: %v", held)
-	}
-	vote(t, s, "T1")
-	decide(t, s, "T1", true)
-}
-
-func TestCheckEarlyStrategyReleasesMarkLock(t *testing.T) {
-	s := newTestSite(t, Config{CheckStrategy: CheckEarlyRevalidate})
-	s.SeedInt64("n", 0)
-	exec(t, s, o2pcReq("T1", proto.Add("n", 1)))
-	held := s.Manager().Locks().Held("T1")
 	if _, ok := held[MarkKey]; ok {
-		t.Fatalf("early strategy kept the marking-set lock: %v", held)
+		t.Fatalf("exec kept the marking-set lock: %v", held)
 	}
 	vote(t, s, "T1")
 	decide(t, s, "T1", true)

@@ -30,7 +30,8 @@ func (s *Site) handleVote(ctx context.Context, from string, req proto.VoteReques
 //
 //   - 2PC and Paxos Commit (and O2PC subtransactions flagged CompNone, i.e.
 //     real actions): the participant logs PREPARED and retains its
-//     exclusive locks — the blocking window begins;
+//     locks, shared and exclusive, to the decision — the blocking window
+//     begins;
 //   - O2PC: the participant locally commits the subtransaction and
 //     releases every lock at once; the transaction is now exposed and an
 //     eventual abort decision will be honoured by compensation.
@@ -38,8 +39,7 @@ func (s *Site) handleVote(ctx context.Context, from string, req proto.VoteReques
 // lockPoint reports that the global transaction has taken its last lock:
 // true for a stand-alone VOTE-REQ, which follows every exec, and for a vote
 // riding the last exec. Only then may a held-locks vote release anything
-// early (the read-only exit, ReleaseSharedAtVote): releasing a lock at an
-// earlier site and then locking at a later one would break two-phase
+// early (the read-only exit): releasing a lock at an earlier site and then locking at a later one would break two-phase
 // locking across sites.
 func (s *Site) vote(ctx context.Context, from, txnID string, lockPoint bool) proto.VoteReply {
 	s.tracer.Emit(s.cfg.Name, trace.EvVoteReqRecv, txnID, from, "")
@@ -135,9 +135,6 @@ func (s *Site) vote(ctx context.Context, from, txnID string, lockPoint bool) pro
 	if holdLocks {
 		if err := p.t.Prepare(from); err != nil {
 			return s.voteNo(ctx, p, from, "prepare failed", err.Error())
-		}
-		if s.cfg.ReleaseSharedAtVote && lockPoint {
-			p.t.ReleaseSharedLocks()
 		}
 		s.setState(p, statePrepared)
 		s.tracer.Emit(s.cfg.Name, trace.EvPrepared, txnID, from, "locks retained")

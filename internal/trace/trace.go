@@ -294,16 +294,6 @@ func (tr *Tracer) Dropped() map[string]uint64 {
 	return out
 }
 
-// Reset discards all retained events and sequence state.
-func (tr *Tracer) Reset() {
-	if tr == nil {
-		return
-	}
-	tr.mu.Lock()
-	tr.rings = nil
-	tr.mu.Unlock()
-}
-
 // SortEvents orders events by (T, Node, Seq) — the canonical trace order.
 func SortEvents(events []Event) {
 	sort.Slice(events, func(i, j int) bool {

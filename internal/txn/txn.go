@@ -502,10 +502,6 @@ func (t *Txn) CommitDurable() error {
 // commits the subtransaction, and releases its locks at once.
 func (t *Txn) ReleaseLocks() { t.m.locks.ReleaseAll(t.id) }
 
-// ReleaseSharedLocks drops only shared locks (the read-lock-at-VOTE-REQ
-// optimization of Section 2; ablation A1).
-func (t *Txn) ReleaseSharedLocks() { t.m.locks.ReleaseShared(t.id) }
-
 // Abort rolls the transaction back from its logged before-images and
 // releases all locks.
 //

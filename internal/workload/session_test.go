@@ -11,29 +11,25 @@ import (
 )
 
 // TestWorkloadMultiShotHostile drives the full hostile mix — multi-shot
-// sessions with think time, Zipfian hot keys, analytics scans among OLTP
-// writers, flash-crowd bursts, long-tail stragglers, doomed votes — and
-// checks the standing oracles over the result.
+// sessions with think time, Zipfian hot keys, flash-crowd bursts, doomed
+// votes — and checks the standing oracles over the result.
 func TestWorkloadMultiShotHostile(t *testing.T) {
 	cl := core.NewCluster(core.Config{Sites: 4, Record: true})
 	cfg := Config{
-		Clients:         4,
-		TxnsPerClient:   15,
-		SitesPerTxn:     2,
-		OpsPerSite:      2,
-		KeysPerSite:     48,
-		ZipfS:           1.2,
-		ReadFrac:        0.3,
-		AbortProb:       0.2,
-		Protocol:        proto.O2PC,
-		Marking:         proto.MarkP1,
-		Rounds:          3,
-		ThinkTime:       10 * time.Microsecond,
-		BurstSize:       5,
-		BurstGap:        50 * time.Microsecond,
-		StragglerFrac:   0.2,
-		StragglerFactor: 4,
-		AnalyticsFrac:   0.3,
+		Clients:       4,
+		TxnsPerClient: 15,
+		SitesPerTxn:   2,
+		OpsPerSite:    2,
+		KeysPerSite:   48,
+		ZipfS:         1.2,
+		ReadFrac:      0.3,
+		AbortProb:     0.2,
+		Protocol:      proto.O2PC,
+		Marking:       proto.MarkP1,
+		Rounds:        3,
+		ThinkTime:     10 * time.Microsecond,
+		BurstSize:     5,
+		BurstGap:      50 * time.Microsecond,
 	}
 	rep := Run(context.Background(), cl, cfg)
 	if rep.Committed == 0 {
@@ -90,17 +86,15 @@ func TestWorkloadMultiShotTwoPC(t *testing.T) {
 // config) must yield byte-identical session scripts draw for draw.
 func TestSessionScriptDeterminism(t *testing.T) {
 	cfg := Config{
-		Seed:          7,
-		SitesPerTxn:   2,
-		OpsPerSite:    3,
-		KeysPerSite:   64,
-		ZipfS:         1.5,
-		ReadFrac:      0.4,
-		AbortProb:     0.3,
-		Rounds:        4,
-		ThinkTime:     time.Millisecond,
-		StragglerFrac: 0.25,
-		AnalyticsFrac: 0.25,
+		Seed:        7,
+		SitesPerTxn: 2,
+		OpsPerSite:  3,
+		KeysPerSite: 64,
+		ZipfS:       1.5,
+		ReadFrac:    0.4,
+		AbortProb:   0.3,
+		Rounds:      4,
+		ThinkTime:   time.Millisecond,
 	}
 	sites := []string{"s0", "s1", "s2"}
 	ga := NewGenerator(cfg, sites)
@@ -113,16 +107,9 @@ func TestSessionScriptDeterminism(t *testing.T) {
 		if len(a.Rounds) != cfg.Rounds || len(a.Think) != cfg.Rounds {
 			t.Fatalf("draw %d: %d rounds / %d thinks, want %d", i, len(a.Rounds), len(a.Think), cfg.Rounds)
 		}
-		if a.Straggler && a.Think[0] != cfg.ThinkTime*time.Duration(8) {
-			t.Fatalf("draw %d: straggler think = %v, want 8x%v", i, a.Think[0], cfg.ThinkTime)
-		}
-		if a.Analytics {
-			for r, round := range a.Rounds {
-				for _, op := range round[0].Ops {
-					if op.Kind != proto.OpRead {
-						t.Fatalf("draw %d round %d: analytics session has write %+v", i, r, op)
-					}
-				}
+		for r, think := range a.Think {
+			if think != cfg.ThinkTime {
+				t.Fatalf("draw %d round %d: think = %v, want %v", i, r, think, cfg.ThinkTime)
 			}
 		}
 	}

@@ -75,9 +75,6 @@ type Config struct {
 	// RealActionFrac is the fraction of subtransactions flagged CompNone
 	// (real actions that retain locks even under O2PC; experiment E9).
 	RealActionFrac float64
-	// SeedValue is the initial value of every key (large enough that
-	// AddMin never fires spuriously).
-	SeedValue int64
 
 	// Rounds, when > 1, switches clients to multi-shot sessions: each
 	// "transaction" is a session of that many read/write rounds against the
@@ -92,17 +89,11 @@ type Config struct {
 	// bursting (smooth arrivals).
 	BurstSize int
 	BurstGap  time.Duration
-	// StragglerFrac is the fraction of sessions that are long-tail
-	// stragglers: their think times are multiplied by StragglerFactor
-	// (default 8), stretching how long their locks and marking-set entries
-	// sit under everyone else's feet.
-	StragglerFrac   float64
-	StragglerFactor int
-	// AnalyticsFrac is the fraction of sessions that are read-mostly
-	// analytics scans (every operation a read), mixed in with the OLTP
-	// writers drawn from ReadFrac.
-	AnalyticsFrac float64
 }
+
+// seedValue is the initial value of every key, large enough that AddMin
+// never fires spuriously.
+const seedValue = 1 << 40
 
 // withDefaults fills zero fields and clamps hostile values (negative
 // counts would panic the RNG) so fuzzed configs are safe to run.
@@ -137,14 +128,8 @@ func (c Config) withDefaults() Config {
 	if c.Comp == 0 {
 		c.Comp = proto.CompSemantic
 	}
-	if c.SeedValue == 0 {
-		c.SeedValue = 1 << 40
-	}
 	if c.Rounds < 0 {
 		c.Rounds = 0
-	}
-	if c.StragglerFactor <= 0 {
-		c.StragglerFactor = 8
 	}
 	return c
 }
@@ -338,10 +323,6 @@ type SessionScript struct {
 	Think []time.Duration
 	// DoomSite, when non-empty, is the site scripted to vote NO.
 	DoomSite string
-	// Analytics marks a read-mostly scan session (every operation a read).
-	Analytics bool
-	// Straggler marks a long-tail session with stretched think times.
-	Straggler bool
 }
 
 // NextSession produces the next multi-shot session script. The session
@@ -369,20 +350,13 @@ func (g *Generator) NextSession() SessionScript {
 	}
 	perm := g.perm[:k]
 
-	script.Analytics = g.cfg.AnalyticsFrac > 0 && g.rng.Float64() < g.cfg.AnalyticsFrac
-	script.Straggler = g.cfg.StragglerFrac > 0 && g.rng.Float64() < g.cfg.StragglerFrac
-	think := g.cfg.ThinkTime
-	if script.Straggler {
-		think *= time.Duration(g.cfg.StragglerFactor)
-	}
-
 	wrote := false
 	for r := 0; r < rounds; r++ {
 		site := g.sites[perm[r%k]]
 		ops := make([]proto.Operation, 0, g.cfg.OpsPerSite)
 		for j := 0; j < g.cfg.OpsPerSite; j++ {
 			key := g.keys[g.picker.pick()]
-			if script.Analytics || g.rng.Float64() < g.cfg.ReadFrac {
+			if g.rng.Float64() < g.cfg.ReadFrac {
 				ops = append(ops, proto.Read(key))
 			} else {
 				ops = append(ops, proto.Add(key, 1))
@@ -394,11 +368,11 @@ func (g *Generator) NextSession() SessionScript {
 			comp = proto.CompNone
 		}
 		script.Rounds = append(script.Rounds, []coord.SubtxnSpec{{Site: site, Ops: ops, Comp: comp}})
-		script.Think = append(script.Think, think)
+		script.Think = append(script.Think, g.cfg.ThinkTime)
 	}
-	if !wrote && !script.Analytics && g.cfg.ReadFrac < 1 && !g.cfg.AllowReadOnly {
-		// Guarantee at least one write per OLTP session so aborts exercise
-		// compensation; analytics scans stay genuinely read-only.
+	if !wrote && g.cfg.ReadFrac < 1 && !g.cfg.AllowReadOnly {
+		// Guarantee at least one write per session so aborts exercise
+		// compensation.
 		last := script.Rounds[rounds-1][0].Ops
 		last[len(last)-1] = proto.Add(last[len(last)-1].Key, 1)
 	}
@@ -419,7 +393,7 @@ func Run(ctx context.Context, cl *core.Cluster, cfg Config) Report {
 	clock := cl.Clock()
 	gen := NewGenerator(cfg, cl.SiteNames())
 	for i := 0; i < cfg.KeysPerSite; i++ {
-		cl.SeedInt64(Key(i), cfg.SeedValue)
+		cl.SeedInt64(Key(i), seedValue)
 	}
 
 	latency := metrics.NewHistogram()
@@ -574,11 +548,11 @@ func buildReport(cl *core.Cluster, cfg Config, elapsed time.Duration,
 	exposure := metrics.NewHistogram()
 	for _, s := range cl.Sites() {
 		ls := s.Manager().Locks().Stats()
-		mergeHistogram(holdX, ls.HoldTimeX)
-		mergeHistogram(waits, ls.WaitTime)
+		holdX.Merge(ls.HoldTimeX)
+		waits.Merge(ls.WaitTime)
 		r.Deadlocks += ls.Deadlocks.Value()
 		st := s.Stats()
-		mergeHistogram(exposure, st.ExposureDuration)
+		exposure.Merge(st.ExposureDuration)
 		r.Compensations += st.Compensations.Value()
 		r.Rollbacks += st.Rollbacks.Value()
 		r.RejectsRetry += st.RejectsRetry.Value()
@@ -588,25 +562,4 @@ func buildReport(cl *core.Cluster, cfg Config, elapsed time.Duration,
 	r.LockWait = waits.Snapshot()
 	r.Exposure = exposure.Snapshot()
 	return r
-}
-
-// mergeHistogram folds src's quantile structure into dst by sampling its
-// snapshot; exact merging is unnecessary for reporting, so we transfer the
-// raw samples via quantile stratification when counts are large and copy
-// the summary moments otherwise.
-func mergeHistogram(dst, src *metrics.Histogram) {
-	n := src.Count()
-	if n == 0 {
-		return
-	}
-	// Transfer a quantile-stratified sample bounded at 4096 points per
-	// source histogram to keep report building cheap.
-	samples := 4096
-	if n < samples {
-		samples = n
-	}
-	for i := 0; i < samples; i++ {
-		q := (float64(i) + 0.5) / float64(samples)
-		dst.Observe(src.Quantile(q))
-	}
 }

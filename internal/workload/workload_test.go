@@ -94,3 +94,36 @@ func TestGeneratorDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestReportMergesSiteHistogramsExactly: the report's cross-site lock-hold,
+// lock-wait and exposure summaries hold every site sample, not a
+// resampling, so their count and mean are the sums over the sites.
+func TestReportMergesSiteHistogramsExactly(t *testing.T) {
+	cl := core.NewCluster(core.Config{Sites: 2})
+	rep := Run(context.Background(), cl, Config{
+		Clients:       4,
+		TxnsPerClient: 400,
+		SitesPerTxn:   2,
+		OpsPerSite:    4,
+		KeysPerSite:   4096,
+		Protocol:      proto.O2PC,
+	})
+	count, sum := 0, 0.0
+	exposures := 0
+	for _, s := range cl.Sites() {
+		hold := s.Manager().Locks().Stats().HoldTimeX
+		count += hold.Count()
+		sum += hold.Sum()
+		exposures += s.Stats().ExposureDuration.Count()
+	}
+	if count <= 4096 {
+		t.Fatalf("only %d X-lock holds; the test needs more than 4096", count)
+	}
+	if rep.LockHoldX.Count != count || rep.LockHoldX.Mean != sum/float64(count) {
+		t.Errorf("LockHoldX count=%d mean=%v, want count=%d mean=%v",
+			rep.LockHoldX.Count, rep.LockHoldX.Mean, count, sum/float64(count))
+	}
+	if rep.Exposure.Count != exposures {
+		t.Errorf("Exposure count=%d, want %d", rep.Exposure.Count, exposures)
+	}
+}

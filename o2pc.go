@@ -50,7 +50,6 @@ import (
 	"o2pc/internal/rpc"
 	"o2pc/internal/sg"
 	"o2pc/internal/sim"
-	"o2pc/internal/site"
 	"o2pc/internal/storage"
 	"o2pc/internal/txn"
 	"o2pc/internal/workload"
@@ -96,11 +95,16 @@ type Protocol = proto.Protocol
 // Protocol values.
 const (
 	// TwoPC is the baseline: distributed strict 2PL with standard 2PC
-	// (exclusive locks held until the DECISION message).
+	// (locks held until the DECISION message).
 	TwoPC = proto.TwoPC
 	// O2PC is the paper's optimistic protocol: locks released at the YES
 	// vote; aborts handled by compensation.
 	O2PC = proto.O2PC
+	// Paxos is Gray and Lamport's Paxos Commit: participants hold their
+	// locks to the decision as under 2PC, and the decision is chosen by a
+	// majority of ClusterConfig.Replicas decision-log replicas, so a
+	// coordinator crash does not block them.
+	Paxos = proto.Paxos
 )
 
 // MarkProtocol selects the correctness protocol layered over O2PC.
@@ -187,15 +191,6 @@ type CompensatorFunc = compensate.Func
 
 // Forward describes the forward subtransaction a compensator undoes.
 type Forward = compensate.Forward
-
-// CheckStrategy selects the marking-set locking discipline (Section 6.2).
-type CheckStrategy = site.CheckStrategy
-
-// CheckStrategy values.
-const (
-	CheckEarlyRevalidate = site.CheckEarlyRevalidate
-	CheckHold            = site.CheckHold
-)
 
 // CrashPhase identifies coordinator crash-injection points for failure
 // experiments.
