@@ -157,8 +157,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			len(res.Redone), len(res.Undone), len(res.InDoubt))
 	}
 	// Seed in sorted key order: SeedInt64 appends to the WAL, and the log
-	// must not depend on map iteration order.
+	// must not depend on map iteration order. A key the recovered store
+	// already holds keeps its value: re-seeding it on restart would log a
+	// committed overwrite that creates or destroys money.
 	for _, key := range slices.Sorted(maps.Keys(seeds)) {
+		if _, err := s.ReadKey(storage.Key(key)); err == nil {
+			fmt.Fprintf(stdout, "seed %s skipped: recovered value kept\n", key)
+			continue
+		}
 		s.SeedInt64(storage.Key(key), seeds[key])
 	}
 

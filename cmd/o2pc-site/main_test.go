@@ -6,11 +6,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"o2pc/internal/storage"
+	"o2pc/internal/wal"
 )
 
 // syncBuffer is a goroutine-safe stdout sink for run().
@@ -121,5 +125,57 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if !strings.Contains(fmt.Sprint(err), "key=int") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// runUntilServing runs the site with args until it reports serving, then
+// cancels it and returns its stdout.
+func runUntilServing(t *testing.T, args ...string) string {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var out syncBuffer
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, args, &out) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for !strings.Contains(out.String(), "serving on") {
+		if time.Now().After(deadline) {
+			t.Fatalf("site never served; stdout:\n%s", out.String())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("run(%v): %v", args, err)
+	}
+	return out.String()
+}
+
+// TestRecoverKeepsRecoveredOverSeed restarts a site with -recover and a
+// different -seed for a key its WAL already holds: the recovered value
+// must survive, or every restart would reset the balance.
+func TestRecoverKeepsRecoveredOverSeed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s0.wal")
+	runUntilServing(t, "-listen", "127.0.0.1:0", "-wal", path, "-seed", "acct=500")
+	out := runUntilServing(t, "-listen", "127.0.0.1:0", "-wal", path, "-recover", "-seed", "acct=700")
+
+	l, err := wal.OpenFileLog(path)
+	if err != nil {
+		t.Fatalf("open wal: %v", err)
+	}
+	defer l.Close()
+	store := storage.NewStore()
+	if _, err := wal.Recover(store, l); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	rec, err := store.Get("acct")
+	if err != nil {
+		t.Fatalf("acct: %v", err)
+	}
+	if got := storage.MustDecodeInt64(rec.Value); got != 500 {
+		t.Fatalf("acct = %d after restart, want the recovered 500", got)
+	}
+	if !strings.Contains(out, "seed acct skipped") {
+		t.Fatalf("no skip reported; stdout:\n%s", out)
 	}
 }

@@ -11,14 +11,12 @@ import (
 )
 
 // Lockorder builds the program's mutex acquisition graph and enforces
-// the shard discipline PR 4's lock manager established: key shards are
-// locked together only in ascending slice order (lockAllShards), a txn
-// shard may be taken while key shards are held but never the reverse,
-// and no two lock classes may be acquired in inconsistent order anywhere
-// in the program.
+// one global lock order: no two lock classes may be acquired in
+// inconsistent order anywhere in the program, and no two instances of
+// one class may be held at once.
 //
 // A lock class is a (package, type, field) coordinate —
-// "o2pc/internal/lock.keyShard.mu" — so every instance of a shard mutex
+// "o2pc/internal/lock.Manager.mu" — so every instance of a type's mutex
 // shares a class. Each package's fact carries per-function summaries
 // (classes locked, released, and transiently acquired) plus the
 // held-while-acquiring edges observed in its bodies; summaries propagate
@@ -26,15 +24,14 @@ import (
 // unions all edges and reports every cycle (a potential deadlock) at its
 // lexicographically smallest edge.
 //
-// Intra-procedurally the pass reports re-acquisition of a held class —
-// except through an index-ordered range over a slice or array, the
-// sanctioned ascending idiom — and locks acquired inside a loop that are
-// still held when the iteration ends, since successive iterations would
-// then acquire same-class instances in an unprovable order.
+// Intra-procedurally the pass reports re-acquisition of a held class, and
+// locks acquired inside a loop that are still held when the iteration
+// ends, since successive iterations would then acquire same-class
+// instances in an unprovable order.
 var Lockorder = &framework.Analyzer{
 	Name: "lockorder",
 	Doc: "mutex classes must be acquired in a consistent global order; " +
-		"same-class instances only via ascending slice iteration",
+		"no two instances of one class held at once",
 	Facts:  lockorderFactsHook,
 	Run:    runLockorder,
 	Finish: finishLockorder,
@@ -42,11 +39,10 @@ var Lockorder = &framework.Analyzer{
 
 // lockorderFunc summarizes one function's lock effects for callers.
 type lockorderFunc struct {
-	// Locks are classes still held when the function returns
-	// (lockAllShards leaves keyShard.mu held).
+	// Locks are classes still held when the function returns.
 	Locks []string `json:"locks,omitempty"`
-	// Unlocks are classes released without a matching acquire
-	// (unlockAllShards drops the caller's keyShard.mu).
+	// Unlocks are classes released without a matching acquire (a
+	// function that drops a mutex its caller took).
 	Unlocks []string `json:"unlocks,omitempty"`
 	// Acquires are all classes transiently acquired anywhere within,
 	// including through callees.
@@ -318,12 +314,12 @@ func (w *orderWalker) stmt(s ast.Stmt) {
 		if s.Post != nil {
 			w.stmt(s.Post)
 		}
-		w.loopEnd(before, false)
+		w.loopEnd(before)
 	case *ast.RangeStmt:
 		w.scan(s.X)
 		before := w.snapshot()
 		w.stmts(s.Body.List)
-		w.loopEnd(before, rangeOverIndexed(w.lc.pass.TypesInfo, s))
+		w.loopEnd(before)
 	case *ast.SwitchStmt:
 		if s.Init != nil {
 			w.stmt(s.Init)
@@ -363,11 +359,9 @@ func (w *orderWalker) snapshot() map[string]bool {
 
 // loopEnd flags classes acquired inside the loop body and still held at
 // its end: iteration two would re-acquire the class while instance one
-// is held, in an order the analysis cannot prove ascending — unless the
-// loop is an index-ordered range over a slice or array, the sanctioned
-// lockAllShards idiom.
-func (w *orderWalker) loopEnd(before map[string]bool, ascending bool) {
-	if !w.report || ascending {
+// is held, in an order the analysis cannot prove consistent.
+func (w *orderWalker) loopEnd(before map[string]bool) {
+	if !w.report {
 		return
 	}
 	var classes []string
@@ -380,9 +374,8 @@ func (w *orderWalker) loopEnd(before map[string]bool, ascending bool) {
 	for _, class := range classes {
 		w.lc.pass.Reportf(w.held[class].pos,
 			"%s is acquired in a loop and still held when the iteration ends: successive "+
-				"iterations take same-class instances in an unprovable order; only an "+
-				"index-ordered range over a slice keeps the ascending-shard discipline "+
-				"(see lock.Manager.lockAllShards)",
+				"iterations take same-class instances in an unprovable order; release it "+
+				"within the iteration",
 			class)
 	}
 }
@@ -486,7 +479,7 @@ func (w *orderWalker) mutexOp(call *ast.CallExpr) (class, inst string, kind mute
 }
 
 // mutexClass names the (package, type, field) coordinate of a mutex
-// expression: "pkg.keyShard.mu" for sh.mu, "pkg.Tracer.Mutex" for an
+// expression: "pkg.Manager.mu" for m.mu, "pkg.Tracer.Mutex" for an
 // embedded mutex reached as tr.Lock()/tr.Mutex.Lock(). Returns "" for
 // mutexes that are not struct fields.
 func (w *orderWalker) mutexClass(recv ast.Expr) (string, string) {
@@ -550,9 +543,8 @@ func (w *orderWalker) call(call *ast.CallExpr) {
 		if held, isHeld := w.held[c]; isHeld && w.report {
 			w.lc.pass.Reportf(call.Pos(),
 				"calls %s, which acquires %s while an instance of that class (%s) is already "+
-					"held here: same-class acquisition across a call cannot preserve the "+
-					"ascending-shard order and admits deadlock; release first or restructure "+
-					"(see lock.Manager.lockAllShards)",
+					"held here: two instances of one class have no provable order, which "+
+					"admits deadlock; release first or restructure",
 				describeFunc(fn), c, held.inst)
 		}
 		for h := range w.held {
@@ -574,8 +566,8 @@ func (w *orderWalker) lock(class, inst string, pos token.Pos) {
 	if prev, ok := w.held[class]; ok && w.report {
 		w.lc.pass.Reportf(pos,
 			"%s (instance %s) acquired while another instance of the same class (%s) is "+
-				"held: same-class instances may only be taken together through an "+
-				"index-ordered slice range (the ascending lockAllShards discipline)",
+				"held: two instances of one class have no provable order, which admits "+
+				"deadlock; release first or restructure",
 			class, inst, prev.inst)
 	}
 	for h := range w.held {
@@ -585,24 +577,6 @@ func (w *orderWalker) lock(class, inst string, pos token.Pos) {
 	if _, ok := w.held[class]; !ok {
 		w.held[class] = heldLock{inst: inst, pos: pos}
 	}
-}
-
-// rangeOverIndexed reports whether the range statement iterates a slice,
-// array, or pointer-to-array — index order, the sanctioned ascending
-// acquisition idiom. Maps (randomized) and channels do not qualify.
-func rangeOverIndexed(info *types.Info, s *ast.RangeStmt) bool {
-	t := info.Types[s.X].Type
-	if t == nil {
-		return false
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Slice, *types.Array:
-		return true
-	case *types.Pointer:
-		_, ok := u.Elem().Underlying().(*types.Array)
-		return ok
-	}
-	return false
 }
 
 // finishLockorder unions every package's acquisition edges and reports
@@ -667,8 +641,7 @@ func finishLockorder(f *framework.Finish) error {
 		}
 		f.Reportf(token.Position{Filename: anchor.File, Line: anchor.Line},
 			"lock-order cycle among {%s}: these classes are acquired in inconsistent "+
-				"orders across the program, admitting deadlock; impose one global order "+
-				"(key shards ascending, then txn shard — never the reverse)",
+				"orders across the program, admitting deadlock; impose one global order",
 			strings.Join(scc, ", "))
 	}
 	return nil

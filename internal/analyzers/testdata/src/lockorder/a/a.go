@@ -40,19 +40,21 @@ func relockAcrossCall(m *lock.Manager) {
 	m.UnlockAll()
 }
 
-// ascending is the sanctioned idiom: same-class instances through an
-// index-ordered slice range.
+// ascending holds same-class instances across iterations of an
+// index-ordered slice range: slice order is no proof of a global order
+// (another caller may hold the same instances in another slice), so it is
+// reported like any other loop.
 func ascending(ss []*S) {
 	for _, s := range ss {
-		s.mu.Lock()
+		s.mu.Lock() // want `acquired in a loop and still held`
 	}
 	for _, s := range ss {
 		s.mu.Unlock()
 	}
 }
 
-// txnAfterKeys is the sanctioned direction: txn shard while key shards
-// are held. No reverse acquisition exists, so no cycle is reported.
+// txnAfterKeys takes the txn mutex while the shard mutexes are held. No
+// reverse acquisition exists, so no cycle is reported.
 func txnAfterKeys(m *lock.Manager) {
 	m.LockAll()
 	m.TxnLock()

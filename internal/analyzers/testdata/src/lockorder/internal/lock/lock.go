@@ -1,5 +1,5 @@
-// Package lock is a miniature of the real shard manager for the
-// lockorder fixture.
+// Package lock is a miniature lock manager with one mutex per shard, for
+// the lockorder fixture.
 package lock
 
 import "sync"
@@ -14,11 +14,11 @@ type Manager struct {
 	txn    txnShard
 }
 
-// LockAll takes every key shard in ascending slice order — the
-// sanctioned idiom — and leaves them held for the caller.
+// LockAll takes every shard in slice order and leaves them held for the
+// caller: same-class instances held across iterations.
 func (m *Manager) LockAll() {
 	for _, sh := range m.shards {
-		sh.mu.Lock()
+		sh.mu.Lock() // want `acquired in a loop and still held`
 	}
 }
 

@@ -9,19 +9,10 @@
 // distributed 2PL to drop read locks at the VOTE-REQ; this manager does
 // not offer it, because measuring it moved nothing (EXPERIMENTS.md A1).
 //
-// The lock table is split into key-hashed shards, each with its own mutex,
-// lock states and wait queues, so lock traffic on unrelated keys never
-// contends on a common mutex. Per-transaction state (held-lock sets and
-// registration sequence numbers) lives in txn-hashed shards. The locking
-// discipline that keeps the two layers deadlock-free:
-//
-//   - key shards are only ever taken together in ascending index order
-//     (deadlock detection, AbortWaiter, WaitsFor);
-//   - a txn shard may be taken while key shards are held (victim
-//     selection reads sequence numbers), but never the other way around —
-//     every held-set update happens with no key shard held, which is why
-//     waiters record their own held entries after the grant arrives
-//     rather than having the granter write into a foreign txn shard.
+// The whole lock table — every key's holders and wait queue, and every
+// transaction's held locks and age — sits behind one mutex. A site serves
+// a handful of concurrent transactions, and splitting the table into
+// hashed shards measured no faster (EXPERIMENTS.md, Knob verdicts).
 //
 // Lock-hold time instrumentation is built in because the headline claim of
 // the paper (Experiment E1) is precisely about how long exclusive locks are
@@ -34,7 +25,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"o2pc/internal/metrics"
@@ -75,11 +65,6 @@ var ErrDeadlock = errors.New("lock: deadlock detected; transaction chosen as vic
 // via AbortWaiter.
 var ErrAborted = errors.New("lock: waiting transaction aborted")
 
-// DefaultShards is the key-shard count used by NewManager. Sixteen shards
-// dissolve cross-key contention on hot sites while keeping the all-shards
-// operations (deadlock detection, AbortWaiter) cheap.
-const DefaultShards = 16
-
 // request is a pending lock acquisition.
 type request struct {
 	txn     string
@@ -88,7 +73,7 @@ type request struct {
 	grant   chan error // buffered(1); receives nil on grant, error on abort
 	start   time.Time
 	// claim is the clock's wake-up reservation for this grant: set (under
-	// the key's shard mutex) by the granter immediately before sending on
+	// the manager's mutex) by the granter immediately before sending on
 	// grant, claimed by the woken waiter. It keeps virtual time from
 	// advancing in the window between the channel send and the waiter
 	// actually resuming.
@@ -130,46 +115,37 @@ func newStats() *Stats {
 	}
 }
 
-// keyShard is one slice of the lock table.
-type keyShard struct {
-	mu    sync.Mutex
-	locks map[storage.Key]*lockState
-	// free recycles lockState values (and their holders maps) released by
-	// fully-unlocked keys: commit-time bulk release empties a key's state
-	// and the next transaction on that key would otherwise re-allocate it,
-	// making the state churn a measurable share of the commit path's
-	// allocations. Bounded so an unlock burst cannot pin memory.
-	free []*lockState
-	// acquisitions counts Acquire calls routed to this shard, for
-	// observing how evenly the hash spreads traffic.
-	acquisitions metrics.Counter
-}
-
-// maxFreeStates bounds each shard's lockState freelist.
-const maxFreeStates = 64
-
-// txnShard holds per-transaction state for a slice of the txn-ID space.
-type txnShard struct {
-	mu   sync.Mutex
-	held map[string]map[storage.Key]heldLock
-	seq  map[string]uint64 // txn -> registration order (age)
-	// free recycles held-lock maps emptied by ReleaseAll: every
-	// transaction allocates one on its first lock, so commit-time bulk
-	// release feeds the next transaction's map (buckets and all).
-	free []map[storage.Key]heldLock
-}
+const (
+	// maxFreeStates bounds each freelist.
+	maxFreeStates = 64
+	// maxRecycledHeld bounds the size of a held-lock map worth recycling:
+	// clearing or ranging over a map costs its capacity, not its length,
+	// so a map grown by a bulk transaction (seeding thousands of keys)
+	// would tax every later transaction that drew it from the freelist.
+	maxRecycledHeld = 16
+)
 
 // Manager is a per-site lock manager. The zero value is not usable; call
-// NewManager or NewManagerShards.
+// NewManager.
 type Manager struct {
 	clock       sim.Clock
 	priority    func(txn string) int
 	waitTimeout time.Duration
+	stats       *Stats
 
-	shards    []*keyShard
-	txnShards []*txnShard
-	nextSeq   atomic.Uint64
-	stats     *Stats
+	// mu guards the lock table: every field below.
+	mu      sync.Mutex
+	locks   map[storage.Key]*lockState
+	held    map[string]map[storage.Key]heldLock
+	seq     map[string]uint64 // txn -> registration order (age)
+	nextSeq uint64
+	// freeStates recycles lockState values (and their holders maps)
+	// released by fully-unlocked keys, and freeHeld the held-lock maps
+	// emptied by ReleaseAll: commit-time bulk release would otherwise make
+	// the next transaction re-allocate both, a measurable share of the
+	// commit path's allocations.
+	freeStates []*lockState
+	freeHeld   []map[storage.Key]heldLock
 }
 
 // SetClock installs the clock the manager times waits and hold durations
@@ -195,158 +171,78 @@ func (m *Manager) SetVictimPriority(f func(txn string) int) { m.priority = f }
 // construction.
 func (m *Manager) SetWaitTimeout(d time.Duration) { m.waitTimeout = d }
 
-// NewManager returns an empty lock manager on the real clock with
-// DefaultShards key shards.
-func NewManager() *Manager { return NewManagerShards(DefaultShards) }
-
-// NewManagerShards returns an empty lock manager with n key shards
-// (n <= 0 selects DefaultShards).
-func NewManagerShards(n int) *Manager {
-	if n <= 0 {
-		n = DefaultShards
+// NewManager returns an empty lock manager on the real clock.
+func NewManager() *Manager {
+	return &Manager{
+		clock: sim.Real(),
+		stats: newStats(),
+		locks: make(map[storage.Key]*lockState),
+		held:  make(map[string]map[storage.Key]heldLock),
+		seq:   make(map[string]uint64),
 	}
-	m := &Manager{
-		clock:     sim.Real(),
-		shards:    make([]*keyShard, n),
-		txnShards: make([]*txnShard, n),
-		stats:     newStats(),
-	}
-	for i := range m.shards {
-		m.shards[i] = &keyShard{locks: make(map[storage.Key]*lockState)}
-		m.txnShards[i] = &txnShard{
-			held: make(map[string]map[storage.Key]heldLock),
-			seq:  make(map[string]uint64),
-		}
-	}
-	return m
 }
 
 // Stats returns the manager's measurement sink.
 func (m *Manager) Stats() *Stats { return m.stats }
 
-// ShardCount returns the number of key shards.
-func (m *Manager) ShardCount() int { return len(m.shards) }
-
-// ShardAcquisitions returns the per-shard Acquire counts, for observing
-// how the key hash spreads traffic.
-func (m *Manager) ShardAcquisitions() []int64 {
-	out := make([]int64, len(m.shards))
-	for i, sh := range m.shards {
-		out[i] = sh.acquisitions.Value()
-	}
-	return out
-}
-
-// fnv32a is FNV-1a inlined over a string: the hash/fnv Hash32 interface
-// costs two allocations per lookup (the state object and the string->byte
-// conversion), which shard routing on the lock fast path cannot afford.
-func fnv32a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// shardOf routes a key to its shard.
-func (m *Manager) shardOf(key storage.Key) *keyShard {
-	return m.shards[int(fnv32a(string(key)))%len(m.shards)]
-}
-
-// txnShardOf routes a transaction ID to its per-txn state shard.
-func (m *Manager) txnShardOf(txn string) *txnShard {
-	return m.txnShards[int(fnv32a(txn))%len(m.txnShards)]
-}
-
-// seqOf returns txn's registration sequence, assigning one on first sight.
-func (m *Manager) seqOf(txn string) uint64 {
-	ts := m.txnShardOf(txn)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if s, ok := ts.seq[txn]; ok {
-		return s
-	}
-	s := m.nextSeq.Add(1)
-	ts.seq[txn] = s
-	return s
-}
-
-// seqPeek reads txn's registration sequence without assigning one.
-func (m *Manager) seqPeek(txn string) uint64 {
-	ts := m.txnShardOf(txn)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return ts.seq[txn]
-}
-
-// stateOf returns key's lock state within sh, creating it on first use.
-// Callers must hold sh.mu.
-func (sh *keyShard) stateOf(key storage.Key) *lockState {
-	st, ok := sh.locks[key]
+// stateOfLocked returns key's lock state, creating it on first use.
+func (m *Manager) stateOfLocked(key storage.Key) *lockState {
+	st, ok := m.locks[key]
 	if !ok {
-		if n := len(sh.free); n > 0 {
-			st = sh.free[n-1]
-			sh.free[n-1] = nil
-			sh.free = sh.free[:n-1]
+		if n := len(m.freeStates); n > 0 {
+			st = m.freeStates[n-1]
+			m.freeStates[n-1] = nil
+			m.freeStates = m.freeStates[:n-1]
 		} else {
 			st = &lockState{holders: make(map[string]Mode)}
 		}
-		sh.locks[key] = st
+		m.locks[key] = st
 	}
 	return st
 }
 
-// recordHeld installs (or upgrades) txn's held-lock entry for key. It runs
-// with no key shard held — on the immediate-grant path after the shard is
-// unlocked, and on the wait path by the woken waiter itself. grantAt is
-// the moment the lock was granted; an upgrade keeps the original grant
-// time so hold-time metrics span the whole period the item was locked.
-func (m *Manager) recordHeld(txn string, key storage.Key, mode Mode, grantAt time.Time) {
-	ts := m.txnShardOf(txn)
-	ts.mu.Lock()
-	locks, ok := ts.held[txn]
+// grantLocked makes txn a holder of key in mode and records its held-lock
+// entry. An upgrade keeps the original grant time so hold-time metrics
+// span the whole period the item was locked.
+func (m *Manager) grantLocked(st *lockState, txn string, key storage.Key, mode Mode) {
+	st.holders[txn] = mode
+	locks, ok := m.held[txn]
 	if !ok {
-		if n := len(ts.free); n > 0 {
-			locks = ts.free[n-1]
-			ts.free[n-1] = nil
-			ts.free = ts.free[:n-1]
+		if n := len(m.freeHeld); n > 0 {
+			locks = m.freeHeld[n-1]
+			m.freeHeld[n-1] = nil
+			m.freeHeld = m.freeHeld[:n-1]
 		} else {
 			locks = make(map[storage.Key]heldLock, 4)
 		}
-		ts.held[txn] = locks
+		m.held[txn] = locks
 	}
+	grantAt := m.clock.Now()
 	if prev, had := locks[key]; had {
 		grantAt = prev.grantAt
 	}
 	locks[key] = heldLock{mode: mode, grantAt: grantAt}
-	ts.mu.Unlock()
 }
 
-// takeHeld removes and returns txn's held-lock entry for key, if any.
-func (m *Manager) takeHeld(txn string, key storage.Key) (heldLock, bool) {
-	ts := m.txnShardOf(txn)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	locks, ok := ts.held[txn]
-	if !ok {
-		return heldLock{}, false
-	}
-	hl, ok := locks[key]
-	if ok {
-		delete(locks, key)
-	}
-	return hl, ok
-}
-
-// canGrantLocked reports whether txn may immediately take mode on st.
-// Callers must hold the key's shard mutex.
-func canGrantLocked(st *lockState, txn string, mode Mode) bool {
+// canGrant reports whether txn may immediately take mode on st.
+func canGrant(st *lockState, txn string, mode Mode) bool {
 	for holder, hmode := range st.holders {
 		if holder == txn {
 			continue // self-held locks never conflict (upgrade path)
 		}
 		if !mode.Compatible(hmode) {
+			return false
+		}
+	}
+	return true
+}
+
+// mayPass reports whether a grantable request in mode may go ahead of
+// queue: only when the queue is empty, or when the request and every
+// queued one are Shared. Otherwise strict FIFO prevents writer starvation.
+func mayPass(queue []*request, mode Mode) bool {
+	for _, q := range queue {
+		if mode != Shared || q.mode != Shared {
 			return false
 		}
 	}
@@ -376,24 +272,23 @@ func (m *Manager) AcquireBounded(ctx context.Context, txn string, key storage.Ke
 }
 
 func (m *Manager) acquire(ctx context.Context, txn string, key storage.Key, mode Mode, bounded bool) error {
-	m.seqOf(txn)
 	m.stats.Acquisitions.Inc()
-
-	sh := m.shardOf(key)
-	sh.mu.Lock()
-	sh.acquisitions.Inc()
-	st := sh.stateOf(key)
+	m.mu.Lock()
+	if _, ok := m.seq[txn]; !ok {
+		m.nextSeq++
+		m.seq[txn] = m.nextSeq
+	}
+	st := m.stateOfLocked(key)
 
 	if cur, ok := st.holders[txn]; ok {
 		if cur == Exclusive || mode == Shared {
-			sh.mu.Unlock()
+			m.mu.Unlock()
 			return nil // already strong enough
 		}
 		// Upgrade S -> X.
-		if canGrantLocked(st, txn, Exclusive) {
-			st.holders[txn] = Exclusive
-			sh.mu.Unlock()
-			m.recordHeld(txn, key, Exclusive, m.clock.Now())
+		if canGrant(st, txn, Exclusive) {
+			m.grantLocked(st, txn, key, Exclusive)
+			m.mu.Unlock()
 			return nil
 		}
 		req := &request{txn: txn, mode: Exclusive, upgrade: true, grant: make(chan error, 1), start: m.clock.Now()}
@@ -405,57 +300,23 @@ func (m *Manager) acquire(ctx context.Context, txn string, key storage.Key, mode
 		st.queue = append(st.queue, nil)
 		copy(st.queue[idx+1:], st.queue[idx:])
 		st.queue[idx] = req
-		sh.mu.Unlock()
-		return m.wait(ctx, sh, key, req, bounded)
+		return m.waitLocked(ctx, key, req, bounded)
 	}
 
-	if canGrantLocked(st, txn, mode) && len(st.queue) == 0 {
-		st.holders[txn] = mode
-		sh.mu.Unlock()
-		m.recordHeld(txn, key, mode, m.clock.Now())
+	if canGrant(st, txn, mode) && mayPass(st.queue, mode) {
+		m.grantLocked(st, txn, key, mode)
+		m.mu.Unlock()
 		return nil
-	}
-	// Shared requests may jump a queue composed solely of shared requests
-	// when the holders are compatible; otherwise strict FIFO (prevents
-	// writer starvation).
-	if mode == Shared && canGrantLocked(st, txn, Shared) {
-		allShared := true
-		for _, q := range st.queue {
-			if q.mode != Shared {
-				allShared = false
-				break
-			}
-		}
-		if allShared {
-			st.holders[txn] = Shared
-			sh.mu.Unlock()
-			m.recordHeld(txn, key, Shared, m.clock.Now())
-			return nil
-		}
 	}
 	req := &request{txn: txn, mode: mode, grant: make(chan error, 1), start: m.clock.Now()}
 	st.queue = append(st.queue, req)
-	sh.mu.Unlock()
-	return m.wait(ctx, sh, key, req, bounded)
+	return m.waitLocked(ctx, key, req, bounded)
 }
 
-// lockAllShards takes every key shard in ascending index order — the one
-// sanctioned way to hold more than one shard at a time.
-func (m *Manager) lockAllShards() {
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-	}
-}
-
-func (m *Manager) unlockAllShards() {
-	for _, sh := range m.shards {
-		sh.mu.Unlock()
-	}
-}
-
-// wait blocks on req after running deadlock detection. It is entered with
-// no shard mutex held; req is already queued on key's state in sh.
-func (m *Manager) wait(ctx context.Context, sh *keyShard, key storage.Key, req *request, bounded bool) error {
+// waitLocked runs deadlock detection for req, already queued on key, then
+// blocks until req is granted, aborted, or ctx ends. It is entered with
+// m.mu held and releases it.
+func (m *Manager) waitLocked(ctx context.Context, key storage.Key, req *request, bounded bool) error {
 	m.stats.Waits.Inc()
 	if bounded && m.waitTimeout > 0 {
 		var cancel context.CancelFunc
@@ -463,33 +324,19 @@ func (m *Manager) wait(ctx context.Context, sh *keyShard, key storage.Key, req *
 		defer cancel()
 	}
 
-	// Deadlock detection needs a consistent snapshot of every shard's
-	// waits-for edges, so it runs under all shard mutexes. Between the
-	// enqueue above and the snapshot here, a release may already have
-	// granted req — then txn no longer waits and no cycle involves it.
-	m.lockAllShards()
-	if victim := m.detectDeadlockAllLocked(req.txn); victim != "" {
+	if victim := m.detectDeadlockLocked(req.txn); victim != "" {
+		m.stats.Deadlocks.Inc()
 		if victim == req.txn {
-			st, stillQueued := sh.locks[key], false
-			if st != nil {
-				stillQueued = removeRequestLocked(st, req)
-			}
-			if stillQueued {
-				m.stats.Deadlocks.Inc()
-				m.unlockAllShards()
-				return ErrDeadlock
-			}
-			// Granted in the window before the snapshot: honour the grant
-			// (the channel carries it) and fall through to the wait below.
-		} else {
-			m.abortWaiterAllLocked(victim, ErrDeadlock)
-			m.stats.Deadlocks.Inc()
-			// The victim's queue slots are gone; our request may now be
-			// grantable.
-			promoteLocked(m.clock, sh, key)
+			removeRequest(m.locks[key], req)
+			m.mu.Unlock()
+			return ErrDeadlock
 		}
+		m.abortWaiterLocked(victim, ErrDeadlock)
+		// The victim's queue slots are gone; our request may now be
+		// grantable.
+		m.promoteLocked(key)
 	}
-	m.unlockAllShards()
+	m.mu.Unlock()
 
 	// The wait on req.grant happens outside the clock's knowledge: under a
 	// virtual clock the eventual granter may itself be asleep in virtual
@@ -515,73 +362,58 @@ func (m *Manager) wait(ctx context.Context, sh *keyShard, key storage.Key, req *
 			}
 		})
 	}
-	if granted {
-		if req.claim != nil {
-			req.claim()
+	if !granted {
+		m.mu.Lock()
+		// A grant may have raced with cancellation; honour it (the caller
+		// will observe ctx and release).
+		select {
+		case err = <-req.grant:
+			granted = true
+		default:
+			if st, ok := m.locks[key]; ok {
+				removeRequest(st, req)
+				m.promoteLocked(key)
+			}
 		}
-		if err == nil {
-			m.recordHeld(req.txn, key, req.mode, m.clock.Now())
-			m.stats.WaitTime.ObserveDuration(m.clock.Since(req.start))
+		m.mu.Unlock()
+		if !granted {
+			return ctx.Err()
 		}
-		return err
 	}
-
-	sh.mu.Lock()
-	// A grant may have raced with cancellation.
-	select {
-	case err := <-req.grant:
-		if req.claim != nil {
-			req.claim()
-		}
-		sh.mu.Unlock()
-		if err == nil {
-			// Granted concurrently; honour the grant (caller will observe
-			// ctx and release).
-			m.recordHeld(req.txn, key, req.mode, m.clock.Now())
-			m.stats.WaitTime.ObserveDuration(m.clock.Since(req.start))
-			return nil
-		}
-		return err
-	default:
+	if req.claim != nil {
+		req.claim()
 	}
-	if st, ok := sh.locks[key]; ok {
-		removeRequestLocked(st, req)
-		promoteLocked(m.clock, sh, key)
+	if err == nil {
+		m.stats.WaitTime.ObserveDuration(m.clock.Since(req.start))
 	}
-	sh.mu.Unlock()
-	return ctx.Err()
+	return err
 }
 
-// removeRequestLocked deletes req from st's queue if still present,
-// reporting whether it was. Callers must hold the key's shard mutex.
-func removeRequestLocked(st *lockState, req *request) bool {
+// removeRequest deletes req from st's queue if still present.
+func removeRequest(st *lockState, req *request) {
 	for i, q := range st.queue {
 		if q == req {
 			st.queue = append(st.queue[:i], st.queue[i+1:]...)
-			return true
+			return
 		}
 	}
-	return false
 }
 
 // promoteLocked grants as many queued requests on key as compatibility
-// allows, in FIFO order. The grant only flips the shard-side holder entry
-// and wakes the waiter; the waiter records its own held entry when it
-// resumes (the granter must not take a foreign txn shard while holding key
-// shards). Callers must hold sh.mu.
-func promoteLocked(clock sim.Clock, sh *keyShard, key storage.Key) {
-	st, ok := sh.locks[key]
+// allows, in FIFO order, and wakes their waiters.
+func (m *Manager) promoteLocked(key storage.Key) {
+	st, ok := m.locks[key]
 	if !ok {
 		return
 	}
 	for len(st.queue) > 0 {
 		req := st.queue[0]
-		if !canGrantLocked(st, req.txn, req.mode) {
+		if !canGrant(st, req.txn, req.mode) {
 			return
 		}
 		st.queue = st.queue[1:]
-		st.holders[req.txn] = req.mode
-		req.claim = clock.PrepareWake()
+		m.grantLocked(st, req.txn, key, req.mode)
+		req.claim = m.clock.PrepareWake()
 		req.grant <- nil
 		if req.mode == Exclusive {
 			return
@@ -589,32 +421,27 @@ func promoteLocked(clock sim.Clock, sh *keyShard, key storage.Key) {
 	}
 }
 
-// release removes txn's lock on key, records hold time, and promotes
-// waiters. hl is txn's held-lock entry (already detached from the txn
-// shard). Callers must hold no shard mutex.
-func (m *Manager) release(txn string, key storage.Key, hl heldLock, hadEntry bool) {
-	sh := m.shardOf(key)
-	sh.mu.Lock()
-	st, ok := sh.locks[key]
+// releaseLocked removes txn's lock on key, records the hold time of hl
+// (txn's held-lock entry, already detached, when hadEntry), and promotes
+// waiters.
+func (m *Manager) releaseLocked(txn string, key storage.Key, hl heldLock, hadEntry bool) {
+	st, ok := m.locks[key]
 	if !ok {
-		sh.mu.Unlock()
 		return
 	}
 	if _, held := st.holders[txn]; !held {
-		sh.mu.Unlock()
 		return
 	}
 	delete(st.holders, txn)
 	if len(st.holders) == 0 && len(st.queue) == 0 {
-		delete(sh.locks, key)
-		if len(sh.free) < maxFreeStates {
+		delete(m.locks, key)
+		if len(m.freeStates) < maxFreeStates {
 			st.queue = nil
-			sh.free = append(sh.free, st)
+			m.freeStates = append(m.freeStates, st)
 		}
 	} else {
-		promoteLocked(m.clock, sh, key)
+		m.promoteLocked(key)
 	}
-	sh.mu.Unlock()
 	if hadEntry {
 		d := m.clock.Since(hl.grantAt)
 		if hl.mode == Exclusive {
@@ -627,51 +454,42 @@ func (m *Manager) release(txn string, key storage.Key, hl heldLock, hadEntry boo
 
 // Release drops txn's lock on a single key, if held.
 func (m *Manager) Release(txn string, key storage.Key) {
-	hl, ok := m.takeHeld(txn, key)
-	m.release(txn, key, hl, ok)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	hl, ok := m.held[txn][key]
+	delete(m.held[txn], key)
+	m.releaseLocked(txn, key, hl, ok)
 }
 
 // ReleaseAll drops every lock held by txn. Pending requests by txn are NOT
 // cancelled (use AbortWaiter for that).
 func (m *Manager) ReleaseAll(txn string) {
-	ts := m.txnShardOf(txn)
-	ts.mu.Lock()
-	locks := ts.held[txn]
-	type heldKey struct {
-		key storage.Key
-		hl  heldLock
-	}
-	keys := make([]heldKey, 0, len(locks))
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	locks := m.held[txn]
+	delete(m.held, txn)
+	delete(m.seq, txn)
 	for k, hl := range locks {
-		keys = append(keys, heldKey{k, hl})
+		m.releaseLocked(txn, k, hl, true)
 	}
-	delete(ts.held, txn)
-	delete(ts.seq, txn)
-	if locks != nil && len(ts.free) < maxFreeStates {
+	if locks != nil && len(locks) <= maxRecycledHeld && len(m.freeHeld) < maxFreeStates {
 		clear(locks)
-		ts.free = append(ts.free, locks)
-	}
-	ts.mu.Unlock()
-	for _, e := range keys {
-		m.release(txn, e.key, e.hl, true)
+		m.freeHeld = append(m.freeHeld, locks)
 	}
 }
 
-// abortWaiterAllLocked fails every pending request of txn with err.
-// Callers must hold every shard mutex.
-func (m *Manager) abortWaiterAllLocked(txn string, err error) {
-	for _, sh := range m.shards {
-		for _, st := range sh.locks {
-			for i := 0; i < len(st.queue); {
-				if st.queue[i].txn == txn {
-					req := st.queue[i]
-					st.queue = append(st.queue[:i], st.queue[i+1:]...)
-					req.claim = m.clock.PrepareWake()
-					req.grant <- err
-					continue
-				}
-				i++
+// abortWaiterLocked fails every pending request of txn with err.
+func (m *Manager) abortWaiterLocked(txn string, err error) {
+	for _, st := range m.locks {
+		for i := 0; i < len(st.queue); {
+			if st.queue[i].txn == txn {
+				req := st.queue[i]
+				st.queue = append(st.queue[:i], st.queue[i+1:]...)
+				req.claim = m.clock.PrepareWake()
+				req.grant <- err
+				continue
 			}
+			i++
 		}
 	}
 }
@@ -680,23 +498,20 @@ func (m *Manager) abortWaiterAllLocked(txn string, err error) {
 // releasing queue slots so other waiters can progress. Held locks are not
 // released; call ReleaseAll after rolling back.
 func (m *Manager) AbortWaiter(txn string) {
-	m.lockAllShards()
-	m.abortWaiterAllLocked(txn, ErrAborted)
-	for _, sh := range m.shards {
-		for key := range sh.locks {
-			promoteLocked(m.clock, sh, key)
-		}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.abortWaiterLocked(txn, ErrAborted)
+	for key := range m.locks {
+		m.promoteLocked(key)
 	}
-	m.unlockAllShards()
 }
 
 // Held returns the keys txn currently holds, with their modes.
 func (m *Manager) Held(txn string) map[storage.Key]Mode {
-	ts := m.txnShardOf(txn)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	out := make(map[storage.Key]Mode, len(ts.held[txn]))
-	for k, hl := range ts.held[txn] {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make(map[storage.Key]Mode, len(m.held[txn]))
+	for k, hl := range m.held[txn] {
 		out[k] = hl.mode
 	}
 	return out
@@ -704,24 +519,21 @@ func (m *Manager) Held(txn string) map[storage.Key]Mode {
 
 // HoldsAny reports whether txn holds at least one lock.
 func (m *Manager) HoldsAny(txn string) bool {
-	ts := m.txnShardOf(txn)
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return len(ts.held[txn]) > 0
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.held[txn]) > 0
 }
 
 // WaitsFor returns the current waits-for graph: an edge waiter -> holder
 // exists when waiter has a queued request blocked by holder's granted lock
 // or by an earlier conflicting queued request.
 func (m *Manager) WaitsFor() map[string][]string {
-	m.lockAllShards()
-	defer m.unlockAllShards()
-	return m.waitsForAllLocked()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.waitsForLocked()
 }
 
-// waitsForAllLocked builds the waits-for graph. Callers must hold every
-// shard mutex.
-func (m *Manager) waitsForAllLocked() map[string][]string {
+func (m *Manager) waitsForLocked() map[string][]string {
 	g := make(map[string]map[string]bool)
 	addEdge := func(from, to string) {
 		if from == to {
@@ -734,25 +546,23 @@ func (m *Manager) waitsForAllLocked() map[string][]string {
 		}
 		set[to] = true
 	}
-	for _, sh := range m.shards {
-		for _, st := range sh.locks {
-			for i, req := range st.queue {
-				for holder, hmode := range st.holders {
-					if holder == req.txn {
-						continue
-					}
-					if !req.mode.Compatible(hmode) {
-						addEdge(req.txn, holder)
-					}
+	for _, st := range m.locks {
+		for i, req := range st.queue {
+			for holder, hmode := range st.holders {
+				if holder == req.txn {
+					continue
 				}
-				for j := 0; j < i; j++ {
-					ahead := st.queue[j]
-					if ahead.txn == req.txn {
-						continue
-					}
-					if !req.mode.Compatible(ahead.mode) || !ahead.mode.Compatible(req.mode) {
-						addEdge(req.txn, ahead.txn)
-					}
+				if !req.mode.Compatible(hmode) {
+					addEdge(req.txn, holder)
+				}
+			}
+			for j := 0; j < i; j++ {
+				ahead := st.queue[j]
+				if ahead.txn == req.txn {
+					continue
+				}
+				if !req.mode.Compatible(ahead.mode) || !ahead.mode.Compatible(req.mode) {
+					addEdge(req.txn, ahead.txn)
 				}
 			}
 		}
@@ -767,12 +577,12 @@ func (m *Manager) waitsForAllLocked() map[string][]string {
 	return out
 }
 
-// detectDeadlockAllLocked looks for a cycle reachable from start in the
+// detectDeadlockLocked looks for a cycle reachable from start in the
 // waits-for graph and returns the chosen victim's txn ID ("" if no cycle).
 // The victim is the youngest (highest registration sequence) transaction on
-// the cycle. Callers must hold every shard mutex.
-func (m *Manager) detectDeadlockAllLocked(start string) string {
-	g := m.waitsForAllLocked()
+// the cycle.
+func (m *Manager) detectDeadlockLocked(start string) string {
+	g := m.waitsForLocked()
 	const (
 		white = 0
 		grey  = 1
@@ -818,7 +628,7 @@ func (m *Manager) detectDeadlockAllLocked(start string) string {
 		if m.priority != nil {
 			prio = m.priority(txn)
 		}
-		s := m.seqPeek(txn)
+		s := m.seq[txn]
 		if victim == "" || prio > victimPrio || (prio == victimPrio && s > victimSeq) {
 			victim, victimSeq, victimPrio = txn, s, prio
 		}

@@ -450,3 +450,267 @@ func TestNoIncompatibleCoHolders(t *testing.T) {
 		t.Fatalf("incompatible co-holders: %s", violation)
 	}
 }
+
+// TestReleaseAllManyKeys locks many keys under one transaction and checks
+// ReleaseAll frees them all, leaving each key immediately grantable to
+// another transaction.
+func TestReleaseAllManyKeys(t *testing.T) {
+	m := NewManager()
+	var keys []storage.Key
+	for i := 0; i < 16; i++ {
+		keys = append(keys, storage.Key(fmt.Sprintf("k%02d", i)))
+	}
+	for _, k := range keys {
+		mustAcquire(t, m, "T1", k, Exclusive)
+	}
+	if got := len(m.Held("T1")); got != len(keys) {
+		t.Fatalf("held = %d, want %d", got, len(keys))
+	}
+	m.ReleaseAll("T1")
+	if m.HoldsAny("T1") {
+		t.Fatalf("T1 still holds locks after ReleaseAll")
+	}
+	for _, k := range keys {
+		mustAcquire(t, m, "T2", k, Exclusive)
+	}
+	if got := len(m.Held("T2")); got != len(keys) {
+		t.Fatalf("T2 held = %d, want %d", got, len(keys))
+	}
+}
+
+// TestReleaseAllRecyclesOnlySmallHeldMaps checks that a bulk transaction's
+// held-lock map is left to the GC: recycled, its capacity would make every
+// later ReleaseAll that drew it pay for thousands of empty slots.
+func TestReleaseAllRecyclesOnlySmallHeldMaps(t *testing.T) {
+	m := NewManager()
+	for i := 0; i <= maxRecycledHeld; i++ {
+		mustAcquire(t, m, "bulk", storage.Key(fmt.Sprintf("k%02d", i)), Exclusive)
+	}
+	m.ReleaseAll("bulk")
+	if n := len(m.freeHeld); n != 0 {
+		t.Fatalf("freeHeld = %d after a bulk release, want 0", n)
+	}
+	mustAcquire(t, m, "T1", "a", Exclusive)
+	m.ReleaseAll("T1")
+	if n := len(m.freeHeld); n != 1 {
+		t.Fatalf("freeHeld = %d after a one-key release, want 1", n)
+	}
+}
+
+// TestUpgradePromotionUnderContention runs the upgrade-priority scenario
+// on several keys in turn: on each key U holds S and queues an upgrade to
+// X while P queues a fresh X request; when the other S holder releases,
+// the upgrade must win.
+func TestUpgradePromotionUnderContention(t *testing.T) {
+	m := NewManager()
+	for i, k := range []storage.Key{"a", "b", "c", "d"} {
+		holder := fmt.Sprintf("H%d", i)
+		up := fmt.Sprintf("U%d", i)
+		plain := fmt.Sprintf("P%d", i)
+		mustAcquire(t, m, holder, k, Shared)
+		mustAcquire(t, m, up, k, Shared)
+
+		upDone := make(chan error, 1)
+		go func() { upDone <- m.Acquire(bg(), up, k, Exclusive) }()
+		// Wait until the upgrade is queued so the plain X lands behind it.
+		waitQueued(t, m, k, up)
+		plainDone := make(chan error, 1)
+		go func() { plainDone <- m.Acquire(bg(), plain, k, Exclusive) }()
+		waitQueued(t, m, k, plain)
+
+		m.ReleaseAll(holder)
+		if err := <-upDone; err != nil {
+			t.Fatalf("key %s: upgrade: %v", k, err)
+		}
+		// The plain X must still be waiting: the upgrade holds X.
+		select {
+		case err := <-plainDone:
+			t.Fatalf("key %s: plain X granted before upgrader released: %v", k, err)
+		case <-time.After(10 * time.Millisecond):
+		}
+		if m.Held(up)[k] != Exclusive {
+			t.Fatalf("key %s: upgrader mode = %v, want X", k, m.Held(up)[k])
+		}
+		m.ReleaseAll(up)
+		if err := <-plainDone; err != nil {
+			t.Fatalf("key %s: plain X after upgrader release: %v", k, err)
+		}
+		m.ReleaseAll(plain)
+	}
+}
+
+// waitQueued spins until txn has a queued (not granted) request on key.
+func waitQueued(t *testing.T, m *Manager, key storage.Key, txn string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		m.mu.Lock()
+		queued := false
+		if st, ok := m.locks[key]; ok {
+			for _, q := range st.queue {
+				if q.txn == txn {
+					queued = true
+					break
+				}
+			}
+		}
+		m.mu.Unlock()
+		if queued {
+			return
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	t.Fatalf("txn %s never queued on %s", txn, key)
+}
+
+// TestDeadlockVictimIsYoungest builds a two-transaction cycle on two keys
+// and checks the detector aborts the younger transaction.
+func TestDeadlockVictimIsYoungest(t *testing.T) {
+	m := NewManager()
+	mustAcquire(t, m, "T1", "a", Exclusive) // T1 registers first: older
+	mustAcquire(t, m, "T2", "b", Exclusive)
+
+	t1Done := make(chan error, 1)
+	go func() { t1Done <- m.Acquire(bg(), "T1", "b", Exclusive) }()
+	waitQueued(t, m, "b", "T1")
+
+	// Closing the cycle from T2 must pick the younger T2 as victim.
+	if err := m.Acquire(bg(), "T2", "a", Exclusive); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("T2 acquire = %v, want ErrDeadlock", err)
+	}
+	m.ReleaseAll("T2")
+	if err := <-t1Done; err != nil {
+		t.Fatalf("T1 after victim release: %v", err)
+	}
+	if m.Stats().Deadlocks.Value() == 0 {
+		t.Fatalf("deadlock not counted")
+	}
+	m.ReleaseAll("T1")
+}
+
+// TestDeadlockVictimPriorityOverAge checks SetVictimPriority steers victim
+// selection on a two-key cycle: the high-priority (more abortable)
+// transaction is killed even though it is older.
+func TestDeadlockVictimPriorityOverAge(t *testing.T) {
+	m := NewManager()
+	m.SetVictimPriority(func(txn string) int {
+		if txn == "T1" {
+			return 1 // make the older T1 the preferred victim
+		}
+		return 0
+	})
+	mustAcquire(t, m, "T1", "a", Exclusive)
+	mustAcquire(t, m, "T2", "b", Exclusive)
+
+	t1Done := make(chan error, 1)
+	go func() { t1Done <- m.Acquire(bg(), "T1", "b", Exclusive) }()
+	waitQueued(t, m, "b", "T1")
+
+	t2Done := make(chan error, 1)
+	go func() { t2Done <- m.Acquire(bg(), "T2", "a", Exclusive) }()
+
+	// T2's detection pass must abort T1's pending request.
+	if err := <-t1Done; !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("T1 acquire = %v, want ErrDeadlock (priority victim)", err)
+	}
+	m.ReleaseAll("T1")
+	if err := <-t2Done; err != nil {
+		t.Fatalf("T2 after victim release: %v", err)
+	}
+	m.ReleaseAll("T2")
+}
+
+// TestStressOrderedAcquire hammers the manager from many goroutines
+// acquiring overlapping key sets in a global order (so no deadlock can
+// form) and requires every acquisition to succeed. CI runs the package
+// with -race -count=5.
+func TestStressOrderedAcquire(t *testing.T) {
+	m := NewManager()
+	const (
+		workers = 8
+		iters   = 150
+		keys    = 24
+	)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				txn := fmt.Sprintf("W%d-%d", w, i)
+				// Three keys in ascending order: global ordering prevents
+				// deadlock, contention exercises queues and promotion.
+				base := (w + i) % keys
+				for j := 0; j < 3; j++ {
+					k := storage.Key(fmt.Sprintf("s%02d", (base+j*5)%keys))
+					mode := Exclusive
+					if j == 0 {
+						mode = Shared
+					}
+					if err := m.Acquire(bg(), txn, k, mode); err != nil {
+						t.Errorf("%s acquire %s: %v", txn, k, err)
+						return
+					}
+				}
+				m.ReleaseAll(txn)
+			}
+		}()
+	}
+	wg.Wait()
+	for w := 0; w < workers; w++ {
+		for i := 0; i < iters; i++ {
+			if m.HoldsAny(fmt.Sprintf("W%d-%d", w, i)) {
+				t.Fatalf("W%d-%d leaked locks", w, i)
+			}
+		}
+	}
+}
+
+// TestStressDeadlockRecovery hammers the detector: workers grab key pairs
+// in opposite orders, so deadlocks are guaranteed; victims release and
+// retry. The run must terminate with every worker eventually done and no
+// locks leaked.
+func TestStressDeadlockRecovery(t *testing.T) {
+	m := NewManager()
+	const (
+		workers = 6
+		iters   = 40
+	)
+	pairs := [][2]storage.Key{
+		{"dx0", "dx1"}, {"dx2", "dx3"}, {"dx4", "dx5"},
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				txn := fmt.Sprintf("D%d-%d", w, i)
+				pair := pairs[(w+i)%len(pairs)]
+				first, second := pair[0], pair[1]
+				if w%2 == 1 {
+					first, second = second, first // opposite order: deadlocks
+				}
+				for {
+					if err := m.Acquire(bg(), txn, first, Exclusive); err != nil {
+						m.ReleaseAll(txn)
+						continue
+					}
+					if err := m.Acquire(bg(), txn, second, Exclusive); err != nil {
+						m.ReleaseAll(txn)
+						continue
+					}
+					break
+				}
+				m.ReleaseAll(txn)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, pair := range pairs {
+		for _, k := range pair {
+			mustAcquire(t, m, "probe", k, Exclusive)
+		}
+	}
+	m.ReleaseAll("probe")
+}

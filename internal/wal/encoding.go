@@ -206,19 +206,37 @@ func ReadRecord(r io.Reader) (Record, error) {
 // ReadAll decodes records from r until EOF. A torn trailing record is
 // silently dropped, mirroring standard WAL recovery semantics.
 func ReadAll(r io.Reader) ([]Record, error) {
-	br := bufio.NewReader(r)
+	recs, _, err := readAll(r)
+	return recs, err
+}
+
+// readAll is ReadAll that also returns the byte offset just past the last
+// complete record: where a torn tail begins, and where appends must go.
+func readAll(r io.Reader) ([]Record, int64, error) {
+	cr := &countingReader{r: bufio.NewReader(r)}
 	var out []Record
+	var end int64
 	for {
-		rec, err := ReadRecord(br)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err == io.ErrUnexpectedEOF {
-			return out, nil
+		rec, err := ReadRecord(cr)
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return out, end, nil
 		}
 		if err != nil {
-			return out, err
+			return out, end, err
 		}
 		out = append(out, rec)
+		end = cr.n
 	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }

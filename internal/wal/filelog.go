@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bufio"
+	"io"
 	"os"
 	"sync"
 )
@@ -17,13 +18,15 @@ type FileLog struct {
 }
 
 // OpenFileLog opens (or creates) the log at path, scanning existing records
-// to determine the next LSN.
+// to determine the next LSN. A torn final record (a crash mid-write) is
+// truncated away, so new records follow the last complete one instead of
+// landing behind bytes that would make the log unreadable.
 func OpenFileLog(path string) (*FileLog, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	recs, err := ReadAll(f)
+	recs, end, err := readAll(f)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -32,7 +35,13 @@ func OpenFileLog(path string) (*FileLog, error) {
 	if n := len(recs); n > 0 {
 		next = recs[n-1].LSN + 1
 	}
-	if _, err := f.Seek(0, 2); err != nil {
+	size, err := f.Seek(0, io.SeekEnd)
+	if err == nil && size > end {
+		if err = f.Truncate(end); err == nil {
+			_, err = f.Seek(end, io.SeekStart)
+		}
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}

@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -498,5 +500,64 @@ func TestFileLogRecoverEndToEnd(t *testing.T) {
 	}
 	if _, err := store.Get("y"); !storage.IsNotFound(err) {
 		t.Fatalf("loser write survived across file reopen")
+	}
+}
+
+// TestFileLogAppendAfterTornTail reopens a log whose last record was torn
+// mid-write, appends, and reopens again: the torn bytes must be gone, not
+// left in front of the new record where they would corrupt the log.
+func TestFileLogAppendAfterTornTail(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		keep func(full int) int // bytes of the third record that reached disk
+	}{
+		{"header-only", func(int) int { return 3 }},
+		{"mid-payload", func(full int) int { return full - 20 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := t.TempDir() + "/wal.log"
+			var buf bytes.Buffer
+			buf.Write(Marshal(Record{LSN: 1, Type: RecBegin, TxnID: "T1"}))
+			second := upd("T1", "a", "", "A", false)
+			second.LSN = 2
+			buf.Write(Marshal(second))
+			torn := Marshal(Record{LSN: 3, Type: RecCommit, TxnID: "T1", Aux: strings.Repeat("x", 32)})
+			buf.Write(torn[:tc.keep(len(torn))])
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			l, err := OpenFileLog(path)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			if _, err := l.Append(Record{Type: RecAbort, TxnID: "T1"}); err != nil {
+				t.Fatalf("append: %v", err)
+			}
+			if err := l.Sync(); err != nil {
+				t.Fatalf("sync: %v", err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatalf("close: %v", err)
+			}
+
+			l2, err := OpenFileLog(path)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer l2.Close()
+			recs, err := l2.Records()
+			if err != nil {
+				t.Fatalf("records: %v", err)
+			}
+			if len(recs) != 3 || recs[2].Type != RecAbort {
+				t.Fatalf("recs = %+v, want two records plus the appended abort", recs)
+			}
+			for i, r := range recs {
+				if r.LSN != uint64(i+1) {
+					t.Fatalf("record %d has LSN %d, want %d", i, r.LSN, i+1)
+				}
+			}
+		})
 	}
 }
