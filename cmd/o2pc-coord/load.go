@@ -278,10 +278,13 @@ func runLoad(ctx context.Context, stdout io.Writer, c *coord.Coordinator, lc *lo
 // global transaction, driven by a throwaway coordinator so the workload
 // coordinator's published stats count only the workload.
 func fundAccounts(ctx context.Context, lc *loadConfig, name, idPrefix string, siteNames []string, sites map[string]string) error {
+	client := rpc.NewTCPClient(sites)
+	//o2pcvet:ignore errflow -- TCPClient.Close only closes sockets and always returns nil
+	defer client.Close()
 	seeder := coord.New(coord.Config{
 		Name:     name,
 		IDPrefix: idPrefix + "seed-",
-	}, rpc.NewTCPClient(sites))
+	}, client)
 	defer seeder.Close()
 	subtxns := make([]coord.SubtxnSpec, 0, len(siteNames))
 	for _, site := range siteNames {

@@ -196,17 +196,23 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			repAddrs[rep.Name()] = rln.Addr().String()
 			repNames = append(repNames, rep.Name())
 		}
+		repClient := rpc.NewTCPClient(repAddrs)
+		//o2pcvet:ignore errflow -- TCPClient.Close only closes sockets and always returns nil
+		defer repClient.Close()
 		leader = replog.NewLeader(replog.Config{
 			Group:    *name,
 			Replicas: repNames,
-			Caller:   rpc.NewTCPClient(repAddrs),
+			Caller:   repClient,
 			Clock:    sim.Real(),
 			Tracer:   tracer,
 		})
 		cfg.DecisionLog = leader
 		fmt.Fprintf(stdout, "coordinator %s replicating decisions to %d replicas\n", *name, *replicas)
 	}
-	c := coord.New(cfg, rpc.NewTCPClient(sites))
+	siteClient := rpc.NewTCPClient(sites)
+	//o2pcvet:ignore errflow -- TCPClient.Close only closes sockets and always returns nil
+	defer siteClient.Close()
+	c := coord.New(cfg, siteClient)
 	defer c.Close()
 	// Recover before serving: Resolve answers come from the decided set the
 	// log rebuilds. An empty log recovers nothing; under Paxos this is the

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -483,6 +484,68 @@ func TestLoadgenRun(t *testing.T) {
 	if oneshot := summary.Benchmarks["Loadgen/oneshot"]; oneshot["iterations"]+summary.Benchmarks["Loadgen/session"]["iterations"] != 60 {
 		t.Errorf("one-shot (%v) + session (%v) iterations != 60",
 			oneshot["iterations"], summary.Benchmarks["Loadgen/session"]["iterations"])
+	}
+}
+
+// countingListener counts the connections it accepted that are still open.
+type countingListener struct {
+	net.Listener
+	open atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	l.open.Add(1)
+	return &countedConn{Conn: conn, l: l}, nil
+}
+
+type countedConn struct {
+	net.Conn
+	l    *countingListener
+	once sync.Once
+}
+
+func (c *countedConn) Close() error {
+	c.once.Do(func() { c.l.open.Add(-1) })
+	return c.Conn.Close()
+}
+
+// TestRunClosesClients: once run returns, every connection it opened to a
+// site is closed — the coordinator's, the seeder's in load mode, and the
+// replica client's under Paxos Commit — so the site's server sees each
+// one end and closes its side within a second.
+func TestRunClosesClients(t *testing.T) {
+	s1 := startTestSite(t, "s1")
+	s := site.NewSite(site.Config{Name: "s0"})
+	s.SeedInt64(storage.Key("acct"), 1000)
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &countingListener{Listener: inner}
+	t.Cleanup(func() { ln.Close() })
+	go rpc.NewServer("s0", s.Handle).Serve(ln)
+	s0 := "s0=" + inner.Addr().String()
+
+	for _, args := range [][]string{
+		{"-txn", "s0:add:acct:-1 / s1:add:acct:1"},
+		{"-n", "20", "-clients", "2", "-table", "0", "-protocol", "paxos"},
+	} {
+		out := &syncBuffer{}
+		args = append([]string{"-listen", "127.0.0.1:0", "-site", s0, "-site", s1}, args...)
+		if err := run(context.Background(), args, out); err != nil {
+			t.Fatalf("run %v: %v\noutput:\n%s", args, err, out.String())
+		}
+		deadline := time.Now().Add(time.Second)
+		for ln.open.Load() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("run %v returned with %d connection(s) to s0 still open after 1s", args, ln.open.Load())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 }
 

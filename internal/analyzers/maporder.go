@@ -37,7 +37,7 @@ func maporderBaseSink(fn *types.Func) bool {
 	path, name := funcPkgPath(fn), fn.Name()
 	switch {
 	case pathEndsWith(path, "internal/wal"):
-		return name == "Append" || name == "WriteCheckpoint"
+		return name == "Append" || name == "Checkpoint"
 	case pathEndsWith(path, "internal/trace"):
 		return name == "Emit"
 	case pathEndsWith(path, "internal/rpc"):

@@ -48,7 +48,7 @@ func taintedArg(l *wal.FileLog, m map[string]int) {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	_ = l.WriteCheckpoint(keys) // want `argument keys carries map-iteration order into wal\.FileLog\.WriteCheckpoint`
+	_ = l.Checkpoint(keys) // want `argument keys carries map-iteration order into wal\.FileLog\.Checkpoint`
 }
 
 func sortedArg(l *wal.FileLog, m map[string]int) {
@@ -57,7 +57,7 @@ func sortedArg(l *wal.FileLog, m map[string]int) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	_ = l.WriteCheckpoint(keys)
+	_ = l.Checkpoint(keys)
 }
 
 func crossPackage(l *wal.FileLog, m map[string]wal.Record) {

@@ -41,7 +41,7 @@ var walorderMutators = map[string]bool{
 // deliberately does not.
 var walorderAppends = map[string]bool{
 	"Append": true, "ApplyUndo": true, "ApplyRedo": true,
-	"Recover": true, "WriteCheckpoint": true,
+	"Recover": true, "Checkpoint": true,
 }
 
 // walorderMarkMutators is the set of marking-set mutations that must obey

@@ -57,6 +57,33 @@ import (
 // exit): with one such participant the Decision/Ack pair goes to the other
 // N−1; with all of them read-only there is no decision round and no
 // decision record at all — N execs and one vote round.
+//
+// Forced writes (log syncs, counted as EvWALSync events) are pinned per
+// committed and per aborted transaction by forcedWrites; the aborted
+// transactions have one participant vote NO:
+//
+//   - 2PC: N+1 per commit, Gray & Lamport's count — each participant
+//     forces PREPARED, the coordinator its decision. An abort costs N: the
+//     NO voter rolls back without forcing anything, and the coordinator
+//     forces the abort decision too (it presumes nothing).
+//   - O2PC, with or without P1: also N+1 per commit, but the participant's
+//     forced write is its local COMMIT at the vote — the exposure point of
+//     Theorem 2 — not a PREPARED record, and the decision that follows is
+//     not forced at the site. An abort costs N, as under 2PC: the
+//     compensating transactions and the undone marks force nothing. The
+//     table has no O2PC column.
+//   - Read-only participants force nothing, and when every participant
+//     is read-only the coordinator logs no decision: 0 writes.
+//   - Paxos: N + 2(2F+1) per commit, where Paxos Commit has N+F+1, and
+//     N−1 + 2(2F+1) per abort. The participants force PREPARED as under
+//     2PC, but the leader keeps no log of its own; every one of the 2F+1
+//     acceptors forces the replicated BEGIN and then the decision's
+//     accept, one ballot per transaction where Paxos Commit runs one per
+//     participant and counts only the F+1 acceptors of a majority.
+//
+// The same counts pin that a WAL checkpoint below its threshold costs no
+// forced write per transaction: a checkpoint is a forced write (the traced
+// log reports one), and the census stays far below the threshold.
 func TestMessageCensus(t *testing.T) {
 	const (
 		latency  = 10 * time.Millisecond
@@ -114,17 +141,27 @@ func TestMessageCensus(t *testing.T) {
 					want["proto."+req] += int64(tc.replicas * txns)
 					want["proto."+replyOf[req]] += int64(tc.replicas * txns)
 				}
-				got, rtts, logged := census(t, tc.protocol, tc.marking, n, readOnly, tc.replicas, txns, latency)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("messages for %d txns:\n got %v\nwant %v", txns, got, want)
+				c := census(t, tc.protocol, tc.marking, n, readOnly, tc.replicas, txns, latency)
+				if !reflect.DeepEqual(c.msgs, want) {
+					t.Errorf("messages for %d txns:\n got %v\nwant %v", txns, c.msgs, want)
 				}
-				for i, rt := range rtts {
+				for i, rt := range c.rtts {
 					if rt != n+tc.rounds {
 						t.Errorf("txn %d: %d sequential round trips, want N+%d = %d", i, rt, tc.rounds, n+tc.rounds)
 					}
 				}
-				if logged != tc.logged*txns {
-					t.Errorf("%d decision records for %d txns, want %d", logged, txns, tc.logged*txns)
+				if c.logged != tc.logged*txns {
+					t.Errorf("%d decision records for %d txns, want %d", c.logged, txns, tc.logged*txns)
+				}
+				wantCommit := forcedWrites(tc.protocol, n, readOnly, tc.replicas, true)
+				if got := c.forcedCommit; got != wantCommit.times(txns) {
+					t.Errorf("forced writes of %d committed txns: got %+v, want %+v each", txns, got, wantCommit)
+				}
+				if readOnly == 0 {
+					wantAbort := forcedWrites(tc.protocol, n, 0, tc.replicas, false)
+					if got := c.forcedAbort; got != wantAbort.times(txns) {
+						t.Errorf("forced writes of %d aborted txns: got %+v, want %+v each", txns, got, wantAbort)
+					}
 				}
 			})
 		}
@@ -143,12 +180,51 @@ var replyOf = map[string]string{
 	"RepAccept":   "RepReply",
 }
 
+// forced counts forced writes (EvWALSync events) by kind of node.
+type forced struct{ sites, coord, replicas int }
+
+// times multiplies one transaction's count by txns.
+func (f forced) times(txns int) forced {
+	return forced{f.sites * txns, f.coord * txns, f.replicas * txns}
+}
+
+// forcedWrites is the forced writes (log syncs) one transaction costs
+// over n participants of which readOnly only read, and replicas = 2F+1
+// acceptors; commit is the outcome, an abort being a NO vote by one
+// participant that wrote.
+func forcedWrites(p proto.Protocol, n, readOnly, replicas int, commit bool) forced {
+	f := forced{sites: n - readOnly}
+	if !commit {
+		f.sites = n - 1 // the NO voter rolls back without a sync
+	}
+	switch {
+	case p == proto.Paxos:
+		// Each acceptor syncs the BEGIN and the decision's accept; the
+		// leader keeps no log of its own.
+		f.replicas = 2 * replicas
+	case f.sites > 0 || !commit:
+		f.coord = 1 // the decision record
+	}
+	return f
+}
+
+// censusResult is what one census cluster measured.
+type censusResult struct {
+	msgs   map[string]int64 // messages of the committed transactions
+	rtts   []int            // each committed transaction's sequential round trips
+	logged int              // decision records the coordinator appended
+	// Forced writes of the committed transactions, and of as many aborted
+	// ones run after them.
+	forcedCommit, forcedAbort forced
+}
+
 // census runs one warm-up and then txns committed transactions over n
 // sites in virtual time — transfers, except that the last readOnly sites
 // only read — and returns the messages the measured transactions
-// exchanged, each one's sequential round trips, and the decision records
-// they appended to the coordinator's own log.
-func census(t *testing.T, p proto.Protocol, m proto.MarkProtocol, n, readOnly, replicas, txns int, latency time.Duration) (map[string]int64, []int, int) {
+// exchanged, each one's sequential round trips, the decision records they
+// appended to the coordinator's own log and their forced writes. Then the
+// last site votes NO on txns more, whose forced writes it also returns.
+func census(t *testing.T, p proto.Protocol, m proto.MarkProtocol, n, readOnly, replicas, txns int, latency time.Duration) censusResult {
 	t.Helper()
 	clock := sim.NewVirtualClock()
 	tr := trace.New(clock, 0)
@@ -183,25 +259,56 @@ func census(t *testing.T, p proto.Protocol, m proto.MarkProtocol, n, readOnly, r
 	}
 	before := cl.MessageCounts()
 	tr.Drain()
-	var rtts []int
+	var c censusResult
 	for i := 0; i < txns; i++ {
 		res := cl.Run(ctx, spec)
 		if !res.Committed() {
 			t.Fatalf("txn %d: %v (%v)", i, res.Outcome, res.Err)
 		}
-		rtts = append(rtts, int((res.Latency+latency)/(2*latency)))
+		c.rtts = append(c.rtts, int((res.Latency+latency)/(2*latency)))
 	}
-	got := make(map[string]int64)
+	c.msgs = make(map[string]int64)
 	for name, v := range cl.MessageCounts() {
 		if d := v - before[name]; d != 0 {
-			got[name] = d
+			c.msgs[name] = d
 		}
 	}
-	logged := 0
-	for _, ev := range tr.Drain() {
+	events := tr.Drain()
+	for _, ev := range events {
 		if ev.Node == "c0" && ev.Type == trace.EvWALAppend && strings.HasPrefix(ev.Detail, wal.RecDecision.String()) {
-			logged++
+			c.logged++
 		}
 	}
-	return got, rtts, logged
+	c.forcedCommit = countForced(events)
+
+	cl.Site(n - 1).SetVoteAbortInjector(func(string) bool { return true })
+	for i := 0; i < txns; i++ {
+		if res := cl.Run(ctx, spec); res.Committed() {
+			t.Fatalf("doomed txn %d committed", i)
+		}
+	}
+	if err := cl.Quiesce(ctx); err != nil {
+		t.Fatalf("quiesce: %v", err)
+	}
+	c.forcedAbort = countForced(tr.Drain())
+	return c
+}
+
+// countForced counts the EvWALSync events by kind of node.
+func countForced(events []trace.Event) forced {
+	var f forced
+	for _, ev := range events {
+		if ev.Type != trace.EvWALSync {
+			continue
+		}
+		switch ev.Node[0] {
+		case 's':
+			f.sites++
+		case 'c':
+			f.coord++
+		case 'r':
+			f.replicas++
+		}
+	}
+	return f
 }

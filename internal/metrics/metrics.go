@@ -140,6 +140,11 @@ func (h *Histogram) ensureSortedLocked() {
 func (h *Histogram) Quantile(q float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return h.quantileLocked(q)
+}
+
+// quantileLocked is Quantile for callers holding mu.
+func (h *Histogram) quantileLocked(q float64) float64 {
 	if len(h.samples) == 0 {
 		return 0
 	}
@@ -160,6 +165,18 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.samples[lo]*(1-frac) + h.samples[hi]*frac
 }
 
+// view reads the count, the sum and the qs-quantiles under one lock, from
+// one sorted view of the samples, so they all describe the same instant.
+func (h *Histogram) view(qs ...float64) (count int, sum float64, quantiles []float64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	quantiles = make([]float64, len(qs))
+	for i, q := range qs {
+		quantiles[i] = h.quantileLocked(q)
+	}
+	return len(h.samples), h.sum, quantiles
+}
+
 // Min returns the smallest sample, or 0 for an empty histogram.
 func (h *Histogram) Min() float64 { return h.Quantile(0) }
 
@@ -177,17 +194,15 @@ type Summary struct {
 	Max   float64
 }
 
-// Snapshot computes a Summary of the histogram.
+// Snapshot computes a Summary of the histogram, every field from the same
+// instant.
 func (h *Histogram) Snapshot() Summary {
-	return Summary{
-		Count: h.Count(),
-		Mean:  h.Mean(),
-		P50:   h.Quantile(0.50),
-		P90:   h.Quantile(0.90),
-		P99:   h.Quantile(0.99),
-		Min:   h.Min(),
-		Max:   h.Max(),
+	count, sum, q := h.view(0.50, 0.90, 0.99, 0, 1)
+	mean := 0.0
+	if count > 0 {
+		mean = sum / float64(count)
 	}
+	return Summary{Count: count, Mean: mean, P50: q[0], P90: q[1], P99: q[2], Min: q[3], Max: q[4]}
 }
 
 // String renders the summary in a compact human-readable form.
@@ -586,16 +601,14 @@ func (r *Registry) WriteText(w io.Writer) error {
 			}
 			prevBase = e.base
 		}
-		for _, q := range []struct {
-			label string
-			q     float64
-		}{{"0.5", 0.50}, {"0.9", 0.90}, {"0.99", 0.99}} {
-			if _, err := fmt.Fprintf(w, "%s%s %g\n", e.base, withQuantile(e.labels, q.label), e.h.Quantile(q.q)); err != nil {
+		count, sum, qs := e.h.view(0.50, 0.90, 0.99)
+		for i, label := range []string{"0.5", "0.9", "0.99"} {
+			if _, err := fmt.Fprintf(w, "%s%s %g\n", e.base, withQuantile(e.labels, label), qs[i]); err != nil {
 				return err
 			}
 		}
 		if _, err := fmt.Fprintf(w, "%s_sum%s %g\n%s_count%s %d\n",
-			e.base, e.labels, e.h.Sum(), e.base, e.labels, e.h.Count()); err != nil {
+			e.base, e.labels, sum, e.base, e.labels, count); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -424,6 +425,64 @@ func TestWriteTextConcurrentWithObserve(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestScrapeReadsHistogramAtOneInstant: a scrape's _sum and _count, and a
+// Snapshot's fields, come from the same instant while an observer runs.
+// Every sample of ones is 1.0, so _sum must equal _count; samples of seq
+// are 1, 2, ..., n, so a Snapshot's Max must equal its Count.
+func TestScrapeReadsHistogramAtOneInstant(t *testing.T) {
+	r := NewRegistry()
+	ones := r.Histogram("ones_ms")
+	seq := NewHistogram()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			ones.Observe(1.0)
+			seq.Observe(float64(i))
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for ones.Count() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	for i := 0; i < 200; i++ {
+		var sb strings.Builder
+		if err := r.WriteText(&sb); err != nil {
+			t.Fatal(err)
+		}
+		var sum float64
+		var count int
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "ones_ms_sum "); ok {
+				sum, _ = strconv.ParseFloat(v, 64)
+			}
+			if v, ok := strings.CutPrefix(line, "ones_ms_count "); ok {
+				count, _ = strconv.Atoi(v)
+			}
+		}
+		if sum != float64(count) {
+			t.Fatalf("scrape %d: ones_ms_sum %g, ones_ms_count %d", i, sum, count)
+		}
+		snap := seq.Snapshot()
+		if snap.Max < snap.P99 || snap.P99 < snap.P50 {
+			t.Fatalf("snapshot %d out of order: %+v", i, snap)
+		}
+		if snap.Max != float64(snap.Count) || (snap.Count > 0 && snap.Mean != float64(snap.Count+1)/2) {
+			t.Fatalf("snapshot %d: count %d does not match its samples: %+v", i, snap.Count, snap)
+		}
+	}
 }
 
 // TestHistogramQuantilePins pins arbitrary-p interpolation behavior the

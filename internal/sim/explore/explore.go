@@ -22,6 +22,7 @@ package explore
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -37,6 +38,7 @@ import (
 	"o2pc/internal/rpc"
 	"o2pc/internal/sg"
 	"o2pc/internal/sim"
+	"o2pc/internal/site"
 	"o2pc/internal/storage"
 	"o2pc/internal/trace"
 )
@@ -79,6 +81,11 @@ type Faults struct {
 	// DoomRate is the probability that a transaction is doomed to a
 	// unilateral NO vote at one of its sites.
 	DoomRate float64
+	// Checkpoints takes this many rounds of WAL checkpoints, each of every
+	// site that is up, at seeded instants spread like the site crash
+	// cycles (a seeded fraction of SiteCrashSpacing apart), so the
+	// crashes recover from checkpointed logs.
+	Checkpoints int
 }
 
 // Config is one point of the exploration space. Zero fields take the
@@ -201,6 +208,9 @@ type Result struct {
 	// Events is the protocol event log of the run (virtual-time ordered),
 	// as captured by the cluster tracer. Deterministic for a given Config.
 	Events []trace.Event
+	// CheckpointedCrashes counts the site crashes that hit a site which
+	// had taken a checkpoint since its previous restart.
+	CheckpointedCrashes int
 	// Failures lists every violated oracle (empty on a correct run).
 	Failures []string
 }
@@ -304,6 +314,17 @@ func Run(cfg Config) *Result {
 		jobs[i] = j
 	}
 
+	// Checkpoint instants are drawn after the workload, and only when
+	// asked for, so the runs without them draw exactly what they did.
+	var ckptDelays []time.Duration
+	for i := 0; i < cfg.Faults.Checkpoints; i++ {
+		spacing := cfg.Faults.SiteCrashSpacing
+		if spacing <= 0 {
+			spacing = 4 * time.Millisecond
+		}
+		ckptDelays = append(ckptDelays, spacing/2+time.Duration(rng.Int63n(int64(spacing/2)+1)))
+	}
+
 	// runJob executes one precomputed job — as a one-shot transaction or,
 	// when it has rounds, as a session with think time between them — and
 	// reports whether it committed.
@@ -373,7 +394,32 @@ func Run(cfg Config) *Result {
 		recMu.Unlock()
 	}
 
+	// checkpointed[i] is set when site i checkpoints and cleared when it
+	// crashes; the crash counts toward CheckpointedCrashes if it was set.
+	var ckptMu sync.Mutex
+	checkpointed := make([]bool, cfg.Sites)
+	checkpointedCrashes := 0
+
 	faults := sim.NewGroup(clock)
+	if len(ckptDelays) > 0 {
+		faults.Go(func() {
+			for _, d := range ckptDelays {
+				if clock.Sleep(ctx, d) != nil {
+					return
+				}
+				for i, s := range cl.Sites() {
+					err := s.Checkpoint(ctx)
+					if errors.Is(err, site.ErrCrashed) {
+						continue
+					}
+					recordRecovery(fmt.Sprintf("checkpoint site s%d", i), err)
+					ckptMu.Lock()
+					checkpointed[i] = err == nil
+					ckptMu.Unlock()
+				}
+			}
+		})
+	}
 	if n := cfg.Faults.CoordCrashCycles; n > 0 && cfg.Coordinators > 1 {
 		target := cfg.Coordinators - 1
 		spacing, downtime := cfg.Faults.CrashSpacing, cfg.Faults.CrashDowntime
@@ -414,6 +460,12 @@ func Run(cfg Config) *Result {
 					return
 				}
 				target := i % cfg.Sites
+				ckptMu.Lock()
+				if checkpointed[target] {
+					checkpointedCrashes++
+				}
+				checkpointed[target] = false
+				ckptMu.Unlock()
 				cl.CrashSite(target)
 				//o2pcvet:ignore errflow -- downtime sleep on a dead context just shortens the outage; the restart below runs regardless
 				_ = clock.Sleep(ctx, downtime)
@@ -497,10 +549,11 @@ func Run(cfg Config) *Result {
 	}
 
 	res := &Result{
-		Config:    cfg,
-		Committed: int(committed.Load()),
-		Aborted:   int(aborted.Load()),
-		Expected:  int64(cfg.Sites*cfg.Accounts) * cfg.InitialBalance,
+		Config:              cfg,
+		Committed:           int(committed.Load()),
+		Aborted:             int(aborted.Load()),
+		Expected:            int64(cfg.Sites*cfg.Accounts) * cfg.InitialBalance,
+		CheckpointedCrashes: checkpointedCrashes,
 	}
 	recMu.Lock()
 	for _, e := range recoveryErrs {
@@ -636,6 +689,11 @@ func shrinkCandidates(c Config) []Config {
 	if c.Faults.PartitionCycles > 0 {
 		d := c
 		d.Faults.PartitionCycles = 0
+		out = append(out, d)
+	}
+	if c.Faults.Checkpoints > 0 {
+		d := c
+		d.Faults.Checkpoints = 0
 		out = append(out, d)
 	}
 	if c.Faults.CoordCrashCycles > 0 {

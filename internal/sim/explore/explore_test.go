@@ -84,6 +84,17 @@ func matrix() []struct {
 			Faults: Faults{ReplicaCrashCycles: 2}}},
 		{"paxos-replica-majority", Config{Marking: proto.MarkP1, PaxosShare: 1,
 			Faults: Faults{ReplicaCrashCycles: 2, ReplicaCrashMajority: true}}},
+		// WAL checkpoints between site crashes, so restarts recover from
+		// checkpointed logs: under O2PC+P1 with doomed jobs (exposed
+		// undecided subtransactions and unfinished compensations are
+		// carried), under 2PC with a crashing coordinator (in-doubt
+		// participants are carried), and with multi-shot sessions.
+		{"checkpoint-o2pc-doom", Config{Marking: proto.MarkP1,
+			Faults: Faults{SiteCrashCycles: 3, DoomRate: 0.3, Checkpoints: 6}}},
+		{"checkpoint-2pc-in-doubt", Config{Marking: proto.MarkP1, TwoPCShare: 1,
+			Faults: Faults{CoordCrashCycles: 2, SiteCrashCycles: 3, Checkpoints: 6}}},
+		{"checkpoint-multishot", Config{Marking: proto.MarkP1, MultiShot: true,
+			Faults: Faults{SiteCrashCycles: 3, DoomRate: 0.15, Checkpoints: 6}}},
 	}
 }
 
@@ -113,6 +124,9 @@ func TestExplorerMatrix(t *testing.T) {
 				}
 				if cfg.ReadOnlyShare > 0 && !readOnlyExit(res) {
 					t.Errorf("seed %d: no participant left at a read-only vote", seed)
+				}
+				if cfg.Faults.Checkpoints > 0 && res.CheckpointedCrashes == 0 {
+					t.Errorf("seed %d: no site crashed after a checkpoint", seed)
 				}
 			}
 		})

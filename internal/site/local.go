@@ -82,10 +82,13 @@ func (s *Site) Seed(key storage.Key, value storage.Value) {
 		// vanish on the first crash recovery, so it is a setup bug.
 		panic(fmt.Sprintf("site %s: seeding %s: %v", s.cfg.Name, key, err))
 	}
+	// Installed before the COMMIT record, as a transaction's writes are.
+	// Seeding precedes all traffic, and traffic is what triggers the site's
+	// checkpoints, so none runs between these steps.
+	store.Put(key, value, SeedTxnID)
 	if _, err := log.Append(wal.Record{Type: wal.RecCommit, TxnID: SeedTxnID}); err != nil {
 		panic(fmt.Sprintf("site %s: seeding %s: %v", s.cfg.Name, key, err))
 	}
-	store.Put(key, value, SeedTxnID)
 }
 
 // SeedInt64 installs an initial int64 value.
@@ -160,6 +163,16 @@ func (s *Site) Recover(ctx context.Context) (wal.RecoverResult, error) {
 	if err != nil {
 		return res, err
 	}
+	// The checkpoint trigger restarts from the recovered log. Its size is
+	// not split into checkpoint and tail: the whole log counts as growth,
+	// measured against the store's size.
+	s.mu.Lock()
+	s.logStart, s.ckptSize = 1, 0
+	if len(records) > 0 {
+		s.logStart = records[0].LSN
+	}
+	s.mu.Unlock()
+	s.stats.WALRecords.Set(int64(len(records)))
 	// Analyze the records recovery replays: carried checkpoint state plus
 	// the tail (image records of the checkpoint itself carry no protocol
 	// state).
@@ -173,7 +186,8 @@ func (s *Site) Recover(ctx context.Context) (wal.RecoverResult, error) {
 	}
 
 	// The resolved table fences stale subtransactions; rebuild it from the
-	// logged decisions.
+	// logged decisions. Checkpoints keep every decision for at least one
+	// full checkpoint interval (wal.CarryRecords).
 	s.mu.Lock()
 	for txnID := range analysis.Decisions {
 		s.resolved[txnID] = true

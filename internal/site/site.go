@@ -121,6 +121,14 @@ type Stats struct {
 	// rounds and session re-votes turned away because the transaction's
 	// marking state is no longer compatible with the site.
 	ReadmitRejects *metrics.Counter
+	// Checkpoints counts completed WAL checkpoints.
+	Checkpoints *metrics.Counter
+	// WALRecords gauges the records in the site's log: set at every
+	// decision and every checkpoint.
+	WALRecords *metrics.Gauge
+	// CheckpointDuration measures each checkpoint, in ms: the time the
+	// log's appends wait for it.
+	CheckpointDuration *metrics.Histogram
 }
 
 func newStats() *Stats {
@@ -147,6 +155,9 @@ func newStats() *Stats {
 		ExposureAbort:        metrics.NewHistogram(),
 		CompensationDuration: metrics.NewHistogram(),
 		ReadmitRejects:       &metrics.Counter{},
+		Checkpoints:          &metrics.Counter{},
+		WALRecords:           &metrics.Gauge{},
+		CheckpointDuration:   metrics.NewHistogram(),
 	}
 }
 
@@ -175,9 +186,14 @@ func (s *Stats) Publish(reg *metrics.Registry, prefix string) {
 	reg.Adopt(prefix+metrics.Label("exposure_duration_ms", "outcome", "abort"), s.ExposureAbort)
 	reg.Adopt(prefix+"compensation_duration_ms", s.CompensationDuration)
 	reg.Adopt(prefix+"readmit_rejects_total", s.ReadmitRejects)
+	reg.Adopt(prefix+"checkpoints_total", s.Checkpoints)
+	reg.Adopt(prefix+"wal_records", s.WALRecords)
+	reg.Adopt(prefix+"checkpoint_ms", s.CheckpointDuration)
 	reg.SetHelp(prefix+"exposure_duration_ms", "O2PC exposure window: local commit at YES vote to decision arrival; the unlabeled series aggregates both outcomes, abort windows required compensation")
 	reg.SetHelp(prefix+"compensation_duration_ms", "compensating transaction CTik start to installed, retries included")
 	reg.SetHelp(prefix+"readmit_rejects_total", "rule R1 re-admission refusals on continuation rounds and re-votes")
+	reg.SetHelp(prefix+"wal_records", "records in the site's WAL: the last checkpoint plus everything appended since")
+	reg.SetHelp(prefix+"checkpoint_ms", "one WAL checkpoint: the time appends wait for it")
 }
 
 // pending tracks one global transaction's subtransaction at this site.
@@ -236,6 +252,13 @@ type Site struct {
 	recovering bool // Recover is rebuilding state from the WAL
 	inflight   int  // protocol handlers currently running (drained by Recover)
 	resolverOn bool // the site-wide decision-inquiry scanner is running
+
+	// The checkpoint trigger's state: the LSN of the log's first record,
+	// the size of the checkpoint it starts with (0 for none), and whether a
+	// checkpoint is in flight.
+	logStart uint64
+	ckptSize uint64
+	ckptBusy bool
 
 	// epoch is cancelled by a crash and replaced on restart: it scopes work
 	// that must survive the triggering request but not the process — the
@@ -300,6 +323,7 @@ func NewSite(cfg Config) *Site {
 		pend:     make(map[string]*pending),
 		applying: make(map[string]bool),
 		resolved: make(map[string]bool),
+		logStart: 1,
 	}
 }
 

@@ -297,11 +297,12 @@ func (s *Site) handleDecision(ctx context.Context, d proto.Decision) (proto.Ack,
 	// If the log refuses it, undo the bookkeeping and report the failure —
 	// the transaction stays pending and the coordinator's retry (or the
 	// resolver) delivers the decision again once the site can log it.
-	if _, err := s.mgr.Log().Append(wal.Record{
+	lsn, err := s.mgr.Log().Append(wal.Record{
 		Type:  wal.RecDecision,
 		TxnID: d.TxnID,
 		Aux:   wal.DecisionAux(d.Commit),
-	}); err != nil {
+	})
+	if err != nil {
 		p.decided = false
 		s.mu.Lock()
 		s.pend[d.TxnID] = p
@@ -312,6 +313,7 @@ func (s *Site) handleDecision(ctx context.Context, d proto.Decision) (proto.Ack,
 		s.stats.PendingGlobal.Inc()
 		return proto.Ack{}, fmt.Errorf("site %s: logging decision for %s: %w", s.cfg.Name, d.TxnID, err)
 	}
+	s.maybeCheckpoint(lsn)
 
 	var applyErr error
 	if d.Commit {

@@ -60,6 +60,19 @@ type Store struct {
 	mu      sync.RWMutex
 	records map[Key]Record
 	version uint64
+	live    int // records that are not tombstones
+}
+
+// install replaces key's record with rec and keeps the live count. Callers
+// hold mu.
+func (s *Store) install(key Key, rec Record) {
+	if prev, ok := s.records[key]; ok && !prev.Deleted {
+		s.live--
+	}
+	if !rec.Deleted {
+		s.live++
+	}
+	s.records[key] = rec
 }
 
 // NewStore returns an empty store.
@@ -98,12 +111,12 @@ func (s *Store) Put(key Key, value Value, txnID string) (prev Record, ok bool) {
 	defer s.mu.Unlock()
 	prev, ok = s.records[key]
 	s.version++
-	s.records[key] = Record{
+	s.install(key, Record{
 		Key:     key,
 		Value:   append(Value(nil), value...),
 		Version: s.version,
 		Writer:  txnID,
-	}
+	})
 	return prev, ok
 }
 
@@ -114,12 +127,12 @@ func (s *Store) Delete(key Key, txnID string) (prev Record, ok bool) {
 	defer s.mu.Unlock()
 	prev, ok = s.records[key]
 	s.version++
-	s.records[key] = Record{
+	s.install(key, Record{
 		Key:     key,
 		Version: s.version,
 		Writer:  txnID,
 		Deleted: true,
-	}
+	})
 	return prev, ok
 }
 
@@ -133,7 +146,7 @@ func (s *Store) Restore(rec Record, txnID string) {
 	installed := rec.Clone()
 	installed.Version = s.version
 	installed.Writer = txnID
-	s.records[rec.Key] = installed
+	s.install(rec.Key, installed)
 }
 
 // Remove erases all versions of key entirely; used to undo an insert of a
@@ -141,6 +154,9 @@ func (s *Store) Restore(rec Record, txnID string) {
 func (s *Store) Remove(key Key) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if prev, ok := s.records[key]; ok && !prev.Deleted {
+		s.live--
+	}
 	delete(s.records, key)
 }
 
@@ -148,13 +164,7 @@ func (s *Store) Remove(key Key) {
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := 0
-	for _, rec := range s.records {
-		if !rec.Deleted {
-			n++
-		}
-	}
-	return n
+	return s.live
 }
 
 // Version returns the store's current version counter.
@@ -197,9 +207,10 @@ func (s *Store) LoadSnapshot(snap map[Key]Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.records = make(map[Key]Record, len(snap))
+	s.live = 0
 	var maxv uint64
 	for k, rec := range snap {
-		s.records[k] = rec.Clone()
+		s.install(k, rec.Clone())
 		if rec.Version > maxv {
 			maxv = rec.Version
 		}

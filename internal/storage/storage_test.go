@@ -118,6 +118,25 @@ func TestLenExcludesTombstones(t *testing.T) {
 	if got := s.Len(); got != 1 {
 		t.Fatalf("Len = %d, want 1", got)
 	}
+	// Every way a record changes keeps the count: undo re-installing a
+	// tombstone or a live value, a write over a tombstone, removals, and a
+	// snapshot load (which carries live records only).
+	for _, step := range []struct {
+		do   func()
+		want int
+	}{
+		{func() { s.Restore(Record{Key: "b", Deleted: true}, "U") }, 0},
+		{func() { s.Restore(Record{Key: "b", Value: Value("v")}, "U") }, 1},
+		{func() { s.Put("a", Value("w"), "T") }, 2},
+		{func() { s.Delete("b", "T"); s.Remove("b") }, 1},
+		{func() { s.Remove("a"); s.Remove("nope") }, 0},
+		{func() { s.Put("c", Value("v"), "T"); s.LoadSnapshot(s.Snapshot()) }, 1},
+	} {
+		step.do()
+		if got := s.Len(); got != step.want {
+			t.Fatalf("Len = %d, want %d", got, step.want)
+		}
+	}
 }
 
 func TestKeysSorted(t *testing.T) {

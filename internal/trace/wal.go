@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"o2pc/internal/storage"
 	"o2pc/internal/wal"
 )
 
@@ -42,4 +43,14 @@ func (l *tracedLog) Sync() error {
 		l.tr.Emit(l.node, EvWALSync, "", "", "")
 	}
 	return err
+}
+
+// Checkpoint reports a checkpoint as a forced write: it leaves the log
+// durable, as a Sync does.
+func (l *tracedLog) Checkpoint(store *storage.Store) (begin, end uint64, err error) {
+	begin, end, err = l.Log.Checkpoint(store)
+	if err == nil {
+		l.tr.Emit(l.node, EvWALSync, "", "", "checkpoint")
+	}
+	return begin, end, err
 }

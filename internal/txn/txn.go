@@ -291,7 +291,7 @@ func (t *Txn) Read(ctx context.Context, key storage.Key) (storage.Value, error) 
 }
 
 // Write acquires an exclusive lock on key, logs a before/after image pair
-// and installs the new value.
+// and then installs the new value.
 func (t *Txn) Write(ctx context.Context, key storage.Key, value storage.Value) error {
 	return t.update(ctx, key, value, false)
 }
@@ -321,17 +321,21 @@ func (t *Txn) update(ctx context.Context, key storage.Key, value storage.Value, 
 	prev, existed := t.m.store.GetAny(key)
 	before := wal.ImageOf(prev, existed)
 	before.Key = key
-	var after wal.Image
-	if del {
-		t.m.store.Delete(key, t.id)
-		after = wal.Image{Key: key, Deleted: true, Existed: true, Writer: t.id}
-	} else {
-		t.m.store.Put(key, value, t.id)
-		after = wal.Image{Key: key, Value: append(storage.Value(nil), value...), Existed: true, Writer: t.id}
+	after := wal.Image{Key: key, Deleted: del, Existed: true, Writer: t.id}
+	if !del {
+		after.Value = append(storage.Value(nil), value...)
 	}
+	// Write-ahead: the UPDATE record, with the before-image that undoes it,
+	// is in the log before the store holds the after-image. A checkpoint
+	// between the two finds the transaction active and carries the record.
 	rec := wal.Record{Type: wal.RecUpdate, TxnID: t.id, Before: before, After: after}
 	if _, err := t.m.log.Append(rec); err != nil {
 		return err
+	}
+	if del {
+		t.m.store.Delete(key, t.id)
+	} else {
+		t.m.store.Put(key, value, t.id)
 	}
 	t.updates = append(t.updates, rec)
 	if t.m.rec != nil {

@@ -1,35 +1,37 @@
 package wal
 
 import (
-	"errors"
-	"os"
 	"sort"
 
 	"o2pc/internal/storage"
 )
 
-// Checkpointing: a sharp checkpoint captures the full live store in the
-// log as a bracketed run of image records, letting recovery start from the
-// last complete checkpoint instead of the log's beginning, and letting a
-// file-backed log be compacted to (checkpoint + tail).
+// Checkpointing: a sharp checkpoint captures the full live store as a
+// bracketed run of image records and replaces every record before it, so
+// a log holds one checkpoint plus the records appended since:
 //
 //	CHECKPOINT(aux="begin")
 //	UPDATE(txn=ckptTxnID, After=image) ... one per live key
 //	carried protocol records (CarryRecords) ...
 //	CHECKPOINT(aux="end")
+//	tail ...
 //
-// A checkpoint must not truncate state the protocol still needs: an
-// exposed-but-undecided subtransaction's before-images and exposure record
-// are the only way a restarted site can resume the decision inquiry and
-// compensate on ABORT, and the marking sets exist precisely to outlive the
-// transactions that created them. WriteCheckpoint therefore carries those
-// records forward inside the bracket (CarryRecords), and Recover replays
-// them on top of the restored images.
+// A checkpoint must not drop state the protocol still needs: an active or
+// prepared transaction's before-images, an exposed-but-undecided
+// subtransaction's exposure record (the only way a restarted site can
+// resume the decision inquiry and compensate on ABORT), the marking sets
+// (which exist precisely to outlive the transactions that created them),
+// and the decisions that fence stale subtransactions. CarryRecords
+// re-appends those inside the bracket, and Recover replays them on top of
+// the restored images.
 //
-// Callers must quiesce update activity for the duration of WriteCheckpoint
-// (the site takes its lock manager's quiescence as given when invoked from
-// a maintenance window); records appended after the "end" marker replay on
-// top of the checkpoint as usual.
+// Log.Checkpoint runs under the log's own mutex, so no append interleaves
+// with it: the records it reads, the store snapshot it takes and the
+// bracket it writes describe one instant. The store may hold an installed
+// after-image whose transaction has not committed (a writer appends its
+// UPDATE before it installs it); such a transaction is active or prepared,
+// so its UPDATE records are carried and recovery undoes them if no COMMIT
+// follows.
 
 // ckptTxnID tags checkpoint image records.
 const ckptTxnID = "__checkpoint__"
@@ -39,64 +41,73 @@ const (
 	ckptEnd   = "end"
 )
 
-// WriteCheckpoint appends a sharp checkpoint of store to log and returns
-// the LSN of its "end" marker. Protocol records the tail may not truncate
-// (CarryRecords) are re-appended inside the bracket.
-func WriteCheckpoint(log Log, store *storage.Store) (uint64, error) {
-	records, err := log.Records()
-	if err != nil {
-		return 0, err
-	}
-	carry := CarryRecords(records)
-	if _, err := log.Append(Record{Type: RecCheckpoint, TxnID: ckptTxnID, Aux: ckptBegin}); err != nil {
-		return 0, err
-	}
+// bracket returns the checkpoint that replaces the log segs: the begin
+// marker, one image per live key of store in key order, the carried records
+// and the end marker, numbered from LSN next.
+func bracket(segs [][]Record, store *storage.Store, next uint64) []Record {
 	snap := store.Snapshot()
-	// Stable order for reproducible logs.
-	for _, key := range store.Keys() {
+	keys := make([]storage.Key, 0, len(snap))
+	for key := range snap {
+		keys = append(keys, key)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+
+	out := make([]Record, 0, len(keys)+2)
+	out = append(out, Record{Type: RecCheckpoint, TxnID: ckptTxnID, Aux: ckptBegin})
+	for _, key := range keys {
 		rec := snap[key]
-		img := Image{
+		out = append(out, Record{Type: RecUpdate, TxnID: ckptTxnID, Before: Image{Key: key}, After: Image{
 			Key:     key,
-			Value:   append(storage.Value(nil), rec.Value...),
+			Value:   rec.Value,
 			Existed: true,
 			Writer:  rec.Writer,
-		}
-		if _, err := log.Append(Record{Type: RecUpdate, TxnID: ckptTxnID, After: img, Before: Image{Key: key}}); err != nil {
-			return 0, err
-		}
+		}})
 	}
-	for _, rec := range carry {
-		rec.LSN = 0 // Append reassigns
-		if _, err := log.Append(rec); err != nil {
-			return 0, err
-		}
+	out = appendCarry(out, segs)
+	out = append(out, Record{Type: RecCheckpoint, TxnID: ckptTxnID, Aux: ckptEnd})
+	for i := range out {
+		out[i].LSN = next + uint64(i)
 	}
-	lsn, err := log.Append(Record{Type: RecCheckpoint, TxnID: ckptTxnID, Aux: ckptEnd})
-	if err != nil {
-		return 0, err
-	}
-	return lsn, log.Sync()
+	return out
 }
 
 // CarryRecords computes the protocol records a checkpoint of records must
-// carry forward because truncating them would lose recovery state:
+// carry forward because dropping them would lose recovery state:
 //
 //   - every record of a transaction that is still active (including a
 //     compensating transaction interrupted between COMP-BEGIN and COMP-END),
 //   - every record of a prepared transaction with no recorded decision
-//     (in-doubt — its before-images are needed should the decision be ABORT),
+//     (in-doubt — its before-images are needed should the decision be
+//     ABORT) or with an ABORT decision whose roll-back has not logged its
+//     ABORT record yet (the store may still hold its after-images),
 //   - every record of an exposed subtransaction that is undecided, or whose
 //     ABORT decision has not yet been fully compensated (the exposure payload
 //     and before-images drive the resumed inquiry and the compensating
 //     subtransaction),
+//   - the stale-exec fence: the DECISION record of every other transaction
+//     decided since the previous checkpoint, so a restarted site still
+//     refuses a delayed subtransaction of a decided transaction for one
+//     full checkpoint interval (decisions the previous checkpoint carried
+//     as fence are dropped),
 //   - one RecMark record per currently-set mark, snapshotting the marking
 //     sets (which outlive the transactions that created them).
 //
-// Records are returned in their original log order, marks last in sorted
-// order, so carried state replays deterministically.
+// Records are returned in their original log order, fence decisions after
+// them and marks last in sorted order, so carried state replays
+// deterministically.
 func CarryRecords(records []Record) []Record {
-	replay := Replay(records)
-	a := Analyze(replay)
+	return appendCarry(nil, [][]Record{records})
+}
+
+// appendCarry appends CarryRecords of the log segs to dst. The log is
+// read in place: its segments, in order, are the log.
+func appendCarry(dst []Record, segs [][]Record) []Record {
+	_, carried, tail := splitCheckpoint(segs)
+	replay := append([][]Record{carried}, tail...)
+	a := newAnalysis()
+	for _, records := range replay {
+		a.scan(records)
+	}
 
 	carry := make(map[string]bool)
 	for txn, st := range a.Status {
@@ -107,7 +118,7 @@ func CarryRecords(records []Record) []Record {
 		case StatusActive:
 			carry[txn] = true
 		case StatusPrepared:
-			if _, decided := a.Decisions[txn]; !decided {
+			if commit, decided := a.Decisions[txn]; !decided || !commit {
 				carry[txn] = true
 			}
 		case StatusCommitted, StatusAborted:
@@ -129,19 +140,28 @@ func CarryRecords(records []Record) []Record {
 		}
 	}
 
-	var out []Record
-	for _, rec := range replay {
-		switch rec.Type {
-		case RecMark, RecUnmark, RecCheckpoint:
-			// Mark state is re-snapshotted below; stray bracket markers
-			// never carry.
-			continue
-		case RecBegin, RecUpdate, RecCommit, RecAbort, RecPrepared,
-			RecDecision, RecCompBegin, RecCompEnd, RecExposed,
-			RecTerm, RecAccept:
+	for _, records := range replay {
+		for i := range records {
+			rec := &records[i]
+			switch rec.Type {
+			case RecMark, RecUnmark, RecCheckpoint:
+				// Mark state is re-snapshotted below; stray bracket markers
+				// never carry.
+				continue
+			case RecBegin, RecUpdate, RecCommit, RecAbort, RecPrepared,
+				RecDecision, RecCompBegin, RecCompEnd, RecExposed,
+				RecTerm, RecAccept:
+			}
+			if carry[rec.TxnID] {
+				dst = append(dst, *rec)
+			}
 		}
-		if carry[rec.TxnID] {
-			out = append(out, rec)
+	}
+	for _, records := range tail {
+		for i := range records {
+			if rec := &records[i]; rec.Type == RecDecision && !carry[rec.TxnID] {
+				dst = append(dst, *rec)
+			}
 		}
 	}
 
@@ -157,76 +177,63 @@ func CarryRecords(records []Record) []Record {
 		}
 		sort.Strings(txns)
 		for _, txn := range txns {
-			out = append(out, Record{Type: RecMark, TxnID: txn, Aux: set})
+			dst = append(dst, Record{Type: RecMark, TxnID: txn, Aux: set})
 		}
 	}
-	return out
+	return dst
 }
 
-// lastCheckpoint returns the index range (begin, end) of the last complete
-// checkpoint in records, or ok=false when none exists.
-func lastCheckpoint(records []Record) (begin, end int, ok bool) {
-	begin, end = -1, -1
-	for i, rec := range records {
-		if rec.Type != RecCheckpoint {
-			continue
-		}
-		switch rec.Aux {
-		case ckptBegin:
-			begin = i
-			end = -1
-		case ckptEnd:
-			if begin >= 0 {
-				end = i
+// pos is a record's position in a segmented log.
+type pos struct{ seg, i int }
+
+// lastCheckpoint returns the positions of the begin and end markers of the
+// last complete checkpoint in the log segs, or ok=false when none exists.
+func lastCheckpoint(segs [][]Record) (begin, end pos, ok bool) {
+	var haveBegin, haveEnd bool
+	for si, seg := range segs {
+		for i := range seg {
+			if seg[i].Type != RecCheckpoint {
+				continue
+			}
+			switch seg[i].Aux {
+			case ckptBegin:
+				begin, haveBegin, haveEnd = pos{si, i}, true, false
+			case ckptEnd:
+				if haveBegin {
+					end, haveEnd = pos{si, i}, true
+				}
 			}
 		}
 	}
-	return begin, end, begin >= 0 && end > begin
+	return begin, end, haveBegin && haveEnd
 }
 
-// Compact rewrites a file-backed log as (checkpoint of store + carried
-// protocol records), atomically replacing the file at path. The log must be
-// quiesced in the 2PC sense — no transaction mid-update — but exposed
-// subtransactions, in-doubt preparations, and marking sets survive the
-// rewrite via CarryRecords.
-func Compact(path string, store *storage.Store) (*FileLog, error) {
-	old, err := OpenFileLog(path)
-	if err != nil {
-		return nil, err
+// splitCheckpoint partitions the log segs around its last complete
+// checkpoint: images are the bracket's snapshot records, carried its other
+// records (both nil when no checkpoint exists), and tail the segments of
+// everything after it — the whole log when no checkpoint exists. Recovery
+// runs redo/undo/analysis over carried followed by tail.
+func splitCheckpoint(segs [][]Record) (images, carried []Record, tail [][]Record) {
+	begin, end, ok := lastCheckpoint(segs)
+	if !ok {
+		return nil, nil, segs
 	}
-	records, err := old.Records()
-	if cerr := old.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	carry := CarryRecords(records)
-	tmp := path + ".compact"
-	nl, err := OpenFileLog(tmp)
-	if err != nil {
-		return nil, err
-	}
-	for _, rec := range carry {
-		rec.LSN = 0
-		if _, err := nl.Append(rec); err != nil {
-			err = errors.Join(err, nl.Close())
-			os.Remove(tmp)
-			return nil, err
+	for si := begin.seg; si <= end.seg; si++ {
+		seg := segs[si]
+		lo, hi := 0, len(seg)
+		if si == begin.seg {
+			lo = begin.i + 1
+		}
+		if si == end.seg {
+			hi = end.i
+		}
+		for _, rec := range seg[lo:hi] {
+			if rec.Type == RecUpdate && rec.TxnID == ckptTxnID {
+				images = append(images, rec)
+			} else {
+				carried = append(carried, rec)
+			}
 		}
 	}
-	if _, err := WriteCheckpoint(nl, store); err != nil {
-		err = errors.Join(err, nl.Close())
-		os.Remove(tmp)
-		return nil, err
-	}
-	if err := nl.Close(); err != nil {
-		os.Remove(tmp)
-		return nil, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return nil, err
-	}
-	return OpenFileLog(path)
+	return images, carried, append([][]Record{segs[end.seg][end.i+1:]}, segs[end.seg+1:]...)
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"os"
 	"testing"
 
 	"o2pc/internal/storage"
@@ -21,7 +22,7 @@ func TestCheckpointRecovery(t *testing.T) {
 		Record{Type: RecAbort, TxnID: "T2"},
 	)
 	store.Put("a", storage.Value("A"), "T1")
-	if _, err := WriteCheckpoint(l, store); err != nil {
+	if _, _, err := l.Checkpoint(store); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	// Post-checkpoint activity: T3 commits, T4 in flight.
@@ -62,7 +63,7 @@ func TestCheckpointPreservesWriterAttribution(t *testing.T) {
 	l := NewMemoryLog()
 	store := storage.NewStore()
 	store.Put("x", storage.Value("v"), "CTT9")
-	if _, err := WriteCheckpoint(l, store); err != nil {
+	if _, _, err := l.Checkpoint(store); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	fresh := storage.NewStore()
@@ -97,12 +98,12 @@ func TestLastOfSeveralCheckpointsWins(t *testing.T) {
 	l := NewMemoryLog()
 	s1 := storage.NewStore()
 	s1.Put("k", storage.Value("old"), "T1")
-	if _, err := WriteCheckpoint(l, s1); err != nil {
+	if _, _, err := l.Checkpoint(s1); err != nil {
 		t.Fatalf("ckpt1: %v", err)
 	}
 	s2 := storage.NewStore()
 	s2.Put("k", storage.Value("new"), "T2")
-	if _, err := WriteCheckpoint(l, s2); err != nil {
+	if _, _, err := l.Checkpoint(s2); err != nil {
 		t.Fatalf("ckpt2: %v", err)
 	}
 	fresh := storage.NewStore()
@@ -115,7 +116,10 @@ func TestLastOfSeveralCheckpointsWins(t *testing.T) {
 	}
 }
 
-func TestCompactShrinksFileLog(t *testing.T) {
+// TestCheckpointShrinksFileLog: a FileLog's checkpoint rewrites the file as
+// (checkpoint + nothing), recovers the same store from it, and keeps
+// appending with advancing LSNs, also after a reopen.
+func TestCheckpointShrinksFileLog(t *testing.T) {
 	path := t.TempDir() + "/wal.log"
 	l, err := OpenFileLog(path)
 	if err != nil {
@@ -131,23 +135,40 @@ func TestCompactShrinksFileLog(t *testing.T) {
 		)
 		store.Put(key, storage.Value("v"), fmt.Sprintf("T%d", i))
 	}
-	_ = l.Sync()
 	before, _ := l.Records()
-	_ = l.Close()
+	sizeBefore := fileSize(t, path)
 
-	nl, err := Compact(path, store)
+	begin, end, err := l.Checkpoint(store)
 	if err != nil {
-		t.Fatalf("compact: %v", err)
+		t.Fatalf("checkpoint: %v", err)
 	}
-	defer nl.Close()
-	after, err := nl.Records()
+	after, err := l.Records()
 	if err != nil {
 		t.Fatalf("records: %v", err)
 	}
-	if len(after) >= len(before) {
-		t.Fatalf("compaction did not shrink: %d -> %d", len(before), len(after))
+	if len(after) >= len(before) || fileSize(t, path) >= sizeBefore {
+		t.Fatalf("checkpoint did not shrink: %d -> %d records", len(before), len(after))
 	}
-	// Recovery from the compacted log reproduces the store.
+	if after[0].LSN != begin || after[len(after)-1].LSN != end || begin != before[len(before)-1].LSN+1 {
+		t.Fatalf("bracket LSNs [%d,%d], log [%d,%d] after %d", begin, end, after[0].LSN, after[len(after)-1].LSN, before[len(before)-1].LSN)
+	}
+	if _, err := os.Stat(path + ckptSuffix); !os.IsNotExist(err) {
+		t.Fatalf("temporary checkpoint file left behind: %v", err)
+	}
+	lsn, err := l.Append(Record{Type: RecBegin, TxnID: "Tnew"})
+	if err != nil || lsn != end+1 {
+		t.Fatalf("append after checkpoint: lsn=%d err=%v, want %d", lsn, err, end+1)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+
+	// The rewritten file is the log: a reopen recovers the store from it.
+	nl, err := OpenFileLog(path)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer nl.Close()
 	fresh := storage.NewStore()
 	if _, err := Recover(fresh, nl); err != nil {
 		t.Fatalf("recover: %v", err)
@@ -155,11 +176,18 @@ func TestCompactShrinksFileLog(t *testing.T) {
 	if fresh.Len() != 50 {
 		t.Fatalf("recovered %d keys, want 50", fresh.Len())
 	}
-	// And the compacted log still accepts appends with advancing LSNs.
-	lsn, err := nl.Append(Record{Type: RecBegin, TxnID: "Tnew"})
-	if err != nil || lsn == 0 {
-		t.Fatalf("append after compact: lsn=%d err=%v", lsn, err)
+	if lsn, err := nl.Append(Record{Type: RecBegin, TxnID: "Tnext"}); err != nil || lsn != end+2 {
+		t.Fatalf("append after reopen: lsn=%d err=%v, want %d", lsn, err, end+2)
 	}
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
 }
 
 // TestCheckpointRetainsExposedUndecided is the checkpoint x exposure
@@ -181,7 +209,7 @@ func TestCheckpointRetainsExposedUndecided(t *testing.T) {
 		Record{Type: RecMark, TxnID: "T1", Aux: MarkSetLC},
 	)
 	store.Put("bal", storage.Value("90"), "T1")
-	if _, err := WriteCheckpoint(l, store); err != nil {
+	if _, _, err := l.Checkpoint(store); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 
@@ -218,7 +246,8 @@ func TestCheckpointRetainsExposedUndecided(t *testing.T) {
 
 // TestCheckpointDropsResolvedExposure: once the decision is logged (and,
 // for ABORT, the compensating transaction completed), the next checkpoint
-// owes the exposure nothing and CarryRecords returns only mark snapshots.
+// owes the exposure nothing: CarryRecords returns only the decision itself,
+// as the stale-exec fence, and the checkpoint after that drops it too.
 func TestCheckpointDropsResolvedExposure(t *testing.T) {
 	exposed := func(decision string, compRecs ...Record) []Record {
 		recs := []Record{
@@ -231,7 +260,10 @@ func TestCheckpointDropsResolvedExposure(t *testing.T) {
 		return append(recs, compRecs...)
 	}
 
-	if carry := CarryRecords(exposed("commit")); len(carry) != 0 {
+	onlyFence := func(carry []Record, decision string) bool {
+		return len(carry) == 1 && carry[0].Type == RecDecision && carry[0].TxnID == "T1" && carry[0].Aux == decision
+	}
+	if carry := CarryRecords(exposed("commit")); !onlyFence(carry, "commit") {
 		t.Fatalf("commit-decided exposure still carried: %+v", carry)
 	}
 	done := exposed("abort",
@@ -239,8 +271,22 @@ func TestCheckpointDropsResolvedExposure(t *testing.T) {
 		upd("CTT1", "bal", "90", "100", true),
 		Record{Type: RecCompEnd, TxnID: "CTT1"},
 	)
-	if carry := CarryRecords(done); len(carry) != 0 {
+	if carry := CarryRecords(done); !onlyFence(carry, "abort") {
 		t.Fatalf("fully compensated exposure still carried: %+v", carry)
+	}
+	l := NewMemoryLog()
+	appendAll(t, l, done...)
+	for i := 0; i < 2; i++ {
+		if _, _, err := l.Checkpoint(storage.NewStore()); err != nil {
+			t.Fatalf("checkpoint: %v", err)
+		}
+	}
+	recs, err := l.Records()
+	if err != nil {
+		t.Fatalf("records: %v", err)
+	}
+	if carry := CarryRecords(recs); len(carry) != 0 {
+		t.Fatalf("fence decision outlived the next checkpoint: %+v", carry)
 	}
 
 	// An ABORT whose compensation was interrupted (COMP-BEGIN without
@@ -285,7 +331,7 @@ func TestCheckpointSnapshotsMarks(t *testing.T) {
 	// And across a real checkpoint + restart the marks replay intact.
 	l := NewMemoryLog()
 	appendAll(t, l, records...)
-	if _, err := WriteCheckpoint(l, storage.NewStore()); err != nil {
+	if _, _, err := l.Checkpoint(storage.NewStore()); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	recs, err := l.Records()
@@ -295,5 +341,158 @@ func TestCheckpointSnapshotsMarks(t *testing.T) {
 	a := Analyze(Replay(recs))
 	if a.Marks[MarkSetUndone]["T1"] || !a.Marks[MarkSetUndone]["T2"] || !a.Marks[MarkSetLC]["T2"] {
 		t.Fatalf("marks after checkpointed restart: %v", a.Marks)
+	}
+}
+
+// TestCrashDuringFileCheckpointKeepsOldLog: a crash after the checkpoint's
+// temporary file is written but before the rename leaves the old log in
+// place; a reopen recovers it, ignores the temporary file, and the next
+// checkpoint overwrites it.
+func TestCrashDuringFileCheckpointKeepsOldLog(t *testing.T) {
+	path := t.TempDir() + "/wal.log"
+	l, err := OpenFileLog(path)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	appendAll(t, l,
+		Record{Type: RecBegin, TxnID: "T1"},
+		upd("T1", "a", "", "A", false),
+		Record{Type: RecCommit, TxnID: "T1"},
+		Record{Type: RecBegin, TxnID: "T2"},
+		upd("T2", "b", "", "B", false),
+	)
+	records, err := l.Records()
+	if err != nil {
+		t.Fatalf("records: %v", err)
+	}
+	// The checkpoint's first half: the bracket is written and fsynced to the
+	// temporary file. Then the process dies.
+	store := storage.NewStore()
+	store.Put("a", storage.Value("A"), "T1")
+	store.Put("b", storage.Value("B"), "T2")
+	f, err := writeCheckpointFile(path+ckptSuffix, bracket([][]Record{records}, store, records[len(records)-1].LSN+1))
+	if err != nil {
+		t.Fatalf("write temporary checkpoint: %v", err)
+	}
+	f.Close()
+	l.Close()
+
+	nl, err := OpenFileLog(path)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer nl.Close()
+	after, err := nl.Records()
+	if err != nil {
+		t.Fatalf("records: %v", err)
+	}
+	if len(after) != len(records) {
+		t.Fatalf("reopened log has %d records, want the old log's %d", len(after), len(records))
+	}
+	fresh := storage.NewStore()
+	if _, err := Recover(fresh, nl); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if rec, err := fresh.Get("a"); err != nil || string(rec.Value) != "A" {
+		t.Fatalf("committed key after the interrupted checkpoint: %v %v", rec, err)
+	}
+	if _, err := fresh.Get("b"); !storage.IsNotFound(err) {
+		t.Fatalf("loser survived the interrupted checkpoint")
+	}
+
+	if _, _, err := nl.Checkpoint(fresh); err != nil {
+		t.Fatalf("checkpoint over the leftover temporary file: %v", err)
+	}
+	if _, err := os.Stat(path + ckptSuffix); !os.IsNotExist(err) {
+		t.Fatalf("temporary checkpoint file left behind: %v", err)
+	}
+}
+
+// BenchmarkMemoryLogCheckpoint times one checkpoint of a memory log shaped
+// like a 2PC site's at its trigger: the previous checkpoint, whose fence
+// decisions this one drops, then 4096 records of decided transfers on 64
+// keys (BEGIN, UPDATE, PREPARED, DECISION, COMMIT each).
+func BenchmarkMemoryLogCheckpoint(b *testing.B) {
+	store := storage.NewStore()
+	for k := 0; k < 64; k++ {
+		store.Put(storage.Key(fmt.Sprintf("acct%d", k)), storage.EncodeInt64(1000), "init")
+	}
+	fill := func(l *MemoryLog, from int) {
+		for i := from; i < from+4096/5; i++ {
+			id := fmt.Sprintf("c0-kq3x9-T%d", i)
+			key := storage.Key(fmt.Sprintf("acct%d", i%64))
+			for _, rec := range []Record{
+				{Type: RecBegin, TxnID: id},
+				{Type: RecUpdate, TxnID: id,
+					Before: Image{Key: key, Value: storage.EncodeInt64(1000), Existed: true, Writer: "init"},
+					After:  Image{Key: key, Value: storage.EncodeInt64(999), Existed: true, Writer: id}},
+				{Type: RecPrepared, TxnID: id, Aux: "c0"},
+				{Type: RecDecision, TxnID: id, Aux: "commit"},
+				{Type: RecCommit, TxnID: id},
+			} {
+				if _, err := l.Append(rec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	l := NewMemoryLog()
+	fill(l, 0)
+	if _, _, err := l.Checkpoint(store); err != nil {
+		b.Fatal(err)
+	}
+	fill(l, 4096)
+	full := NewMemoryLog()
+	full.segs, full.count, full.nextLSN = l.segs, l.count, l.nextLSN
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Each checkpoint starts from the same log: the segments are
+		// replaced, never mutated, so sharing them is safe.
+		l.segs, l.count, l.nextLSN = full.segs, full.count, full.nextLSN
+		if _, _, err := l.Checkpoint(store); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestCheckpointCarriesPreparedUntilAbortRecord: a prepared transaction
+// whose ABORT decision is logged but whose roll-back has not logged its
+// ABORT record yet may still have its after-images in the store. A
+// checkpoint then carries its records, so a crash undoes it; once the
+// ABORT record lands the next checkpoint drops it.
+func TestCheckpointCarriesPreparedUntilAbortRecord(t *testing.T) {
+	l := NewMemoryLog()
+	store := storage.NewStore()
+	appendAll(t, l,
+		Record{Type: RecBegin, TxnID: "T1"},
+		upd("T1", "k", "1", "2", true),
+		Record{Type: RecPrepared, TxnID: "T1", Aux: "c0"},
+		Record{Type: RecDecision, TxnID: "T1", Aux: "abort"},
+	)
+	store.Put("k", storage.Value("2"), "T1") // not yet rolled back
+	if _, _, err := l.Checkpoint(store); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	fresh := storage.NewStore()
+	if _, err := Recover(fresh, l); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	if rec, err := fresh.Get("k"); err != nil || string(rec.Value) != "1" {
+		t.Fatalf("k = %v (%v) after a crash, want the before-image 1", rec, err)
+	}
+
+	// The roll-back restores k and logs ABORT; the next checkpoint owes T1
+	// nothing but the fence.
+	store.Put("k", storage.Value("1"), "init")
+	appendAll(t, l, Record{Type: RecAbort, TxnID: "T1"})
+	records, err := l.Records()
+	if err != nil {
+		t.Fatalf("records: %v", err)
+	}
+	for _, rec := range CarryRecords(records) {
+		if rec.TxnID == "T1" && rec.Type != RecDecision {
+			t.Fatalf("rolled-back T1 still carried: %+v", rec)
+		}
 	}
 }

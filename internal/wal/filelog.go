@@ -2,15 +2,20 @@ package wal
 
 import (
 	"bufio"
+	"errors"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
+
+	"o2pc/internal/storage"
 )
 
 // FileLog is a file-backed Log for the multi-process deployment. Records are
 // buffered and flushed on Sync.
 type FileLog struct {
 	mu      sync.Mutex
+	path    string
 	f       *os.File
 	w       *bufio.Writer
 	nextLSN uint64
@@ -45,7 +50,7 @@ func OpenFileLog(path string) (*FileLog, error) {
 		f.Close()
 		return nil, err
 	}
-	return &FileLog{f: f, w: bufio.NewWriter(f), nextLSN: next}, nil
+	return &FileLog{path: path, f: f, w: bufio.NewWriter(f), nextLSN: next}, nil
 }
 
 // Append implements Log.
@@ -70,6 +75,11 @@ func (l *FileLog) Records() ([]Record, error) {
 	if l.closed {
 		return nil, ErrClosed
 	}
+	return l.records()
+}
+
+// records flushes the buffer and re-reads the file. Callers hold mu.
+func (l *FileLog) records() ([]Record, error) {
 	if err := l.w.Flush(); err != nil {
 		return nil, err
 	}
@@ -112,4 +122,76 @@ func (l *FileLog) Close() error {
 		return err
 	}
 	return l.f.Close()
+}
+
+// ckptSuffix names the temporary file a checkpoint is written to before it
+// replaces the log.
+const ckptSuffix = ".ckpt"
+
+// Checkpoint implements Log by rewriting the file: the checkpoint goes to
+// path+".ckpt", which is fsynced and renamed over the log; the directory is
+// fsynced so the rename survives a crash, and the log continues on the new
+// file. A crash before the rename leaves the old log in place (the
+// temporary file is ignored and overwritten by the next checkpoint); a
+// crash after it finds the checkpoint.
+func (l *FileLog) Checkpoint(store *storage.Store) (begin, end uint64, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return 0, 0, ErrClosed
+	}
+	records, err := l.records()
+	if err != nil {
+		return 0, 0, err
+	}
+	ckpt := bracket([][]Record{records}, store, l.nextLSN)
+	tmp := l.path + ckptSuffix
+	f, err := writeCheckpointFile(tmp, ckpt)
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := os.Rename(tmp, l.path); err != nil {
+		return 0, 0, errors.Join(err, f.Close(), os.Remove(tmp))
+	}
+	// The rename happened: from here on the file at path is the new log, so
+	// the handle is swapped even if the directory sync fails.
+	old := l.f
+	l.f, l.w = f, bufio.NewWriter(f)
+	l.nextLSN += uint64(len(ckpt))
+	err = errors.Join(syncDir(filepath.Dir(l.path)), old.Close())
+	return ckpt[0].LSN, ckpt[len(ckpt)-1].LSN, err
+}
+
+// writeCheckpointFile writes records to a fresh file at path and fsyncs it,
+// returning the file positioned at its end.
+func writeCheckpointFile(path string, records []Record) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	w := bufio.NewWriter(f)
+	for _, rec := range records {
+		if err = WriteRecord(w, rec); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		err = w.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		return nil, errors.Join(err, f.Close(), os.Remove(path))
+	}
+	return f, nil
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	return errors.Join(d.Sync(), d.Close())
 }

@@ -180,6 +180,11 @@ type Log interface {
 	Sync() error
 	// Close releases resources held by the log.
 	Close() error
+	// Checkpoint atomically replaces every record with a checkpoint of
+	// store (see CarryRecords for what the checkpoint keeps), and returns
+	// the LSNs of the checkpoint's first and last records. No append
+	// interleaves with it, and the checkpoint is durable when it returns.
+	Checkpoint(store *storage.Store) (begin, end uint64, err error)
 }
 
 // memSegmentSize is the record capacity of one MemoryLog segment. Segments
@@ -214,13 +219,18 @@ func (l *MemoryLog) Append(rec Record) (uint64, error) {
 	}
 	rec.LSN = l.nextLSN
 	l.nextLSN++
+	l.push(rec)
+	return rec.LSN, nil
+}
+
+// push stores rec, LSN assigned, at the end of the log. Callers hold mu.
+func (l *MemoryLog) push(rec Record) {
 	if n := len(l.segs); n == 0 || len(l.segs[n-1]) == memSegmentSize {
 		l.segs = append(l.segs, make([]Record, 0, memSegmentSize))
 	}
 	last := len(l.segs) - 1
 	l.segs[last] = append(l.segs[last], rec)
 	l.count++
-	return rec.LSN, nil
 }
 
 // Records implements Log.
@@ -235,6 +245,22 @@ func (l *MemoryLog) Records() ([]Record, error) {
 		out = append(out, seg...)
 	}
 	return out, nil
+}
+
+// Checkpoint implements Log: the checkpoint replaces the log's segments.
+func (l *MemoryLog) Checkpoint(store *storage.Store) (begin, end uint64, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return 0, 0, ErrClosed
+	}
+	ckpt := bracket(l.segs, store, l.nextLSN)
+	l.segs, l.count = nil, 0
+	for _, rec := range ckpt {
+		l.push(rec)
+	}
+	l.nextLSN += uint64(len(ckpt))
+	return ckpt[0].LSN, ckpt[len(ckpt)-1].LSN, nil
 }
 
 // Sync implements Log (a no-op for memory logs).
@@ -322,15 +348,29 @@ func (a Analysis) CompensationComplete(forward string) bool {
 
 // Analyze scans all records and classifies every transaction that appears.
 func Analyze(records []Record) Analysis {
-	a := Analysis{
+	a := newAnalysis()
+	a.Updates = make(map[string][]Record)
+	a.scan(records)
+	return a
+}
+
+// newAnalysis returns an empty Analysis without the Updates table, which
+// scan then skips.
+func newAnalysis() Analysis {
+	return Analysis{
 		Status:      make(map[string]TxnStatus),
-		Updates:     make(map[string][]Record),
 		Decisions:   make(map[string]bool),
 		Exposed:     make(map[string]string),
 		Marks:       make(map[string]map[string]bool),
 		CompForward: make(map[string]string),
 	}
-	for _, rec := range records {
+}
+
+// scan folds records into a; without an Updates table it records no
+// updates.
+func (a Analysis) scan(records []Record) {
+	for i := range records {
+		rec := &records[i]
 		switch rec.Type {
 		case RecBegin:
 			a.Status[rec.TxnID] = StatusActive
@@ -340,7 +380,9 @@ func Analyze(records []Record) Analysis {
 				a.CompForward[rec.TxnID] = rec.Aux
 			}
 		case RecUpdate:
-			a.Updates[rec.TxnID] = append(a.Updates[rec.TxnID], rec)
+			if a.Updates != nil {
+				a.Updates[rec.TxnID] = append(a.Updates[rec.TxnID], *rec)
+			}
 			if _, ok := a.Status[rec.TxnID]; !ok {
 				a.Status[rec.TxnID] = StatusActive
 			}
@@ -373,7 +415,6 @@ func Analyze(records []Record) Analysis {
 			// replica itself; it carries no local-transaction status.
 		}
 	}
-	return a
 }
 
 // ApplyUndo reverts txn's updates against store by re-installing before
@@ -426,7 +467,7 @@ type RecoverResult struct {
 // re-contact the coordinator — this is precisely the blocking window the
 // O2PC protocol removes.
 //
-// When the log contains a complete checkpoint (WriteCheckpoint), recovery
+// When the log contains a complete checkpoint (Log.Checkpoint), recovery
 // starts from the last one: its images load directly, carried protocol
 // records inside the bracket (exposed-but-undecided subtransactions, marks,
 // in-doubt preparations — see CarryRecords) replay first, and then the tail.
@@ -435,34 +476,37 @@ func Recover(store *storage.Store, log Log) (RecoverResult, error) {
 	if err != nil {
 		return RecoverResult{}, err
 	}
-	images, replay := splitCheckpoint(records)
+	images, carried, tail := splitCheckpoint([][]Record{records})
 	for _, rec := range images {
 		store.Restore(storage.Record{
 			Key:   rec.After.Key,
 			Value: rec.After.Value,
 		}, rec.After.Writer)
 	}
-	return recoverRecords(store, replay)
+	return recoverRecords(store, join(append([][]Record{carried}, tail...)))
 }
 
-// splitCheckpoint partitions records around the last complete checkpoint:
-// images are the bracket's snapshot records (nil when no checkpoint exists)
-// and replay is everything recovery must run redo/undo/analysis over — the
-// non-image records carried inside the bracket followed by the post-bracket
-// tail. Without a checkpoint, replay is the whole log.
-func splitCheckpoint(records []Record) (images, replay []Record) {
-	begin, end, ok := lastCheckpoint(records)
-	if !ok {
-		return nil, records
-	}
-	for _, rec := range records[begin+1 : end] {
-		if rec.Type == RecUpdate && rec.TxnID == ckptTxnID {
-			images = append(images, rec)
-			continue
+// join returns parts as one slice, reusing the only non-empty part when
+// there is just one.
+func join(parts [][]Record) []Record {
+	n, last := 0, -1
+	for i, p := range parts {
+		if len(p) > 0 {
+			n += len(p)
+			last = i
 		}
-		replay = append(replay, rec)
 	}
-	return images, append(replay, records[end+1:]...)
+	switch {
+	case last < 0:
+		return nil
+	case n == len(parts[last]):
+		return parts[last]
+	}
+	out := make([]Record, 0, n)
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
 }
 
 // Replay returns the records recovery analysis runs over: the protocol
@@ -470,8 +514,8 @@ func splitCheckpoint(records []Record) (images, replay []Record) {
 // after it, or the whole log when no checkpoint exists. Site-level recovery
 // uses this view to rebuild its pending tables and marking sets.
 func Replay(records []Record) []Record {
-	_, replay := splitCheckpoint(records)
-	return replay
+	_, carried, tail := splitCheckpoint([][]Record{records})
+	return join(append([][]Record{carried}, tail...))
 }
 
 // recoverRecords runs redo/undo resolution over an already-loaded record
@@ -482,9 +526,9 @@ func recoverRecords(store *storage.Store, records []Record) (RecoverResult, erro
 
 	// Redo phase: replay every update in log order; committed and prepared
 	// transactions keep their effects, losers are undone afterwards.
-	// Image records from an incomplete checkpoint bracket (crash during
-	// WriteCheckpoint) restate live values — redo would be harmless but the
-	// loser-undo below would remove the keys, so skip them entirely.
+	// Image records inside an incomplete checkpoint bracket restate live
+	// values — redo would be harmless but the loser-undo below would remove
+	// the keys, so skip them entirely.
 	//
 	// An ABORT record is appended only after the live roll-back restored
 	// the before-images and while the transaction's locks were still held,
