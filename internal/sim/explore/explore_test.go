@@ -133,6 +133,29 @@ func TestExplorerMatrix(t *testing.T) {
 	}
 }
 
+// TestExplorerCheckpointExposedKeySeed replays the checkpoint-o2pc-doom
+// seed on which a restart once redid a carried exposed subtransaction's
+// after-image over a later committed write of the same account, the lost
+// update breaking conservation.
+func TestExplorerCheckpointExposedKeySeed(t *testing.T) {
+	for _, entry := range matrix() {
+		if entry.name != "checkpoint-o2pc-doom" {
+			continue
+		}
+		cfg := entry.cfg
+		cfg.Seed = 83
+		res := Run(cfg)
+		if res.Failed() {
+			report(t, res)
+		}
+		if res.CheckpointedCrashes == 0 {
+			t.Fatal("no site crashed after a checkpoint")
+		}
+		return
+	}
+	t.Fatal("no checkpoint-o2pc-doom matrix entry")
+}
+
 // readOnlyExit reports whether any participant of the run left at its
 // read-only vote.
 func readOnlyExit(res *Result) bool {

@@ -48,10 +48,14 @@ func (s *Site) Checkpoint(ctx context.Context) error {
 	}
 	s.stats.CheckpointDuration.ObserveDuration(s.clock.Since(start))
 	s.stats.Checkpoints.Inc()
+	// Concurrent checkpoints can finish out of order; the latest one's
+	// bounds win.
 	s.mu.Lock()
-	s.logStart, s.ckptSize = begin, end-begin+1
+	if begin > s.logStart {
+		s.logStart, s.ckptSize = begin, end-begin+1
+		s.stats.WALRecords.Set(int64(s.ckptSize))
+	}
 	s.mu.Unlock()
-	s.stats.WALRecords.Set(int64(end - begin + 1))
 	return nil
 }
 

@@ -362,6 +362,58 @@ func TestCheckpointUnderTraffic(t *testing.T) {
 	}
 }
 
+// TestCheckpointKeepsLaterWriteOverExposedKey: an exposed-undecided T1
+// released its lock on k at the vote, so T2 wrote k after it and
+// committed. The checkpoint's image of k holds T2's value and T1's records
+// are carried; recovery must not redo T1's after-image over it, and
+// compensating T1 after its ABORT must conserve money.
+func TestCheckpointKeepsLaterWriteOverExposedKey(t *testing.T) {
+	for _, kind := range []string{"memory", "file"} {
+		t.Run(kind, func(t *testing.T) {
+			var log wal.Log = wal.NewMemoryLog()
+			if kind == "file" {
+				fl, err := wal.OpenFileLog(filepath.Join(t.TempDir(), "s0.wal"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer fl.Close()
+				log = fl
+			}
+			s1 := newTestSite(t, Config{Log: log})
+			for _, key := range []storage.Key{"k", "x", "y"} {
+				s1.SeedInt64(key, 100)
+			}
+			exec(t, s1, o2pcReq("T1", proto.Add("k", -10), proto.Add("x", 10)))
+			vote(t, s1, "T1") // exposed: locally committed, lock-free, undecided
+			exec(t, s1, o2pcReq("T2", proto.Add("k", -5), proto.Add("y", 5)))
+			vote(t, s1, "T2")
+			decide(t, s1, "T2", true)
+			if err := s1.Checkpoint(bg()); err != nil {
+				t.Fatalf("checkpoint: %v", err)
+			}
+
+			s2 := restart(t, log, Config{ResolvePeriod: time.Hour})
+			if _, err := s2.Recover(bg()); err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			want := map[storage.Key]int64{"k": 85, "x": 110, "y": 105}
+			for key, v := range want {
+				if got := s2.ReadInt64(key); got != v {
+					t.Errorf("%s = %d after recovery, want %d", key, got, v)
+				}
+			}
+			decide(t, s2, "T1", false)
+			var total int64
+			for _, key := range []storage.Key{"k", "x", "y"} {
+				total += s2.ReadInt64(key)
+			}
+			if got := s2.ReadInt64("k"); got != 95 || total != 300 {
+				t.Fatalf("after compensating T1: k = %d, total = %d; want 95, 300", got, total)
+			}
+		})
+	}
+}
+
 // TestStaleExecRefusedAfterCheckpointAndRestart: the decisions a
 // checkpoint carries keep fencing a delayed ExecRequest of a decided
 // transaction after a restart.

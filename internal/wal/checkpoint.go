@@ -41,10 +41,10 @@ const (
 	ckptEnd   = "end"
 )
 
-// bracket returns the checkpoint that replaces the log segs: the begin
-// marker, one image per live key of store in key order, the carried records
-// and the end marker, numbered from LSN next.
-func bracket(segs [][]Record, store *storage.Store, next uint64) []Record {
+// bracket returns the checkpoint that replaces records: the begin marker,
+// one image per live key of store in key order, the carried records and the
+// end marker, numbered from LSN next.
+func bracket(records []Record, store *storage.Store, next uint64) []Record {
 	snap := store.Snapshot()
 	keys := make([]storage.Key, 0, len(snap))
 	for key := range snap {
@@ -52,7 +52,8 @@ func bracket(segs [][]Record, store *storage.Store, next uint64) []Record {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 
-	out := make([]Record, 0, len(keys)+2)
+	carry := CarryRecords(records)
+	out := make([]Record, 0, len(keys)+len(carry)+2)
 	out = append(out, Record{Type: RecCheckpoint, TxnID: ckptTxnID, Aux: ckptBegin})
 	for _, key := range keys {
 		rec := snap[key]
@@ -63,7 +64,7 @@ func bracket(segs [][]Record, store *storage.Store, next uint64) []Record {
 			Writer:  rec.Writer,
 		}})
 	}
-	out = appendCarry(out, segs)
+	out = append(out, carry...)
 	out = append(out, Record{Type: RecCheckpoint, TxnID: ckptTxnID, Aux: ckptEnd})
 	for i := range out {
 		out[i].LSN = next + uint64(i)
@@ -83,7 +84,7 @@ func bracket(segs [][]Record, store *storage.Store, next uint64) []Record {
 //   - every record of an exposed subtransaction that is undecided, or whose
 //     ABORT decision has not yet been fully compensated (the exposure payload
 //     and before-images drive the resumed inquiry and the compensating
-//     subtransaction),
+//     subtransaction; recovery does not redo its updates, see Recover),
 //   - the stale-exec fence: the DECISION record of every other transaction
 //     decided since the previous checkpoint, so a restarted site still
 //     refuses a delayed subtransaction of a decided transaction for one
@@ -96,18 +97,9 @@ func bracket(segs [][]Record, store *storage.Store, next uint64) []Record {
 // them and marks last in sorted order, so carried state replays
 // deterministically.
 func CarryRecords(records []Record) []Record {
-	return appendCarry(nil, [][]Record{records})
-}
-
-// appendCarry appends CarryRecords of the log segs to dst. The log is
-// read in place: its segments, in order, are the log.
-func appendCarry(dst []Record, segs [][]Record) []Record {
-	_, carried, tail := splitCheckpoint(segs)
-	replay := append([][]Record{carried}, tail...)
-	a := newAnalysis()
-	for _, records := range replay {
-		a.scan(records)
-	}
+	_, carried, tail := splitCheckpoint(records)
+	replay := append(carried, tail...)
+	a := Analyze(replay)
 
 	carry := make(map[string]bool)
 	for txn, st := range a.Status {
@@ -140,28 +132,24 @@ func appendCarry(dst []Record, segs [][]Record) []Record {
 		}
 	}
 
-	for _, records := range replay {
-		for i := range records {
-			rec := &records[i]
-			switch rec.Type {
-			case RecMark, RecUnmark, RecCheckpoint:
-				// Mark state is re-snapshotted below; stray bracket markers
-				// never carry.
-				continue
-			case RecBegin, RecUpdate, RecCommit, RecAbort, RecPrepared,
-				RecDecision, RecCompBegin, RecCompEnd, RecExposed,
-				RecTerm, RecAccept:
-			}
-			if carry[rec.TxnID] {
-				dst = append(dst, *rec)
-			}
+	var out []Record
+	for _, rec := range replay {
+		switch rec.Type {
+		case RecMark, RecUnmark, RecCheckpoint:
+			// Mark state is re-snapshotted below; stray bracket markers
+			// never carry.
+			continue
+		case RecBegin, RecUpdate, RecCommit, RecAbort, RecPrepared,
+			RecDecision, RecCompBegin, RecCompEnd, RecExposed,
+			RecTerm, RecAccept:
+		}
+		if carry[rec.TxnID] {
+			out = append(out, rec)
 		}
 	}
-	for _, records := range tail {
-		for i := range records {
-			if rec := &records[i]; rec.Type == RecDecision && !carry[rec.TxnID] {
-				dst = append(dst, *rec)
-			}
+	for _, rec := range tail {
+		if rec.Type == RecDecision && !carry[rec.TxnID] {
+			out = append(out, rec)
 		}
 	}
 
@@ -177,63 +165,49 @@ func appendCarry(dst []Record, segs [][]Record) []Record {
 		}
 		sort.Strings(txns)
 		for _, txn := range txns {
-			dst = append(dst, Record{Type: RecMark, TxnID: txn, Aux: set})
+			out = append(out, Record{Type: RecMark, TxnID: txn, Aux: set})
 		}
 	}
-	return dst
+	return out
 }
 
-// pos is a record's position in a segmented log.
-type pos struct{ seg, i int }
-
-// lastCheckpoint returns the positions of the begin and end markers of the
-// last complete checkpoint in the log segs, or ok=false when none exists.
-func lastCheckpoint(segs [][]Record) (begin, end pos, ok bool) {
-	var haveBegin, haveEnd bool
-	for si, seg := range segs {
-		for i := range seg {
-			if seg[i].Type != RecCheckpoint {
-				continue
-			}
-			switch seg[i].Aux {
-			case ckptBegin:
-				begin, haveBegin, haveEnd = pos{si, i}, true, false
-			case ckptEnd:
-				if haveBegin {
-					end, haveEnd = pos{si, i}, true
-				}
+// lastCheckpoint returns the index range (begin, end) of the last complete
+// checkpoint in records, or ok=false when none exists.
+func lastCheckpoint(records []Record) (begin, end int, ok bool) {
+	begin, end = -1, -1
+	for i, rec := range records {
+		if rec.Type != RecCheckpoint {
+			continue
+		}
+		switch rec.Aux {
+		case ckptBegin:
+			begin = i
+			end = -1
+		case ckptEnd:
+			if begin >= 0 {
+				end = i
 			}
 		}
 	}
-	return begin, end, haveBegin && haveEnd
+	return begin, end, begin >= 0 && end > begin
 }
 
-// splitCheckpoint partitions the log segs around its last complete
-// checkpoint: images are the bracket's snapshot records, carried its other
-// records (both nil when no checkpoint exists), and tail the segments of
-// everything after it — the whole log when no checkpoint exists. Recovery
-// runs redo/undo/analysis over carried followed by tail.
-func splitCheckpoint(segs [][]Record) (images, carried []Record, tail [][]Record) {
-	begin, end, ok := lastCheckpoint(segs)
+// splitCheckpoint partitions records around the last complete checkpoint:
+// images are the bracket's snapshot records, carried its other records
+// (both nil when no checkpoint exists), and tail everything after it — the
+// whole log when no checkpoint exists. Recovery runs redo/undo/analysis
+// over carried followed by tail.
+func splitCheckpoint(records []Record) (images, carried, tail []Record) {
+	begin, end, ok := lastCheckpoint(records)
 	if !ok {
-		return nil, nil, segs
+		return nil, nil, records
 	}
-	for si := begin.seg; si <= end.seg; si++ {
-		seg := segs[si]
-		lo, hi := 0, len(seg)
-		if si == begin.seg {
-			lo = begin.i + 1
-		}
-		if si == end.seg {
-			hi = end.i
-		}
-		for _, rec := range seg[lo:hi] {
-			if rec.Type == RecUpdate && rec.TxnID == ckptTxnID {
-				images = append(images, rec)
-			} else {
-				carried = append(carried, rec)
-			}
+	for _, rec := range records[begin+1 : end] {
+		if rec.Type == RecUpdate && rec.TxnID == ckptTxnID {
+			images = append(images, rec)
+		} else {
+			carried = append(carried, rec)
 		}
 	}
-	return images, carried, append([][]Record{segs[end.seg][end.i+1:]}, segs[end.seg+1:]...)
+	return images, carried, records[end+1:]
 }

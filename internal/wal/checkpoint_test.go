@@ -370,7 +370,7 @@ func TestCrashDuringFileCheckpointKeepsOldLog(t *testing.T) {
 	store := storage.NewStore()
 	store.Put("a", storage.Value("A"), "T1")
 	store.Put("b", storage.Value("B"), "T2")
-	f, err := writeCheckpointFile(path+ckptSuffix, bracket([][]Record{records}, store, records[len(records)-1].LSN+1))
+	f, err := writeCheckpointFile(path+ckptSuffix, bracket(records, store, records[len(records)-1].LSN+1))
 	if err != nil {
 		t.Fatalf("write temporary checkpoint: %v", err)
 	}

@@ -144,7 +144,7 @@ func (l *FileLog) Checkpoint(store *storage.Store) (begin, end uint64, err error
 	if err != nil {
 		return 0, 0, err
 	}
-	ckpt := bracket([][]Record{records}, store, l.nextLSN)
+	ckpt := bracket(records, store, l.nextLSN)
 	tmp := l.path + ckptSuffix
 	f, err := writeCheckpointFile(tmp, ckpt)
 	if err != nil {

@@ -240,11 +240,16 @@ func (l *MemoryLog) Records() ([]Record, error) {
 	if l.closed {
 		return nil, ErrClosed
 	}
+	return l.records(), nil
+}
+
+// records returns a copy of the log. Callers hold mu.
+func (l *MemoryLog) records() []Record {
 	out := make([]Record, 0, l.count)
 	for _, seg := range l.segs {
 		out = append(out, seg...)
 	}
-	return out, nil
+	return out
 }
 
 // Checkpoint implements Log: the checkpoint replaces the log's segments.
@@ -254,7 +259,7 @@ func (l *MemoryLog) Checkpoint(store *storage.Store) (begin, end uint64, err err
 	if l.closed {
 		return 0, 0, ErrClosed
 	}
-	ckpt := bracket(l.segs, store, l.nextLSN)
+	ckpt := bracket(l.records(), store, l.nextLSN)
 	l.segs, l.count = nil, 0
 	for _, rec := range ckpt {
 		l.push(rec)
@@ -348,29 +353,15 @@ func (a Analysis) CompensationComplete(forward string) bool {
 
 // Analyze scans all records and classifies every transaction that appears.
 func Analyze(records []Record) Analysis {
-	a := newAnalysis()
-	a.Updates = make(map[string][]Record)
-	a.scan(records)
-	return a
-}
-
-// newAnalysis returns an empty Analysis without the Updates table, which
-// scan then skips.
-func newAnalysis() Analysis {
-	return Analysis{
+	a := Analysis{
 		Status:      make(map[string]TxnStatus),
+		Updates:     make(map[string][]Record),
 		Decisions:   make(map[string]bool),
 		Exposed:     make(map[string]string),
 		Marks:       make(map[string]map[string]bool),
 		CompForward: make(map[string]string),
 	}
-}
-
-// scan folds records into a; without an Updates table it records no
-// updates.
-func (a Analysis) scan(records []Record) {
-	for i := range records {
-		rec := &records[i]
+	for _, rec := range records {
 		switch rec.Type {
 		case RecBegin:
 			a.Status[rec.TxnID] = StatusActive
@@ -380,9 +371,7 @@ func (a Analysis) scan(records []Record) {
 				a.CompForward[rec.TxnID] = rec.Aux
 			}
 		case RecUpdate:
-			if a.Updates != nil {
-				a.Updates[rec.TxnID] = append(a.Updates[rec.TxnID], *rec)
-			}
+			a.Updates[rec.TxnID] = append(a.Updates[rec.TxnID], rec)
 			if _, ok := a.Status[rec.TxnID]; !ok {
 				a.Status[rec.TxnID] = StatusActive
 			}
@@ -415,6 +404,7 @@ func (a Analysis) scan(records []Record) {
 			// replica itself; it carries no local-transaction status.
 		}
 	}
+	return a
 }
 
 // ApplyUndo reverts txn's updates against store by re-installing before
@@ -476,35 +466,36 @@ func Recover(store *storage.Store, log Log) (RecoverResult, error) {
 	if err != nil {
 		return RecoverResult{}, err
 	}
-	images, carried, tail := splitCheckpoint([][]Record{records})
+	images, carried, tail := splitCheckpoint(records)
 	for _, rec := range images {
 		store.Restore(storage.Record{
 			Key:   rec.After.Key,
 			Value: rec.After.Value,
 		}, rec.After.Writer)
 	}
-	return recoverRecords(store, join(append([][]Record{carried}, tail...)))
+	return recoverRecords(store, append(withoutCommittedUpdates(carried), tail...))
 }
 
-// join returns parts as one slice, reusing the only non-empty part when
-// there is just one.
-func join(parts [][]Record) []Record {
-	n, last := 0, -1
-	for i, p := range parts {
-		if len(p) > 0 {
-			n += len(p)
-			last = i
+// withoutCommittedUpdates drops from carried the UPDATE records of
+// transactions whose COMMIT is carried too: exposed subtransactions the
+// checkpoint still had to track. The checkpoint's images already hold
+// their effects, and because an exposed subtransaction released its locks
+// at that commit, a later writer of the same keys may have committed
+// before the checkpoint as well; redoing the carried after-images would
+// put them back over that later write. The records stay in the log for
+// site recovery (Replay), which compensates from their before-images.
+func withoutCommittedUpdates(carried []Record) []Record {
+	committed := make(map[string]bool)
+	for _, rec := range carried {
+		if rec.Type == RecCommit {
+			committed[rec.TxnID] = true
 		}
 	}
-	switch {
-	case last < 0:
-		return nil
-	case n == len(parts[last]):
-		return parts[last]
-	}
-	out := make([]Record, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
+	out := carried[:0]
+	for _, rec := range carried {
+		if rec.Type != RecUpdate || !committed[rec.TxnID] {
+			out = append(out, rec)
+		}
 	}
 	return out
 }
@@ -514,8 +505,8 @@ func join(parts [][]Record) []Record {
 // after it, or the whole log when no checkpoint exists. Site-level recovery
 // uses this view to rebuild its pending tables and marking sets.
 func Replay(records []Record) []Record {
-	_, carried, tail := splitCheckpoint([][]Record{records})
-	return join(append([][]Record{carried}, tail...))
+	_, carried, tail := splitCheckpoint(records)
+	return append(carried, tail...)
 }
 
 // recoverRecords runs redo/undo resolution over an already-loaded record
