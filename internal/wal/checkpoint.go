@@ -97,8 +97,14 @@ func bracket(records []Record, store *storage.Store, next uint64) []Record {
 // them and marks last in sorted order, so carried state replays
 // deterministically.
 func CarryRecords(records []Record) []Record {
-	_, carried, tail := splitCheckpoint(records)
-	replay := append(carried, tail...)
+	// The previous checkpoint's bracket and the tail after it, read in
+	// place: the bracket's images and markers belong to no transaction the
+	// loops below carry.
+	begin, end, ok := lastCheckpoint(records)
+	if !ok {
+		begin, end = -1, -1
+	}
+	replay, tail := records[begin+1:], records[end+1:]
 	a := Analyze(replay)
 
 	carry := make(map[string]bool)
@@ -133,7 +139,8 @@ func CarryRecords(records []Record) []Record {
 	}
 
 	var out []Record
-	for _, rec := range replay {
+	for i := range replay {
+		rec := &replay[i]
 		switch rec.Type {
 		case RecMark, RecUnmark, RecCheckpoint:
 			// Mark state is re-snapshotted below; stray bracket markers
@@ -144,12 +151,12 @@ func CarryRecords(records []Record) []Record {
 			RecTerm, RecAccept:
 		}
 		if carry[rec.TxnID] {
-			out = append(out, rec)
+			out = append(out, *rec)
 		}
 	}
-	for _, rec := range tail {
-		if rec.Type == RecDecision && !carry[rec.TxnID] {
-			out = append(out, rec)
+	for i := range tail {
+		if rec := &tail[i]; rec.Type == RecDecision && !carry[rec.TxnID] {
+			out = append(out, *rec)
 		}
 	}
 
@@ -175,11 +182,11 @@ func CarryRecords(records []Record) []Record {
 // checkpoint in records, or ok=false when none exists.
 func lastCheckpoint(records []Record) (begin, end int, ok bool) {
 	begin, end = -1, -1
-	for i, rec := range records {
-		if rec.Type != RecCheckpoint {
+	for i := range records {
+		if records[i].Type != RecCheckpoint {
 			continue
 		}
-		switch rec.Aux {
+		switch records[i].Aux {
 		case ckptBegin:
 			begin = i
 			end = -1

@@ -361,7 +361,8 @@ func Analyze(records []Record) Analysis {
 		Marks:       make(map[string]map[string]bool),
 		CompForward: make(map[string]string),
 	}
-	for _, rec := range records {
+	for i := range records {
+		rec := &records[i]
 		switch rec.Type {
 		case RecBegin:
 			a.Status[rec.TxnID] = StatusActive
@@ -371,7 +372,7 @@ func Analyze(records []Record) Analysis {
 				a.CompForward[rec.TxnID] = rec.Aux
 			}
 		case RecUpdate:
-			a.Updates[rec.TxnID] = append(a.Updates[rec.TxnID], rec)
+			a.Updates[rec.TxnID] = append(a.Updates[rec.TxnID], *rec)
 			if _, ok := a.Status[rec.TxnID]; !ok {
 				a.Status[rec.TxnID] = StatusActive
 			}
