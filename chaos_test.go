@@ -225,10 +225,10 @@ func runChaosOnce(t *testing.T, seed int64, clusterMarking o2pc.MarkProtocol) (*
 	stop.Store(true)
 	chaos.Wait()
 
-	// Re-deliver every logged decision before auditing: a subtransaction
-	// that exposed after a decision's original delivery pass (the site acked
-	// it as unknown before the vote) is waiting on its resolver; recovery's
-	// idempotent re-send settles it immediately.
+	// Re-deliver every logged decision not yet ended before auditing: a
+	// decision whose delivery was cut short by a crash is waiting on the
+	// participants' resolvers; recovery's idempotent re-send settles it
+	// immediately.
 	for i := 0; i < 2; i++ {
 		rctx, rcancel := clock.WithTimeout(context.Background(), time.Minute)
 		err := cl.RecoverCoordinator(rctx, i)

@@ -30,9 +30,10 @@
 // already seen decided (sites fence those as stale).
 //
 // On start the coordinator recovers from its decision log before serving:
-// undecided transactions are presumed aborted and every logged decision is
-// re-delivered, so with -wal FILE a restarted coordinator answers Resolve
-// inquiries for the transactions it decided before the restart.
+// undecided transactions are presumed aborted and every logged decision not
+// yet ended is re-delivered. A transaction ends, and is forgotten, once
+// every participant has acked its decision, so with -wal FILE a restarted
+// coordinator re-sends only the decisions some participant may still await.
 //
 // With -protocol paxos (or an explicit -replog-replicas N) the coordinator
 // replicates every commit decision through Paxos Commit: N in-process

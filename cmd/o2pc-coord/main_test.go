@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net"
 	"os"
@@ -19,6 +20,7 @@ import (
 	"o2pc/internal/site"
 	"o2pc/internal/storage"
 	"o2pc/internal/trace"
+	"o2pc/internal/wal"
 )
 
 // syncBuffer is a goroutine-safe stdout sink: load mode's live table and
@@ -351,42 +353,139 @@ func TestRunTwiceAgainstSameSites(t *testing.T) {
 	}
 }
 
-// TestWALRestartAnswersResolve restarts a -wal coordinator serve-only over
-// the decision log of a run that committed, and asks it about that
-// transaction the way a participant blocked in doubt would.
-func TestWALRestartAnswersResolve(t *testing.T) {
-	s0 := startTestSite(t, "s0")
-	s1 := startTestSite(t, "s1")
-	walPath := filepath.Join(t.TempDir(), "c0.wal")
-	id := committedID(t, "-site", s0, "-site", s1, "-wal", walPath)
+// Gate modes of startGatedSite.
+const (
+	gateHold int32 = iota // hold each decision until the mode changes
+	gateFail              // refuse decisions, as an unreachable site would
+	gatePass              // handle decisions
+)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+// startGatedSite is startTestSite with the site's decisions passed through
+// a gate set by mode: each Decision is counted and its transaction ID
+// published on held before the gate applies.
+func startGatedSite(t *testing.T, name string, mode, decisions *atomic.Int32, held chan<- string) string {
+	t.Helper()
+	s := site.NewSite(site.Config{Name: name})
+	s.SeedInt64(storage.Key("acct"), 1000)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	handle := func(ctx context.Context, from string, req any) (any, error) {
+		if d, ok := req.(proto.Decision); ok {
+			decisions.Add(1)
+			select {
+			case held <- d.TxnID:
+			default:
+			}
+			for m := mode.Load(); m != gatePass; m = mode.Load() {
+				if m == gateFail {
+					return nil, errors.New("site unreachable")
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		return s.Handle(ctx, from, req)
+	}
+	go rpc.NewServer(name, handle).Serve(ln)
+	return name + "=" + ln.Addr().String()
+}
+
+// serveCoord starts a coordinator run with args and returns the address it
+// serves Resolve on, the channel its exit error arrives on, and its output.
+func serveCoord(ctx context.Context, t *testing.T, args ...string) (string, <-chan error, *syncBuffer) {
+	t.Helper()
 	out := &syncBuffer{}
 	done := make(chan error, 1)
-	go func() {
-		done <- run(ctx, []string{"-listen", "127.0.0.1:0", "-site", s0, "-site", s1, "-wal", walPath}, out)
-	}()
-	var addr string
-	for deadline := time.Now().Add(5 * time.Second); addr == ""; time.Sleep(5 * time.Millisecond) {
+	go func() { done <- run(ctx, append([]string{"-listen", "127.0.0.1:0"}, args...), out) }()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		if _, rest, ok := strings.Cut(out.String(), "serving on "); ok {
-			addr, _, _ = strings.Cut(rest, "\n")
-		} else if time.Now().After(deadline) {
-			t.Fatalf("restarted coordinator never served:\n%s", out.String())
+			addr, _, _ := strings.Cut(rest, "\n")
+			return addr, done, out
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("coordinator never served:\n%s", out.String())
 		}
 	}
+}
+
+// resolveAt asks the coordinator at addr about id the way a participant
+// blocked in doubt would.
+func resolveAt(ctx context.Context, t *testing.T, addr, id string) proto.ResolveReply {
+	t.Helper()
 	client := rpc.NewTCPClient(map[string]string{"c0": addr})
 	defer client.Close()
 	raw, err := client.Call(ctx, "s0", "c0", proto.ResolveRequest{TxnID: id})
 	if err != nil {
 		t.Fatalf("resolve: %v", err)
 	}
-	if rep, ok := raw.(proto.ResolveReply); !ok || !rep.Known || !rep.Commit {
-		t.Fatalf("resolve %s after restart = %#v, want Known=true Commit=true", id, raw)
+	rep, ok := raw.(proto.ResolveReply)
+	if !ok {
+		t.Fatalf("resolve %s = %#v", id, raw)
+	}
+	return rep
+}
+
+// TestWALRestartAnswersResolve follows a -wal coordinator's decision
+// across a restart. While a participant has not acked it, the coordinator
+// answers a Resolve inquiry for the transaction. A coordinator restarted
+// serve-only over the log re-delivers the decision, and once every
+// participant has acked it the transaction is forgotten: the log ends with
+// its END, and the inquiry is answered Known:false.
+func TestWALRestartAnswersResolve(t *testing.T) {
+	s0 := startTestSite(t, "s0")
+	held := make(chan string, 1)
+	var mode, decisions atomic.Int32
+	s1 := startGatedSite(t, "s1", &mode, &decisions, held)
+	walPath := filepath.Join(t.TempDir(), "c0.wal")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	addr, done, out := serveCoord(ctx, t, "-site", s0, "-site", s1, "-wal", walPath,
+		"-txn", "s0:addmin:acct:-40:0 / s1:add:acct:40", "-protocol", "2pc")
+	var id string
+	select {
+	case id = <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("s1 never received the decision:\n%s", out.String())
+	}
+	if rep := resolveAt(ctx, t, addr, id); !rep.Known || !rep.Commit {
+		t.Fatalf("resolve %s while s1's ack is pending = %+v, want Known=true Commit=true", id, rep)
+	}
+	// The coordinator stops before s1 acks: its log holds the decision
+	// without an END.
+	cancel()
+	mode.Store(gateFail)
+	if err := <-done; err != nil {
+		t.Fatalf("first run: %v\noutput:\n%s", err, out.String())
+	}
+
+	mode.Store(gatePass)
+	sent := decisions.Load()
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	addr, done, out = serveCoord(ctx, t, "-site", s0, "-site", s1, "-wal", walPath)
+	if got := decisions.Load(); got <= sent {
+		t.Fatalf("restarted coordinator did not re-deliver the decision to s1")
+	}
+	if rep := resolveAt(ctx, t, addr, id); rep.Known {
+		t.Fatalf("resolve %s after every ack = %+v, want Known=false", id, rep)
 	}
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("serve-only run: %v\noutput:\n%s", err, out.String())
+	}
+	log, err := wal.OpenFileLog(walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	records, err := log.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := records[len(records)-1]; last.Type != wal.RecEnd || last.TxnID != id {
+		t.Fatalf("log ends with %v %s, want END %s", last.Type, last.TxnID, id)
 	}
 }
 

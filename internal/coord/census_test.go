@@ -81,6 +81,12 @@ import (
 //     accept, one ballot per transaction where Paxos Commit runs one per
 //     participant and counts only the F+1 acceptors of a majority.
 //
+// The coordinator's own log takes three appends per committed or aborted
+// transaction — BEGIN, the forced DECISION and, once every participant
+// has acked, the END that lets it forget the transaction — and two, BEGIN
+// and END, when every participant left read-only. END is never forced:
+// the forced-write counts above are the same with it as without.
+//
 // The same counts pin that a WAL checkpoint below its threshold costs no
 // forced write per transaction: a checkpoint is a forced write (the traced
 // log reports one), and the census stays far below the threshold.
@@ -105,16 +111,17 @@ func TestMessageCensus(t *testing.T) {
 		// rounds is the sequential round trips beyond the N execs.
 		rounds int
 		// logged is the decision records per transaction in the
-		// coordinator's own log (a replicated log's are its RepAccepts).
-		logged int
+		// coordinator's own log (a replicated log's are its RepAccepts),
+		// and appended all its records per transaction.
+		logged, appended int
 	}{
-		{name: "O2PC", protocol: proto.O2PC, perSite: []string{"ExecRequest", "VoteRequest", "Decision"}, rounds: 2, logged: 1},
-		{name: "O2PC+P1", protocol: proto.O2PC, marking: proto.MarkP1, perSite: []string{"ExecRequest", "VoteRequest", "Decision"}, rounds: 2, logged: 1},
+		{name: "O2PC", protocol: proto.O2PC, perSite: []string{"ExecRequest", "VoteRequest", "Decision"}, rounds: 2, logged: 1, appended: 3},
+		{name: "O2PC+P1", protocol: proto.O2PC, marking: proto.MarkP1, perSite: []string{"ExecRequest", "VoteRequest", "Decision"}, rounds: 2, logged: 1, appended: 3},
 		{name: "O2PC+P1/one-read-only", protocol: proto.O2PC, marking: proto.MarkP1, readOnly: 1,
-			perSite: []string{"ExecRequest", "VoteRequest", "Decision"}, rounds: 2, logged: 1},
+			perSite: []string{"ExecRequest", "VoteRequest", "Decision"}, rounds: 2, logged: 1, appended: 3},
 		{name: "O2PC+P1/all-read-only", protocol: proto.O2PC, marking: proto.MarkP1, readOnly: allReadOnly,
-			perSite: []string{"ExecRequest", "VoteRequest", "Decision"}, rounds: 1, logged: 0},
-		{name: "2PC", protocol: proto.TwoPC, perSite: []string{"ExecRequest", "Decision"}, rounds: 1, logged: 1},
+			perSite: []string{"ExecRequest", "VoteRequest", "Decision"}, rounds: 1, logged: 0, appended: 2},
+		{name: "2PC", protocol: proto.TwoPC, perSite: []string{"ExecRequest", "Decision"}, rounds: 1, logged: 1, appended: 3},
 		{name: "Paxos", protocol: proto.Paxos, replicas: replicas, perSite: []string{"ExecRequest", "Decision"},
 			perReplica: []string{"RepBegin", "RepAccept"}, rounds: 3},
 	} {
@@ -153,6 +160,10 @@ func TestMessageCensus(t *testing.T) {
 				if c.logged != tc.logged*txns {
 					t.Errorf("%d decision records for %d txns, want %d", c.logged, txns, tc.logged*txns)
 				}
+				if wantEnded := min(tc.appended, 1) * txns; c.appendedCommit != tc.appended*txns || c.ended != wantEnded {
+					t.Errorf("coordinator log: %d records, %d of them END, for %d txns; want %d and %d",
+						c.appendedCommit, c.ended, txns, tc.appended*txns, wantEnded)
+				}
 				wantCommit := forcedWrites(tc.protocol, n, readOnly, tc.replicas, true)
 				if got := c.forcedCommit; got != wantCommit.times(txns) {
 					t.Errorf("forced writes of %d committed txns: got %+v, want %+v each", txns, got, wantCommit)
@@ -161,6 +172,9 @@ func TestMessageCensus(t *testing.T) {
 					wantAbort := forcedWrites(tc.protocol, n, 0, tc.replicas, false)
 					if got := c.forcedAbort; got != wantAbort.times(txns) {
 						t.Errorf("forced writes of %d aborted txns: got %+v, want %+v each", txns, got, wantAbort)
+					}
+					if c.appendedAbort != tc.appended*txns {
+						t.Errorf("coordinator log: %d records for %d aborted txns, want %d", c.appendedAbort, txns, tc.appended*txns)
 					}
 				}
 			})
@@ -213,6 +227,10 @@ type censusResult struct {
 	msgs   map[string]int64 // messages of the committed transactions
 	rtts   []int            // each committed transaction's sequential round trips
 	logged int              // decision records the coordinator appended
+	ended  int              // END records the coordinator appended
+	// Records the coordinator appended for the committed transactions, and
+	// for the aborted ones.
+	appendedCommit, appendedAbort int
 	// Forced writes of the committed transactions, and of as many aborted
 	// ones run after them.
 	forcedCommit, forcedAbort forced
@@ -275,8 +293,15 @@ func census(t *testing.T, p proto.Protocol, m proto.MarkProtocol, n, readOnly, r
 	}
 	events := tr.Drain()
 	for _, ev := range events {
-		if ev.Node == "c0" && ev.Type == trace.EvWALAppend && strings.HasPrefix(ev.Detail, wal.RecDecision.String()) {
+		if ev.Node != "c0" || ev.Type != trace.EvWALAppend {
+			continue
+		}
+		c.appendedCommit++
+		switch {
+		case strings.HasPrefix(ev.Detail, wal.RecDecision.String()):
 			c.logged++
+		case ev.Detail == wal.RecEnd.String():
+			c.ended++
 		}
 	}
 	c.forcedCommit = countForced(events)
@@ -290,7 +315,13 @@ func census(t *testing.T, p proto.Protocol, m proto.MarkProtocol, n, readOnly, r
 	if err := cl.Quiesce(ctx); err != nil {
 		t.Fatalf("quiesce: %v", err)
 	}
-	c.forcedAbort = countForced(tr.Drain())
+	events = tr.Drain()
+	c.forcedAbort = countForced(events)
+	for _, ev := range events {
+		if ev.Node == "c0" && ev.Type == trace.EvWALAppend {
+			c.appendedAbort++
+		}
+	}
 	return c
 }
 

@@ -72,6 +72,7 @@ type Session struct {
 	spec SessionSpec
 
 	start time.Time
+	epoch uint64 // the coordinator's recovery epoch at OpenSession
 	state SessionState
 	round int
 
@@ -93,7 +94,8 @@ func (c *Coordinator) OpenSession(spec SessionSpec) (*Session, error) {
 	if id == "" {
 		id = c.nextID()
 	}
-	if c.Crashed() {
+	epoch, crashed := c.start()
+	if crashed {
 		return nil, ErrCrashed
 	}
 	if rec := c.cfg.Recorder; rec != nil {
@@ -111,6 +113,7 @@ func (c *Coordinator) OpenSession(spec SessionSpec) (*Session, error) {
 		id:      id,
 		spec:    spec,
 		start:   c.clock.Now(),
+		epoch:   epoch,
 		state:   SessionActive,
 		seen:    make(map[string]bool),
 		retries: markingRetries(spec.MarkingRetries),
@@ -181,7 +184,7 @@ func (s *Session) Round(ctx context.Context, subtxns []SubtxnSpec) (map[string]m
 		// Every site of the round — including the failing one, which may
 		// have applied the round even though the reply was lost — is in
 		// s.executed: the participant list grew before anything shipped.
-		c.decide(ctx, s.id, false, s.executed, s.spec.Marking)
+		c.decide(ctx, s.id, false, s.epoch, s.executed, s.spec.Marking)
 		s.settle(res)
 		return nil, err
 	}
@@ -210,15 +213,17 @@ func (s *Session) Commit(ctx context.Context) Result {
 	res := Result{ID: s.id, Reads: s.res.Reads, MarkRetries: s.res.MarkRetries}
 	if len(s.executed) == 0 {
 		// An empty session commits vacuously: nothing executed anywhere.
-		// decide still runs so the coordinator's decided set matches the
-		// reported outcome.
+		// decide still runs so the decision is reached and ended like any
+		// other, and a recovery that overtook the session aborts it.
 		res.Outcome = Committed
-		s.c.decide(ctx, s.id, true, nil, s.spec.Marking)
+		if !s.c.decide(ctx, s.id, true, s.epoch, nil, s.spec.Marking) {
+			res.Outcome, res.Err = AbortedCoordinator, ErrCrashed
+		}
 		s.settle(res)
 		return s.res
 	}
 	v := s.c.collectVotes(ctx, s.id, s.executed)
-	s.c.commitPoint(ctx, s.id, s.executed, v, s.spec.Marking, &res)
+	s.c.commitPoint(ctx, s.id, s.epoch, s.executed, v, s.spec.Marking, &res)
 	s.settle(res)
 	return s.res
 }
@@ -231,7 +236,7 @@ func (s *Session) Abort(ctx context.Context) Result {
 		return s.res
 	}
 	res := Result{ID: s.id, Outcome: AbortedClient, MarkRetries: s.res.MarkRetries}
-	s.c.decide(ctx, s.id, false, s.executed, s.spec.Marking)
+	s.c.decide(ctx, s.id, false, s.epoch, s.executed, s.spec.Marking)
 	s.settle(res)
 	return s.res
 }

@@ -127,7 +127,7 @@ type Leader struct {
 	deposed   bool
 	electing  bool            // an election is in flight
 	proposing map[string]bool // txn -> an accept ballot is in flight
-	chosen    map[string]bool // txn -> decision this leader got chosen
+	chosen    map[string]bool // txn -> decision this leader got chosen, until End
 	recovered map[string]*recoveredTxn
 }
 
@@ -175,6 +175,16 @@ func (l *Leader) Decide(ctx context.Context, id string, commit bool) (bool, erro
 // majority read cannot have been decided.
 func (l *Leader) PresumeAbort(ctx context.Context, id string) (bool, error) {
 	return l.propose(ctx, id, false)
+}
+
+// End forgets the transaction's chosen value at the leader; it sends
+// nothing. The acceptors keep their instances, so a later takeover reads
+// the value again and re-runs its accept ballot (see Snapshot).
+func (l *Leader) End(ctx context.Context, id string) error {
+	l.mu.Lock()
+	delete(l.chosen, id)
+	l.mu.Unlock()
+	return nil
 }
 
 // Snapshot is leader takeover: claim a fresh term from a majority, union

@@ -16,7 +16,10 @@
 //     compensation later erased;
 //   - marking hygiene (Fig. 2): once every decision is delivered and
 //     compensation has drained, no locally-committed marks remain, and
-//     every surviving undone mark names a globally aborted transaction.
+//     every surviving undone mark names a globally aborted transaction;
+//   - forgetting: once every decision is delivered, no up coordinator
+//     keeps a decided entry, and no up coordinator's local decision log a
+//     decision, for a transaction every participant acknowledged.
 package explore
 
 import (
@@ -538,9 +541,9 @@ func Run(cfg Config) *Result {
 	cancel()
 
 	// Final recovery pass: Recover rebuilds delivery state from the WAL,
-	// so this re-sends every logged decision (idempotently) and presumes
-	// abort for anything still undecided — no participant is left in
-	// doubt, no mark is left waiting on an undelivered decision.
+	// so this re-sends every logged decision not yet ended (idempotently)
+	// and presumes abort for anything still undecided — no participant is
+	// left in doubt, no mark is left waiting on an undelivered decision.
 	for i := 0; i < cfg.Coordinators; i++ {
 		rctx, rcancel := clock.WithTimeout(context.Background(), 2*time.Minute)
 		recordRecovery(fmt.Sprintf("final recovery pass, coordinator c%d", i),
@@ -610,6 +613,17 @@ func Run(cfg Config) *Result {
 				res.fail("undone mark at %s names %s, which did not abort (fate %v)",
 					s.Name(), ti, res.History.FateOf(ti))
 			}
+		}
+	}
+
+	// Oracle 5: forgetting. Every participant has acked every decision, so
+	// each coordinator must have ended and forgotten every transaction.
+	for i, c := range cl.Coordinators() {
+		if c.Crashed() {
+			continue
+		}
+		if ids := c.Unforgotten(); len(ids) > 0 {
+			res.fail("coordinator c%d still keeps %d fully-acknowledged transactions: %v", i, len(ids), ids)
 		}
 	}
 

@@ -122,6 +122,7 @@ type Txn struct {
 	mu      sync.Mutex
 	status  Status
 	updates []wal.Record // RecUpdate records, in issue order, for undo
+	endLSN  uint64       // LSN of the COMMIT (COMP-END) or ABORT record
 }
 
 // Begin starts a transaction at this site. For subtransactions of a global
@@ -456,11 +457,12 @@ func (t *Txn) Commit() error {
 	if t.kind == history.KindCompensating {
 		recType = wal.RecCompEnd
 	}
-	if _, err := t.m.log.Append(wal.Record{Type: recType, TxnID: t.id}); err != nil {
+	lsn, err := t.m.log.Append(wal.Record{Type: recType, TxnID: t.id})
+	if err != nil {
 		t.mu.Unlock()
 		return err
 	}
-	t.status = StatusCommitted
+	t.status, t.endLSN = StatusCommitted, lsn
 	t.mu.Unlock()
 
 	t.m.locks.ReleaseAll(t.id)
@@ -485,14 +487,15 @@ func (t *Txn) CommitDurable() error {
 	if t.kind == history.KindCompensating {
 		recType = wal.RecCompEnd
 	}
-	if _, err := t.m.log.Append(wal.Record{Type: recType, TxnID: t.id}); err != nil {
+	lsn, err := t.m.log.Append(wal.Record{Type: recType, TxnID: t.id})
+	if err != nil {
 		t.mu.Unlock()
 		return err
 	}
-	t.status = StatusCommitted
+	t.status, t.endLSN = StatusCommitted, lsn
 	t.mu.Unlock()
 
-	err := t.m.log.Sync()
+	err = t.m.log.Sync()
 	// Locks are released even when the sync fails (a failing log means the
 	// site is shutting down or broken; wedging every waiter helps nobody),
 	// but the error is reported so the vote does not claim durability.
@@ -540,17 +543,26 @@ func (t *Txn) Abort(attributeTo string) error {
 		}
 	}
 	wal.ApplyUndo(t.m.store, updates, attributeTo)
-	if _, err := t.m.log.Append(wal.Record{Type: wal.RecAbort, TxnID: t.id, Aux: attributeTo}); err != nil {
+	lsn, err := t.m.log.Append(wal.Record{Type: wal.RecAbort, TxnID: t.id, Aux: attributeTo})
+	if err != nil {
 		t.mu.Unlock()
 		return err
 	}
-	t.status = StatusAborted
+	t.status, t.endLSN = StatusAborted, lsn
 	t.mu.Unlock()
 
 	t.m.locks.AbortWaiter(t.id)
 	t.m.locks.ReleaseAll(t.id)
 	t.m.finish(t.id)
 	return nil
+}
+
+// EndLSN returns the LSN of the transaction's COMMIT (COMP-END) or ABORT
+// record, or 0 while it has none.
+func (t *Txn) EndLSN() uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.endLSN
 }
 
 // RunLocal executes fn as an independent local transaction under strict
