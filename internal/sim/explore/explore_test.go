@@ -173,10 +173,10 @@ func readOnlyExit(res *Result) bool {
 // pastes the digest the failing test prints, in a commit of its own.
 const (
 	goldenHistoryDigest   = "e7d815a7988f84d906f446cadea689cbcf92df4090d3b50517f509cf724774d2"
-	goldenTraceDigest     = "ce22226a06f42eeb579327c2ffc1e8be1d634191e901b6e083e9ed4c90569807"
-	goldenMultiShotDigest = "fc456d0d69a051bb43ff5dcb1ec29a69cc27809a6d8f72c8b325f69a2fb9faed"
-	goldenPaxosDigest     = "cc3790c023211f11f8eace8e31a8fc4fcdb2a374bb5f314369a9e02398b2a42c"
-	goldenSiteCrashDigest = "77a439042c017f24dfb89b69211e4c13a8db45fe68aa26250a061957a3469f08"
+	goldenTraceDigest     = "3759ed631008560ffcc6ab094f042c70eb9c756c94d2d7a49592eac795d231b8"
+	goldenMultiShotDigest = "1c4baf8653ea148da78183428741a20f362d8940b4d4868f372a16c98a434a0e"
+	goldenPaxosDigest     = "e610a14b15f7359370abb75456f2daf57732b50295c358a892687db21f07b44a"
+	goldenSiteCrashDigest = "7009107b04931468917389cee808056b04f4171f6a2ccce989c262cb6d5ce82e"
 )
 
 // pinDigest fails unless the SHA-256 of data is want. A mismatch is either
