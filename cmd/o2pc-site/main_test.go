@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -13,9 +16,113 @@ import (
 	"testing"
 	"time"
 
+	"o2pc/internal/coord"
+	"o2pc/internal/proto"
+	"o2pc/internal/rpc"
 	"o2pc/internal/storage"
 	"o2pc/internal/wal"
 )
+
+// childArgsEnv, when set, makes the test binary serve as the site binary
+// with these newline-separated arguments (see startSiteProcess).
+const childArgsEnv = "O2PC_SITE_CHILD_ARGS"
+
+func TestMain(m *testing.M) {
+	if args := os.Getenv(childArgsEnv); args != "" {
+		if err := run(context.Background(), strings.Split(args, "\n"), os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+var servingRe = regexp.MustCompile(`serving on (\S+)`)
+
+// startSiteProcess runs the site binary's run() with args in a child
+// process, so that it can be killed without a graceful shutdown, and
+// returns the process and its protocol address.
+func startSiteProcess(t *testing.T, args ...string) (*exec.Cmd, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), childArgsEnv+"="+strings.Join(args, "\n"))
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	})
+	lines := bufio.NewScanner(stdout)
+	for lines.Scan() {
+		if m := servingRe.FindStringSubmatch(lines.Text()); m != nil {
+			go io.Copy(io.Discard, stdout)
+			return cmd, m[1]
+		}
+	}
+	t.Fatalf("site process never served: %v", lines.Err())
+	return nil, ""
+}
+
+// TestKilledSiteKeepsDecisionCoordinatorForgot: a site over a file WAL acks
+// a 2PC commit, the coordinator forgets the transaction, and the site's
+// process is killed without a graceful shutdown. The restarted site must
+// find the decision in its log: a site left in doubt would ask a
+// coordinator that can only answer that it does not know, and would hold
+// the transaction's locks for ever.
+func TestKilledSiteKeepsDecisionCoordinatorForgot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s0.wal")
+	child, addr := startSiteProcess(t, "-name", "s0", "-listen", "127.0.0.1:0", "-wal", path, "-seed", "acct=100")
+
+	client := rpc.NewTCPClient(map[string]string{"s0": addr})
+	defer client.Close()
+	c := coord.New(coord.Config{Name: "c0"}, client)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res := c.Run(ctx, coord.TxnSpec{ID: "Tk", Protocol: proto.TwoPC, Subtxns: []coord.SubtxnSpec{
+		{Site: "s0", Ops: []proto.Operation{proto.Add("acct", 5)}},
+	}})
+	if !res.Committed() {
+		t.Fatalf("Tk: %v %v", res.Outcome, res.Err)
+	}
+	for c.Stats().Decided.Value() != 0 {
+		if ctx.Err() != nil {
+			t.Fatal("the coordinator never forgot Tk")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := child.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	child.Wait()
+
+	l, err := wal.OpenFileLog(path)
+	if err != nil {
+		t.Fatalf("open wal: %v", err)
+	}
+	store := storage.NewStore()
+	rr, err := wal.Recover(store, l)
+	l.Close()
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if len(rr.InDoubt) != 0 {
+		t.Fatalf("restart finds %v in doubt after the coordinator forgot it", rr.InDoubt)
+	}
+	rec, err := store.Get("acct")
+	if err != nil {
+		t.Fatalf("acct: %v", err)
+	}
+	if got := storage.MustDecodeInt64(rec.Value); got != 105 {
+		t.Fatalf("acct = %d after restart, want the committed 105", got)
+	}
+	runUntilServing(t, "-listen", "127.0.0.1:0", "-wal", path, "-recover")
+}
 
 // syncBuffer is a goroutine-safe stdout sink for run().
 type syncBuffer struct {
