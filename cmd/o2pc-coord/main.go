@@ -57,9 +57,11 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -162,6 +164,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		//o2pcvet:ignore errflow -- process-exit close of a read-side handle; appends were already synced
 		defer fl.Close()
 		cfg.Log = fl
+		// The log outlives the process, so recovery may ask the sites for
+		// the transactions it has no record of; with an in-memory log (and
+		// in-memory replicas) a restart cannot tell those from decided ones
+		// it lost.
+		cfg.Sites = slices.Sorted(maps.Keys(sites))
 	}
 	if protocol == proto.Paxos && *replicas == 0 {
 		*replicas = 3

@@ -27,9 +27,9 @@ const (
 	SessionAborted
 )
 
-// AcceptorState mirrors replog.AcceptorState: the per-transaction
-// consensus-instance state at a decision-log replica. Unlike the other
-// enums it starts at iota, so the zero value is a real member.
+// AcceptorState models a per-transaction consensus-instance state at a
+// decision-log replica. Unlike the other enums it starts at iota, so the
+// zero value is a real member.
 type AcceptorState uint8
 
 const (

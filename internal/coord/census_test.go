@@ -46,9 +46,11 @@ import (
 //     acceptors (F = 1 here), not the Paxos Commit column: the
 //     coordinator collects the votes and runs one ballot for the decision
 //     (RepAccept), where Paxos Commit runs one Paxos instance per
-//     participant's vote; and the BEGIN record is also replicated before
-//     the first exec (RepBegin), which costs one more round trip.
-//
+//     participant's vote. Nothing is replicated before the decision: the
+//     leader keeps the participant list until the accept carries it, and a
+//     takeover learns the undecided transactions from the sites, so no
+//     RepBegin is sent and the ballot is the one round trip Paxos adds.
+
 // Acks are counted because the coordinator waits for them before Run
 // returns; the decision itself is durable one round trip earlier.
 //
@@ -74,12 +76,13 @@ import (
 //     table has no O2PC column.
 //   - Read-only participants force nothing, and when every participant
 //     is read-only the coordinator logs no decision: 0 writes.
-//   - Paxos: N + 2(2F+1) per commit, where Paxos Commit has N+F+1, and
-//     N−1 + 2(2F+1) per abort. The participants force PREPARED as under
-//     2PC, but the leader keeps no log of its own; every one of the 2F+1
-//     acceptors forces the replicated BEGIN and then the decision's
-//     accept, one ballot per transaction where Paxos Commit runs one per
-//     participant and counts only the F+1 acceptors of a majority.
+//   - Paxos: N + (2F+1) per commit, where Paxos Commit has N+F+1, and
+//     N−1 + (2F+1) per abort. The participants force PREPARED as under
+//     2PC, the leader keeps no log of its own, and every one of the 2F+1
+//     acceptors forces the decision's accept. That is the remaining gap to
+//     Gray & Lamport's N+F+1: all 2F+1 acceptors force, where they count
+//     only the F+1 of a majority (and one ballot per transaction where
+//     Paxos Commit runs one per participant).
 //
 // The coordinator's own log takes three appends per committed or aborted
 // transaction — BEGIN, the forced DECISION and, once every participant
@@ -123,7 +126,7 @@ func TestMessageCensus(t *testing.T) {
 			perSite: []string{"ExecRequest", "VoteRequest", "Decision"}, rounds: 1, logged: 0, appended: 2},
 		{name: "2PC", protocol: proto.TwoPC, perSite: []string{"ExecRequest", "Decision"}, rounds: 1, logged: 1, appended: 3},
 		{name: "Paxos", protocol: proto.Paxos, replicas: replicas, perSite: []string{"ExecRequest", "Decision"},
-			perReplica: []string{"RepBegin", "RepAccept"}, rounds: 3},
+			perReplica: []string{"RepAccept"}, rounds: 2},
 	} {
 		for _, n := range []int{2, 3} {
 			tc, n := tc, n
@@ -190,7 +193,6 @@ var replyOf = map[string]string{
 	"ExecRequest": "ExecReply",
 	"VoteRequest": "VoteReply",
 	"Decision":    "Ack",
-	"RepBegin":    "RepReply",
 	"RepAccept":   "RepReply",
 }
 
@@ -213,9 +215,9 @@ func forcedWrites(p proto.Protocol, n, readOnly, replicas int, commit bool) forc
 	}
 	switch {
 	case p == proto.Paxos:
-		// Each acceptor syncs the BEGIN and the decision's accept; the
-		// leader keeps no log of its own.
-		f.replicas = 2 * replicas
+		// Each acceptor syncs the decision's accept; the leader keeps no
+		// log of its own.
+		f.replicas = replicas
 	case f.sites > 0 || !commit:
 		f.coord = 1 // the decision record
 	}

@@ -159,6 +159,13 @@ type Stats struct {
 	WALRecords  *metrics.Gauge
 	Checkpoints *metrics.Counter
 
+	// RecoveryOrphans counts the undecided transactions recovery learned
+	// of only from a site's scan, and presumed aborted.
+	RecoveryOrphans *metrics.Counter
+	// UnscannedSites gauges the sites whose recovery scan has not been
+	// answered yet; recovery retries them in the background.
+	UnscannedSites *metrics.Gauge
+
 	// voteRTT holds one histogram per participant measuring the
 	// prepare→vote round trip (VOTE-REQ send to vote receipt; under 2PC
 	// and Paxos the VOTE-REQ rides the exec, so this is the exec+vote round
@@ -169,19 +176,21 @@ type Stats struct {
 
 func newStats() *Stats {
 	return &Stats{
-		Commits:        &metrics.Counter{},
-		Aborts:         &metrics.Counter{},
-		MarkingAborts:  &metrics.Counter{},
-		MarkingRetries: &metrics.Counter{},
-		InFlight:       &metrics.Gauge{},
-		Latency:        metrics.NewHistogram(),
-		CommitLatency:  metrics.NewHistogram(),
-		PhaseCollect:   metrics.NewHistogram(),
-		PhaseDeliver:   metrics.NewHistogram(),
-		Decided:        &metrics.Gauge{},
-		WALRecords:     &metrics.Gauge{},
-		Checkpoints:    &metrics.Counter{},
-		voteRTT:        make(map[string]*metrics.Histogram),
+		Commits:         &metrics.Counter{},
+		Aborts:          &metrics.Counter{},
+		MarkingAborts:   &metrics.Counter{},
+		MarkingRetries:  &metrics.Counter{},
+		InFlight:        &metrics.Gauge{},
+		Latency:         metrics.NewHistogram(),
+		CommitLatency:   metrics.NewHistogram(),
+		PhaseCollect:    metrics.NewHistogram(),
+		PhaseDeliver:    metrics.NewHistogram(),
+		Decided:         &metrics.Gauge{},
+		WALRecords:      &metrics.Gauge{},
+		Checkpoints:     &metrics.Counter{},
+		RecoveryOrphans: &metrics.Counter{},
+		UnscannedSites:  &metrics.Gauge{},
+		voteRTT:         make(map[string]*metrics.Histogram),
 	}
 }
 
@@ -234,6 +243,10 @@ func (s *Stats) Publish(reg *metrics.Registry, prefix string) {
 	reg.SetHelp(prefix+"wal_records", "decision log records since its start (one checkpoint plus the tail)")
 	reg.Adopt(prefix+"checkpoints_total", s.Checkpoints)
 	reg.SetHelp(prefix+"checkpoints_total", "decision log checkpoints taken")
+	reg.Adopt(prefix+"recovery_orphans_total", s.RecoveryOrphans)
+	reg.SetHelp(prefix+"recovery_orphans_total", "undecided transactions recovery learned of only from a site, and presumed aborted")
+	reg.Adopt(prefix+"recovery_unscanned_sites", s.UnscannedSites)
+	reg.SetHelp(prefix+"recovery_unscanned_sites", "sites whose recovery scan has not answered yet")
 	for _, site := range s.voteRTTSites() {
 		reg.Adopt(prefix+metrics.Label("phase_prepare_vote_ms", "site", site), s.VoteRTT(site))
 	}
@@ -284,6 +297,15 @@ type Config struct {
 	// Tracer, when non-nil, records the coordinator's protocol steps
 	// (txn begin, vote round, decision, delivery) and its WAL writes.
 	Tracer *trace.Tracer
+	// Sites names the participants Recover asks for the undecided
+	// subtransactions this coordinator shipped (proto.ScanRequest): a
+	// transaction the decision log holds no record of — LocalLog's BEGIN
+	// is not forced, and a replicated log records nothing before the
+	// decision — is learned back from them and presumed aborted. Leave it
+	// empty when the decision log does not outlive the coordinator: a
+	// restart with an empty log cannot tell an undecided transaction from
+	// a decided one it lost.
+	Sites []string
 }
 
 const (
@@ -299,6 +321,10 @@ const (
 	// markingRetryDelay is the backoff before retrying a retryable R1
 	// rejection.
 	markingRetryDelay = time.Millisecond
+	// scanRetry paces recovery's background re-scans of a site the first
+	// scan could not reach, and scanTimeout bounds one scan.
+	scanRetry   = 5 * time.Millisecond
+	scanTimeout = time.Second
 )
 
 // Coordinator drives global transactions.
@@ -321,13 +347,22 @@ type Coordinator struct {
 	decided map[string]*decided
 	crashed bool
 	crash   func(txnID string, phase CrashPhase) bool
-	// epoch counts Recover passes. A run records it at its start; a run
-	// that a recovery overtook decides abort (see decide).
-	epoch uint64
-	// deciding holds the transactions whose run is between its epoch check
-	// and taking up its decision (see decide). A delivery does not forget
-	// them; the run delivers and forgets the decision itself.
+	// incarnation names this life of the coordinator: a clock instant at
+	// New, and one past it (at least) at every Recover. A run records it at
+	// its start and ships it on every ExecRequest; a run that a recovery
+	// overtook decides abort (see decide), and the sites refuse its execs
+	// once that recovery has scanned them.
+	incarnation uint64
+	// deciding holds the transactions whose run is between its incarnation
+	// check and taking up its decision (see decide). A delivery does not
+	// forget them; the run delivers and forgets the decision itself.
 	deciding map[string]bool
+	// holds counts the recoveries and scans under way. While one is, no
+	// transaction is forgotten: a site's scan may report a transaction
+	// decided since, and recovery must still find that decision rather
+	// than presume abort. The deferred forgets wait in held.
+	holds int
+	held  []heldForget
 	// unsynced indexes, by site and transaction, the acks whose record was
 	// not yet durable (see noteSynced).
 	unsynced map[string]map[string]unsyncedAck
@@ -353,19 +388,26 @@ func New(cfg Config, caller rpc.Caller) *Coordinator {
 	}
 	life, stop := context.WithCancel(context.Background())
 	return &Coordinator{
-		life:     life,
-		stop:     stop,
-		cfg:      cfg,
-		caller:   caller,
-		board:    board,
-		dlog:     dlog,
-		stats:    stats,
-		clock:    clock,
-		tracer:   cfg.Tracer,
-		decided:  make(map[string]*decided),
-		deciding: make(map[string]bool),
-		unsynced: make(map[string]map[string]unsyncedAck),
+		life:        life,
+		stop:        stop,
+		cfg:         cfg,
+		caller:      caller,
+		board:       board,
+		dlog:        dlog,
+		stats:       stats,
+		clock:       clock,
+		tracer:      cfg.Tracer,
+		decided:     make(map[string]*decided),
+		incarnation: nextIncarnation(0, clock.Now()),
+		deciding:    make(map[string]bool),
+		unsynced:    make(map[string]map[string]unsyncedAck),
 	}
+}
+
+// nextIncarnation returns an incarnation after prev: the clock instant, or
+// prev+1 when the clock has not moved past prev.
+func nextIncarnation(prev uint64, now time.Time) uint64 {
+	return max(prev+1, uint64(now.UnixNano()))
 }
 
 // Name returns the coordinator's node name.
@@ -487,12 +529,12 @@ func (c *Coordinator) Unforgotten() []string {
 	return slices.Compact(out)
 }
 
-// start returns the recovery epoch a run or session begins in, and whether
+// start returns the incarnation a run or session begins in, and whether
 // the coordinator is crashed.
-func (c *Coordinator) start() (epoch uint64, crashed bool) {
+func (c *Coordinator) start() (incarnation uint64, crashed bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.epoch, c.crashed
+	return c.incarnation, c.crashed
 }
 
 // nextID generates a transaction ID.

@@ -1,9 +1,9 @@
 package coord
 
 // The decision-durability seam. The coordinator's protocol logic never
-// touches a wal.Log directly: every durable step of a global transaction's
-// fate — the BEGIN intent, the decision, recovery's presumed aborts —
-// goes through a DecisionLog. Two implementations exist:
+// touches a wal.Log directly: every step of a global transaction's fate —
+// the BEGIN with its participants, the decision, recovery's presumed
+// aborts — goes through a DecisionLog. Two implementations exist:
 //
 //   - LocalLog (here): the classic single-coordinator decision log, a thin
 //     veneer over one wal.Log. Byte-for-byte the pre-seam behavior: same
@@ -39,9 +39,8 @@ type BeginRecord struct {
 	// Sites is the participant list recorded at BEGIN (the presumed-abort
 	// delivery set).
 	Sites []string
-	// Marking is the marking-protocol mnemonic recorded at BEGIN ("" for
-	// records predating marking).
-	Marking string
+	// Marking is the marking protocol recorded at BEGIN.
+	Marking proto.MarkProtocol
 }
 
 // DecisionLog stores global-transaction fates durably. Implementations
@@ -49,9 +48,10 @@ type BeginRecord struct {
 // coordinator locks held: a replicated implementation performs network
 // rounds inside these methods.
 type DecisionLog interface {
-	// Begin durably records the transaction's intent (participants and
-	// marking protocol) before any subtransaction ships — the write-ahead
-	// point recovery's presumed abort depends on.
+	// Begin records the transaction's participants and marking protocol,
+	// the delivery set of its decision. It need not be durable, and may
+	// be called again as the participants grow: recovery learns the
+	// undecided transactions from the sites as well (Coordinator.Recover).
 	Begin(ctx context.Context, id string, sites []string, marking proto.MarkProtocol) error
 	// Decide durably records the decision and returns the decision that
 	// took effect: a prior decision for the same transaction (a recovery
@@ -70,7 +70,7 @@ type DecisionLog interface {
 	// Unforced — a lost END only costs one idempotent re-delivery after a
 	// restart.
 	End(ctx context.Context, id string) error
-	// Snapshot returns every begun transaction and every decision in the
+	// Snapshot returns the begun transactions and the decisions in the
 	// log, leaving out the ended ones. The replicated implementation
 	// performs leader takeover here: it claims a fresh term, reads a
 	// majority of replicas, and finishes any decision that was
@@ -123,9 +123,9 @@ func NewLocalLog(name string, log wal.Log) *LocalLog {
 	}
 }
 
-// Begin appends the BEGIN record ("sites|marking" Aux). Durability is
-// deferred to the decision's sync, exactly as before the seam: losing a
-// BEGIN to a crash costs nothing (no decision record implies abort).
+// Begin appends the BEGIN record ("sites|marking" Aux), unforced: the
+// decision's sync makes it durable. A crash before that loses it, and
+// recovery learns the transaction from the sites instead.
 func (l *LocalLog) Begin(ctx context.Context, id string, sites []string, marking proto.MarkProtocol) error {
 	lsn, err := l.wal.Append(wal.Record{
 		Type:  wal.RecBegin,
@@ -224,7 +224,7 @@ func (l *LocalLog) Snapshot(ctx context.Context) ([]BeginRecord, map[string]bool
 		switch rec.Type {
 		case wal.RecBegin:
 			sites, marking := splitBeginAux(rec.Aux)
-			begun = append(begun, BeginRecord{TxnID: rec.TxnID, Sites: sites, Marking: marking})
+			begun = append(begun, BeginRecord{TxnID: rec.TxnID, Sites: sites, Marking: proto.ParseMarkProtocol(marking)})
 			delete(ended, rec.TxnID)
 		case wal.RecDecision:
 			decisions[rec.TxnID], _ = wal.ParseDecision(rec.Aux) // anything else reads as abort

@@ -3,7 +3,9 @@ package coord
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -58,7 +60,7 @@ func (c *Coordinator) run(ctx context.Context, spec TxnSpec) Result {
 	if rec := c.cfg.Recorder; rec != nil {
 		rec.Declare(id, history.KindGlobal, "")
 	}
-	epoch, crashed := c.start()
+	inc, crashed := c.start()
 	if crashed {
 		res.Outcome = AbortedCoordinator
 		res.Err = ErrCrashed
@@ -69,10 +71,11 @@ func (c *Coordinator) run(ctx context.Context, spec TxnSpec) Result {
 	sites := execSites(spec)
 	c.tracer.Emit(c.cfg.Name, trace.EvTxnBegin, id, "",
 		spec.Protocol.String()+"/"+spec.Marking.String()+" sites="+strings.Join(sites, ","))
-	// Write-ahead: without a durable BEGIN, recovery could not presume
-	// abort for this transaction — so an unloggable BEGIN aborts the run
-	// before any subtransaction ships. (Replicated logs require a majority
-	// of replicas to hold the BEGIN before returning.)
+	// The BEGIN records the participants, the decision's delivery set. It
+	// is not a write-ahead point: LocalLog does not force it, and a
+	// replicated log keeps it in memory until the decision. A recovery
+	// that finds no record of this transaction learns it from the sites
+	// instead, by the incarnation every exec carries (Recover).
 	if err := c.dlog.Begin(ctx, id, sites, spec.Marking); err != nil {
 		res.Outcome = AbortedCoordinator
 		res.Err = fmt.Errorf("coord: logging begin for %s: %w", id, err)
@@ -86,10 +89,11 @@ func (c *Coordinator) run(ctx context.Context, spec TxnSpec) Result {
 	// hold time) of its own. O2PC cannot do this: its YES exposes the
 	// subtransaction, which must wait until every sibling has executed.
 	req := proto.ExecRequest{
-		TxnID:    id,
-		Protocol: spec.Protocol,
-		Marking:  spec.Marking,
-		Vote:     spec.Protocol.KeepsLocksAtVote(),
+		TxnID:       id,
+		Protocol:    spec.Protocol,
+		Marking:     spec.Marking,
+		Vote:        spec.Protocol.KeepsLocksAtVote(),
+		Incarnation: inc,
 	}
 	var collectStart time.Time
 	if req.Vote {
@@ -104,7 +108,7 @@ func (c *Coordinator) run(ctx context.Context, spec TxnSpec) Result {
 		// included in the abort delivery — it may have executed the
 		// subtransaction even though its reply was lost (decisions are
 		// idempotent, so a site that never saw the request just acks).
-		c.decide(ctx, id, false, epoch, sites[:n+1], spec.Marking)
+		c.decide(ctx, id, false, inc, sites[:n+1], spec.Marking)
 		return res
 	}
 	if req.Vote {
@@ -112,7 +116,7 @@ func (c *Coordinator) run(ctx context.Context, spec TxnSpec) Result {
 	} else {
 		v = c.collectVotes(ctx, id, sites)
 	}
-	c.commitPoint(ctx, id, epoch, sites[:n], v, spec.Marking, &res)
+	c.commitPoint(ctx, id, inc, sites[:n], v, spec.Marking, &res)
 	return res
 }
 
@@ -186,8 +190,8 @@ func (c *Coordinator) execSubtxns(ctx context.Context, req proto.ExecRequest, su
 // commitPoint decides a transaction whose votes are in: it drops the
 // read-only participants, fires the after-votes crash point, and logs and
 // delivers the decision. It fills res.Outcome (and res.Err on coordinator
-// failure). epoch is the recovery epoch the transaction began in.
-func (c *Coordinator) commitPoint(ctx context.Context, id string, epoch uint64, executed []string, v votes, marking proto.MarkProtocol, res *Result) {
+// failure). inc is the incarnation the transaction began in.
+func (c *Coordinator) commitPoint(ctx context.Context, id string, inc uint64, executed []string, v votes, marking proto.MarkProtocol, res *Result) {
 	// Read-only participants have left the protocol; decisions go only to
 	// the rest. The filtered list is a fresh slice: executed may alias the
 	// run's site list.
@@ -212,10 +216,10 @@ func (c *Coordinator) commitPoint(ctx context.Context, id string, epoch uint64, 
 
 	if v.no {
 		res.Outcome = AbortedVote
-		c.decide(ctx, id, false, epoch, executed, marking)
+		c.decide(ctx, id, false, inc, executed, marking)
 		return
 	}
-	if c.decide(ctx, id, true, epoch, executed, marking) {
+	if c.decide(ctx, id, true, inc, executed, marking) {
 		res.Outcome = Committed
 	} else {
 		// A recovery ran while this transaction was still in flight and
@@ -344,17 +348,17 @@ func (c *Coordinator) voteReceived(id, site string, sent time.Time, vote proto.V
 //
 // A recovery that decided the transaction may also have delivered and
 // forgotten it already, leaving nothing to adopt. So a run that a recovery
-// overtook — epoch, the one it began in, is no longer current — decides
-// abort: that is what such a recovery presumed, and a transaction no
-// recovery saw may be aborted anyway, since nothing was decided for it. A
-// recovery that starts after the epoch check cannot forget its presumed
-// abort before the run has taken it up: the run is marked deciding until
-// then, and forgetIfDone leaves the END of a deciding transaction to the
-// run.
-func (c *Coordinator) decide(ctx context.Context, id string, commit bool, epoch uint64, executed []string, marking proto.MarkProtocol) bool {
+// overtook — inc, the incarnation it began in, is no longer current —
+// decides abort: that is what such a recovery presumed, and a transaction
+// no recovery saw may be aborted anyway, since nothing was decided for it.
+// A recovery that starts after the incarnation check cannot forget its
+// presumed abort before the run has taken it up: the run is marked deciding
+// until then, and forgetIfDone leaves the END of a deciding transaction to
+// the run.
+func (c *Coordinator) decide(ctx context.Context, id string, commit bool, inc uint64, executed []string, marking proto.MarkProtocol) bool {
 	c.mu.Lock()
 	if commit {
-		commit = epoch == c.epoch
+		commit = inc == c.incarnation
 	}
 	c.deciding[id] = true
 	c.mu.Unlock()
@@ -506,11 +510,16 @@ func (c *Coordinator) deliverDecision(ctx context.Context, id string, d *decided
 // forgetIfDone logs END for id and forgets it once every participant has
 // acked the decision and reported its record of it durable: no participant
 // is in doubt about it then, so none will ask (see Handle). A P1 abort
-// waits for its marked-site set to be final, and a transaction whose run
-// is still deciding waits for the run (see decide).
+// waits for its marked-site set to be final, a transaction whose run is
+// still deciding waits for the run (see decide), and while a recovery or
+// a scan is under way the forget waits in held (see hold).
 func (c *Coordinator) forgetIfDone(ctx context.Context, id string, d *decided) {
 	c.mu.Lock()
 	done := len(d.pending) == 0 && d.unsynced == 0 && !d.trackMarks && !d.ended && !c.deciding[id]
+	if done && c.holds > 0 {
+		c.held = append(c.held, heldForget{id: id, d: d})
+		done = false
+	}
 	if done {
 		d.ended = true // end exactly once
 		if c.decided[id] == d {
@@ -521,6 +530,38 @@ func (c *Coordinator) forgetIfDone(ctx context.Context, id string, d *decided) {
 	c.mu.Unlock()
 	if done {
 		c.end(ctx, id)
+	}
+}
+
+// heldForget is a forget deferred while recovery holds forgetting.
+type heldForget struct {
+	id string
+	d  *decided
+}
+
+// hold stops forgetting until the matching release. A site's scan reply is
+// a snapshot: a transaction it reports may be decided, delivered, acked and
+// forgotten before the reply is acted on, and then recovery would presume
+// abort over a decision it no longer holds. Holding forgets from before the
+// decision log is read, or the scan sent, until the reports are acted on
+// keeps every such decision where recovery looks for it.
+func (c *Coordinator) hold() {
+	c.mu.Lock()
+	c.holds++
+	c.mu.Unlock()
+}
+
+// release ends a hold and, with the last one, runs the forgets it held.
+func (c *Coordinator) release(ctx context.Context) {
+	c.mu.Lock()
+	c.holds--
+	var held []heldForget
+	if c.holds == 0 {
+		held, c.held = c.held, nil
+	}
+	c.mu.Unlock()
+	for _, h := range held {
+		c.forgetIfDone(ctx, h.id, h.d)
 	}
 }
 
@@ -635,14 +676,31 @@ func (c *Coordinator) confirmLater(ctx context.Context, id, site string, d *deci
 // presumed aborted (their participants may be blocked waiting — this is
 // the moment 2PC participants finally unblock), and decided-but-
 // undelivered transactions have their decisions re-sent.
+//
+// The undecided transactions are those the decision log holds a BEGIN but
+// no decision for, and those the sites report (scan) that an older
+// incarnation shipped and that have no decision: the log may hold no
+// record of them, since LocalLog's BEGIN is not forced and a replicated
+// log records nothing before the decision. Every site in Config.Sites is
+// scanned before runs are admitted; one that cannot be reached is retried
+// in the background (rescan).
 func (c *Coordinator) Recover(ctx context.Context) error {
 	c.tracer.Emit(c.cfg.Name, trace.EvRecover, "", "", "")
-	// A new epoch before the log is read: a run still in flight decides
-	// abort from here on (see decide), so any decision that lands after
-	// the read agrees with the presumed aborts below.
+	// A new incarnation before the log is read: a run still in flight
+	// decides abort from here on (see decide), so any decision that lands
+	// after the read agrees with the presumed aborts below.
 	c.mu.Lock()
-	c.epoch++
+	c.incarnation = nextIncarnation(c.incarnation, c.clock.Now())
+	inc := c.incarnation
 	c.mu.Unlock()
+	// Forgetting is held until the presumed aborts are logged (see hold).
+	c.hold()
+	held := true
+	defer func() {
+		if held {
+			c.release(ctx)
+		}
+	}()
 	// With a replicated decision log this is leader takeover: Snapshot
 	// claims a fresh term, reads a majority of replicas, and finishes any
 	// decision that was majority-acked but possibly undelivered — those
@@ -651,22 +709,44 @@ func (c *Coordinator) Recover(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	begun := make(map[string][]string, len(begunRecs))
-	wasP1 := make(map[string]bool, len(begunRecs))
+	begun := make(map[string]BeginRecord, len(begunRecs))
 	for _, b := range begunRecs {
-		begun[b.TxnID] = b.Sites
-		wasP1[b.TxnID] = b.Marking != "" && b.Marking != proto.MarkNone.String()
+		// A session re-logs its BEGIN as it grows; a presumed abort's BEGIN
+		// may name only the site that reported it. The delivery set is the
+		// union.
+		b.Sites = unionSites(begun[b.TxnID].Sites, b.Sites)
+		begun[b.TxnID] = b
+	}
+	reports, unscanned := c.scanAll(ctx, inc)
+	orphans := make(map[string]bool)
+	for i, site := range c.cfg.Sites {
+		for _, t := range reports[i] {
+			b, ok := begun[t.TxnID]
+			if !ok {
+				if _, decided := decidedLog[t.TxnID]; !decided {
+					if t.Incarnation >= inc {
+						continue // a run of this incarnation
+					}
+					orphans[t.TxnID] = true
+				}
+				b = BeginRecord{TxnID: t.TxnID, Marking: t.Marking}
+			}
+			b.Sites = unionSites(b.Sites, []string{site})
+			begun[t.TxnID] = b
+		}
 	}
 
 	c.mu.Lock()
 	c.crashed = false
 	clear(c.unsynced)
+	c.stats.UnscannedSites.Set(int64(len(unscanned)))
 	// Rebuild the decided set from the log; in-memory ack state is lost,
 	// so every participant of every decided transaction not yet ended is
 	// re-notified (decisions are idempotent at the sites, and the Marked
 	// flags on the fresh acks rebuild the UDUM1 board's view).
 	for id, commit := range decidedLog {
-		c.decided[id] = newDecided(commit, wasP1[id], begun[id])
+		b := begun[id]
+		c.decided[id] = newDecided(commit, b.Marking != proto.MarkNone, b.Sites)
 	}
 	c.stats.Decided.Set(int64(len(c.decided)))
 	var presume []string
@@ -686,6 +766,8 @@ func (c *Coordinator) Recover(ctx context.Context) error {
 	// decision, once made, is final. The decision log resolves the
 	// remaining race window itself (PresumeAbort returns the decision that
 	// actually took effect), so a run's commit can never be contradicted.
+	// The BEGIN is logged again first, so the log holds the delivery set
+	// the sites reported.
 	for _, id := range presume {
 		c.mu.Lock()
 		_, ok := c.decided[id]
@@ -693,21 +775,29 @@ func (c *Coordinator) Recover(ctx context.Context) error {
 		if ok {
 			continue
 		}
+		b := begun[id]
+		if err := c.dlog.Begin(ctx, id, b.Sites, b.Marking); err != nil {
+			return fmt.Errorf("coord %s: logging begin for %s: %w", c.cfg.Name, id, err)
+		}
 		chosen, err := c.dlog.PresumeAbort(ctx, id)
 		if err != nil {
 			return fmt.Errorf("coord %s: logging presumed abort for %s: %w", c.cfg.Name, id, err)
 		}
-		if c.adoptPrior(id, nil, newDecided(chosen, wasP1[id], begun[id])) != nil {
+		if c.adoptPrior(id, nil, newDecided(chosen, b.Marking != proto.MarkNone, b.Sites)) != nil {
 			continue
 		}
-		detail := "abort presumed"
-		if chosen {
-			detail = wal.DecisionAux(chosen)
-		}
-		c.reached(id, chosen, detail)
+		c.presumed(id, chosen, orphans[id])
 	}
 	if err := c.dlog.Sync(ctx); err != nil {
 		return fmt.Errorf("coord %s: syncing presumed aborts: %w", c.cfg.Name, err)
+	}
+	held = false
+	c.release(ctx)
+
+	for _, site := range unscanned {
+		site := site
+		//o2pcvet:ignore goleak -- it ends once the site answers, at Close, or when a crash or a later recovery supersedes it
+		c.clock.Go(func() { c.rescan(c.life, site, inc) })
 	}
 
 	// Re-deliver everything not yet ended, in deterministic id order. A
@@ -732,6 +822,142 @@ func (c *Coordinator) Recover(ctx context.Context) error {
 	}
 	g.Wait()
 	return nil
+}
+
+// presumed reports a presumed abort that took effect, or the decision a
+// racing run made instead; orphan counts an abort the sites alone told of.
+func (c *Coordinator) presumed(id string, chosen, orphan bool) {
+	detail := "abort presumed"
+	if chosen {
+		detail = wal.DecisionAux(chosen)
+	} else if orphan {
+		c.stats.RecoveryOrphans.Inc()
+	}
+	c.reached(id, chosen, detail)
+}
+
+// scanAll scans every site of Config.Sites at once, returning each one's
+// report by index and, in order, the sites that did not answer.
+func (c *Coordinator) scanAll(ctx context.Context, inc uint64) ([][]proto.ScanTxn, []string) {
+	reports := make([][]proto.ScanTxn, len(c.cfg.Sites))
+	failed := make([]bool, len(c.cfg.Sites))
+	g := sim.NewGroup(c.clock)
+	for i, site := range c.cfg.Sites {
+		i, site := i, site
+		g.Go(func() {
+			var err error
+			reports[i], err = c.scan(ctx, site, inc)
+			failed[i] = err != nil
+		})
+	}
+	g.Wait()
+	var unscanned []string
+	for i, site := range c.cfg.Sites {
+		if failed[i] {
+			unscanned = append(unscanned, site)
+		}
+	}
+	return reports, unscanned
+}
+
+// scan asks site for the undecided subtransactions this coordinator
+// shipped, and raises the site's incarnation floor for it to inc.
+func (c *Coordinator) scan(ctx context.Context, site string, inc uint64) ([]proto.ScanTxn, error) {
+	cctx, cancel := c.clock.WithTimeout(ctx, scanTimeout)
+	defer cancel()
+	raw, err := c.caller.Call(cctx, c.cfg.Name, site, proto.ScanRequest{Incarnation: inc})
+	if err == nil {
+		if rep, ok := raw.(proto.ScanReply); ok {
+			c.tracer.Emit(c.cfg.Name, trace.EvRecoverScan, "", site, "txns="+strconv.Itoa(len(rep.Txns)))
+			return rep.Txns, nil
+		}
+		err = fmt.Errorf("coord: scan of %s: unexpected reply %T", site, raw)
+	}
+	c.tracer.Emit(c.cfg.Name, trace.EvRecoverScan, "", site, "unreachable")
+	return nil, err
+}
+
+// rescan retries the recovery scan of a site the recovery of incarnation
+// inc could not reach, until the site answers, then presumes abort for the
+// orphans it reports and delivers their decisions, as Recover does. It
+// gives up when the coordinator crashes or a later recovery, which scans
+// the site itself, supersedes inc.
+func (c *Coordinator) rescan(ctx context.Context, site string, inc uint64) {
+	for c.clock.Sleep(ctx, scanRetry) == nil {
+		c.hold()
+		done := c.rescanOnce(ctx, site, inc)
+		c.release(ctx)
+		if done {
+			return
+		}
+	}
+}
+
+// rescanOnce is one attempt of rescan, run under a hold (see hold). It
+// reports whether rescan is over.
+func (c *Coordinator) rescanOnce(ctx context.Context, site string, inc uint64) bool {
+	if c.superseded(inc) {
+		return true
+	}
+	txns, err := c.scan(ctx, site, inc)
+	if err != nil {
+		return false
+	}
+	c.mu.Lock()
+	current := !c.crashed && c.incarnation == inc
+	if current {
+		c.stats.UnscannedSites.Dec()
+	}
+	c.mu.Unlock()
+	if !current {
+		return true
+	}
+	sites := []string{site}
+	for _, t := range txns {
+		if t.Incarnation >= inc {
+			continue
+		}
+		d := c.adoptPrior(t.TxnID, sites, nil)
+		if d == nil {
+			if c.dlog.Begin(ctx, t.TxnID, sites, t.Marking) != nil {
+				return true // the log failed: the coordinator is as good as crashed
+			}
+			chosen, err := c.dlog.PresumeAbort(ctx, t.TxnID)
+			if err == nil {
+				err = c.dlog.Sync(ctx)
+			}
+			if err != nil {
+				return true
+			}
+			d = newDecided(chosen, t.Marking != proto.MarkNone, sites)
+			if prior := c.adoptPrior(t.TxnID, sites, d); prior != nil {
+				d = prior
+			} else {
+				c.presumed(t.TxnID, chosen, true)
+			}
+		}
+		c.deliverDecision(ctx, t.TxnID, d)
+	}
+	return true
+}
+
+// superseded reports whether the coordinator crashed or recovered again
+// since the recovery of incarnation inc.
+func (c *Coordinator) superseded(inc uint64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.crashed || c.incarnation != inc
+}
+
+// unionSites returns a with the sites of b it lacks appended, in a fresh
+// slice when any are.
+func unionSites(a, b []string) []string {
+	for _, s := range b {
+		if !slices.Contains(a, s) {
+			a = append(slices.Clip(a), s)
+		}
+	}
+	return a
 }
 
 // splitBeginAux parses a RecBegin Aux of the form "s0,s1|P1".

@@ -72,7 +72,7 @@ type Session struct {
 	spec SessionSpec
 
 	start time.Time
-	epoch uint64 // the coordinator's recovery epoch at OpenSession
+	inc   uint64 // the coordinator's incarnation at OpenSession
 	state SessionState
 	round int
 
@@ -85,16 +85,17 @@ type Session struct {
 }
 
 // OpenSession opens a multi-shot session. The BEGIN record is logged
-// immediately (with the — still empty — participant list) so a coordinator
-// crash at any later point presumes abort for the session; every round that
-// grows the participant set re-logs the BEGIN, which recovery reads as an
-// overwrite (last record wins).
+// immediately, with the still empty participant list; every round that
+// grows the participant set logs it again, and the decision is delivered
+// to the last list. A coordinator crash at any later point presumes abort
+// for the session: recovery finds the BEGIN, or learns the session from
+// the sites that hold its open subtransactions.
 func (c *Coordinator) OpenSession(spec SessionSpec) (*Session, error) {
 	id := spec.ID
 	if id == "" {
 		id = c.nextID()
 	}
-	epoch, crashed := c.start()
+	inc, crashed := c.start()
 	if crashed {
 		return nil, ErrCrashed
 	}
@@ -113,7 +114,7 @@ func (c *Coordinator) OpenSession(spec SessionSpec) (*Session, error) {
 		id:      id,
 		spec:    spec,
 		start:   c.clock.Now(),
-		epoch:   epoch,
+		inc:     inc,
 		state:   SessionActive,
 		seen:    make(map[string]bool),
 		retries: markingRetries(spec.MarkingRetries),
@@ -127,8 +128,8 @@ func (s *Session) ID() string { return s.id }
 func (s *Session) State() SessionState { return s.state }
 
 // Round ships one round of per-site work. New sites join the session (the
-// durable participant list is re-logged first, so presumed abort reaches
-// them after a crash); sites already visited get the round as a
+// participant list is re-logged first, so the decision's delivery set
+// covers them); sites already visited get the round as a
 // continuation of their open subtransaction. Subtransactions ship
 // sequentially, threading the accumulated transmarks exactly as rule R1
 // requires of the one-shot path. The returned map carries this round's
@@ -147,15 +148,14 @@ func (s *Session) Round(ctx context.Context, subtxns []SubtxnSpec) (map[string]m
 	c := s.c
 	if c.Crashed() {
 		// The process is gone: no decision can be made here. Recovery will
-		// presume abort from the logged BEGIN.
+		// presume abort.
 		s.settle(Result{ID: s.id, Outcome: AbortedCoordinator, Err: ErrCrashed})
 		return nil, ErrCrashed
 	}
 	s.round++
 
-	// Grow the durable participant list before any new site executes: if
-	// the coordinator dies after the site does work but before the next
-	// BEGIN lands, recovery must still know to send it the presumed abort.
+	// Grow the participant list before any new site executes, so the
+	// decision is delivered to every site that did work.
 	grew := false
 	for _, st := range subtxns {
 		if !s.seen[st.Site] {
@@ -177,14 +177,15 @@ func (s *Session) Round(ctx context.Context, subtxns []SubtxnSpec) (map[string]m
 	// A session round is round s.round of the exec loop, never carrying the
 	// VOTE-REQ: the session's vote round runs at Commit.
 	res := Result{ID: s.id}
-	req := proto.ExecRequest{TxnID: s.id, Protocol: s.spec.Protocol, Marking: s.spec.Marking, Round: s.round}
+	req := proto.ExecRequest{TxnID: s.id, Protocol: s.spec.Protocol, Marking: s.spec.Marking,
+		Round: s.round, Incarnation: s.inc}
 	if _, err := c.execSubtxns(ctx, req, subtxns, s.retries, &s.marks, nil, &res); err != nil {
 		res.MarkRetries += s.res.MarkRetries
 		res.Reads = s.res.Reads
 		// Every site of the round — including the failing one, which may
 		// have applied the round even though the reply was lost — is in
 		// s.executed: the participant list grew before anything shipped.
-		c.decide(ctx, s.id, false, s.epoch, s.executed, s.spec.Marking)
+		c.decide(ctx, s.id, false, s.inc, s.executed, s.spec.Marking)
 		s.settle(res)
 		return nil, err
 	}
@@ -216,14 +217,14 @@ func (s *Session) Commit(ctx context.Context) Result {
 		// decide still runs so the decision is reached and ended like any
 		// other, and a recovery that overtook the session aborts it.
 		res.Outcome = Committed
-		if !s.c.decide(ctx, s.id, true, s.epoch, nil, s.spec.Marking) {
+		if !s.c.decide(ctx, s.id, true, s.inc, nil, s.spec.Marking) {
 			res.Outcome, res.Err = AbortedCoordinator, ErrCrashed
 		}
 		s.settle(res)
 		return s.res
 	}
 	v := s.c.collectVotes(ctx, s.id, s.executed)
-	s.c.commitPoint(ctx, s.id, s.epoch, s.executed, v, s.spec.Marking, &res)
+	s.c.commitPoint(ctx, s.id, s.inc, s.executed, v, s.spec.Marking, &res)
 	s.settle(res)
 	return s.res
 }
@@ -236,7 +237,7 @@ func (s *Session) Abort(ctx context.Context) Result {
 		return s.res
 	}
 	res := Result{ID: s.id, Outcome: AbortedClient, MarkRetries: s.res.MarkRetries}
-	s.c.decide(ctx, s.id, false, s.epoch, s.executed, s.spec.Marking)
+	s.c.decide(ctx, s.id, false, s.inc, s.executed, s.spec.Marking)
 	s.settle(res)
 	return s.res
 }

@@ -128,6 +128,7 @@ func NewCluster(cfg Config) *Cluster {
 		cl.network.Register(name, s.Handle)
 		cl.sites = append(cl.sites, s)
 	}
+	siteNames := cl.SiteNames()
 	var replicaNames []string
 	for i := 0; i < cfg.Replicas; i++ {
 		name := fmt.Sprintf("r%d", i)
@@ -161,6 +162,7 @@ func NewCluster(cfg Config) *Cluster {
 			Clock:       clock,
 			Tracer:      cfg.Tracer,
 			DecisionLog: dlog,
+			Sites:       siteNames,
 		}, cl.network)
 		cl.network.Register(name, c.Handle)
 		cl.coords = append(cl.coords, c)

@@ -86,6 +86,21 @@ const (
 	MarkSimple
 )
 
+// ParseMarkProtocol inverts MarkProtocol.String. Unknown spellings read as
+// MarkNone.
+func ParseMarkProtocol(s string) MarkProtocol {
+	switch s {
+	case "P1":
+		return MarkP1
+	case "P2":
+		return MarkP2
+	case "simple":
+		return MarkSimple
+	default:
+		return MarkNone
+	}
+}
+
 // String returns the marking-protocol mnemonic.
 func (m MarkProtocol) String() string {
 	switch m {
@@ -233,6 +248,12 @@ type ExecRequest struct {
 	// read-only exit, released read locks — as a stand-alone VOTE-REQ may.
 	// A vote riding an earlier exec keeps every lock until the decision.
 	Last bool
+	// Incarnation names the coordinator incarnation that shipped the
+	// request. A recovering coordinator presumes abort for the undecided
+	// subtransactions of its older incarnations that the sites report
+	// (ScanRequest), and a site refuses an exec from an incarnation older
+	// than the latest scan's.
+	Incarnation uint64
 }
 
 // ExecReply reports subtransaction execution.
@@ -329,9 +350,11 @@ type ResolveReply struct {
 	Commit bool
 }
 
-// RepBegin replicates a coordinator's BEGIN record to one decision-log
-// replica ahead of the first subtransaction: without a majority-durable
-// BEGIN, a takeover leader could not presume abort for the transaction.
+// RepBegin once replicated a coordinator's BEGIN record ahead of the
+// first subtransaction. Nothing sends it now: a decision's RepAccept
+// carries the participant list, and a takeover learns the undecided
+// transactions from the sites (ScanRequest). The type stays for the
+// benchmark module's message classification, which names it.
 type RepBegin struct {
 	Group   string // leader group the record belongs to (coordinator name)
 	Term    uint64 // leader term proposing the record
@@ -343,15 +366,18 @@ type RepBegin struct {
 // RepAccept is the Paxos phase-2a message: the leader proposes the
 // decision value for one transaction at its term. A majority of OK
 // replies makes the decision chosen — only then may the DECISION message
-// be sent to participants.
+// be sent to participants. Sites and Marking ride along, so a takeover's
+// majority read finds every accepted decision's delivery set.
 type RepAccept struct {
-	Group  string
-	Term   uint64
-	TxnID  string
-	Commit bool
+	Group   string
+	Term    uint64
+	TxnID   string
+	Commit  bool
+	Sites   []string
+	Marking MarkProtocol
 }
 
-// RepReply acknowledges RepBegin or RepAccept. OK reports acceptance;
+// RepReply acknowledges RepAccept. OK reports acceptance;
 // Term returns the replica's current term for the group (on a nack, the
 // term that deposed the sender).
 type RepReply struct {
@@ -367,15 +393,14 @@ type RepNewTerm struct {
 	Term  uint64
 }
 
-// RepTxnState is one transaction's acceptor state, returned in the
-// phase-1b grant so a takeover leader can finish in-flight transactions.
+// RepTxnState is one transaction's accepted value at a replica, returned
+// in the phase-1b grant so a takeover leader can finish it.
 type RepTxnState struct {
-	TxnID    string
-	Sites    []string
-	Marking  MarkProtocol
-	Accepted bool   // an accepted decision value exists
-	AccTerm  uint64 // term at which the value was accepted
-	Commit   bool   // the accepted value
+	TxnID   string
+	Sites   []string
+	Marking MarkProtocol
+	AccTerm uint64 // term at which the value was accepted
+	Commit  bool   // the accepted value
 }
 
 // RepNewTermReply grants or refuses a term claim; on grant, Txns carries
@@ -384,6 +409,28 @@ type RepNewTermReply struct {
 	OK   bool
 	Term uint64
 	Txns []RepTxnState
+}
+
+// ScanRequest asks a site, on behalf of a recovering coordinator (the
+// sender), for every subtransaction of that coordinator the site holds
+// undecided. Incarnation is the recovering coordinator's: from now on the
+// site refuses an ExecRequest of that coordinator carrying an older one.
+type ScanRequest struct {
+	Incarnation uint64
+}
+
+// ScanTxn is one undecided subtransaction a site reports: executed,
+// prepared or locally committed, with its marking protocol and the
+// coordinator incarnation that shipped it.
+type ScanTxn struct {
+	TxnID       string
+	Marking     MarkProtocol
+	Incarnation uint64
+}
+
+// ScanReply answers a ScanRequest, in transaction ID order.
+type ScanReply struct {
+	Txns []ScanTxn
 }
 
 // TxnIDOf extracts the global transaction id a message belongs to, or ""
@@ -411,10 +458,6 @@ func TxnIDOf(msg any) string {
 	case ResolveRequest:
 		return m.TxnID
 	case *ResolveRequest:
-		return m.TxnID
-	case RepBegin:
-		return m.TxnID
-	case *RepBegin:
 		return m.TxnID
 	case RepAccept:
 		return m.TxnID

@@ -38,8 +38,11 @@ import (
 // in every frame header and refuses mismatches loudly (rpc.ErrWireVersion),
 // so an old peer and a new peer never half-understand each other.
 // Version 2 added ExecRequest.Vote, ExecRequest.Last and ExecReply.Vote;
-// version 3 added Decision.Sync, Ack.LSN, Ack.Synced and Ack.Boot.
-const WireVersion = 3
+// version 3 added Decision.Sync, Ack.LSN, Ack.Synced and Ack.Boot;
+// version 4 added ExecRequest.Incarnation, RepAccept.Sites and
+// RepAccept.Marking and ScanRequest/ScanReply, dropped
+// RepTxnState.Accepted and retired RepBegin's tag.
+const WireVersion = 4
 
 // Wire type tags, one per message in the protocol vocabulary. Tag values
 // are part of the wire format; append only.
@@ -54,11 +57,13 @@ const (
 	wtResolveReply
 	_ // 9: reserved, carried batch envelopes in an earlier generation
 	_ // 10: reserved, carried batch replies
-	wtRepBegin
+	_ // 11: reserved, carried RepBegin
 	wtRepAccept
 	wtRepReply
 	wtRepNewTerm
 	wtRepNewTermReply
+	wtScanRequest
+	wtScanReply
 )
 
 // ErrUnknownWireType reports a message outside the protocol vocabulary on
@@ -106,10 +111,6 @@ func AppendMessage(buf []byte, msg any) ([]byte, error) {
 		return appendBool(appendBool(append(buf, wtResolveReply), m.Known), m.Commit), nil
 	case *ResolveReply:
 		return appendBool(appendBool(append(buf, wtResolveReply), m.Known), m.Commit), nil
-	case RepBegin:
-		return appendRepBegin(buf, &m), nil
-	case *RepBegin:
-		return appendRepBegin(buf, m), nil
 	case RepAccept:
 		return appendRepAccept(buf, &m), nil
 	case *RepAccept:
@@ -126,6 +127,14 @@ func AppendMessage(buf []byte, msg any) ([]byte, error) {
 		return appendRepNewTermReply(buf, &m), nil
 	case *RepNewTermReply:
 		return appendRepNewTermReply(buf, m), nil
+	case ScanRequest:
+		return binary.AppendUvarint(append(buf, wtScanRequest), m.Incarnation), nil
+	case *ScanRequest:
+		return binary.AppendUvarint(append(buf, wtScanRequest), m.Incarnation), nil
+	case ScanReply:
+		return appendScanReply(buf, &m), nil
+	case *ScanReply:
+		return appendScanReply(buf, m), nil
 	default:
 		return nil, fmt.Errorf("%w: %T", ErrUnknownWireType, msg)
 	}
@@ -165,7 +174,8 @@ func appendExecRequest(buf []byte, m *ExecRequest) []byte {
 	buf = appendBool(buf, m.Visited)
 	buf = binary.AppendVarint(buf, int64(m.Round))
 	buf = appendBool(buf, m.Vote)
-	return appendBool(buf, m.Last)
+	buf = appendBool(buf, m.Last)
+	return binary.AppendUvarint(buf, m.Incarnation)
 }
 
 func decodeExecRequest(r *wireReader) ExecRequest {
@@ -192,6 +202,7 @@ func decodeExecRequest(r *wireReader) ExecRequest {
 	m.Round = int(r.varint())
 	m.Vote = r.bool()
 	m.Last = r.bool()
+	m.Incarnation = r.uvarint()
 	return m
 }
 
@@ -269,31 +280,40 @@ func appendDecision(buf []byte, m *Decision) []byte {
 	return binary.AppendUvarint(appendStrings(buf, m.Unmarks), m.Sync)
 }
 
-func appendRepBegin(buf []byte, m *RepBegin) []byte {
-	buf = append(buf, wtRepBegin)
-	buf = appendString(buf, m.Group)
-	buf = binary.AppendUvarint(buf, m.Term)
-	buf = appendString(buf, m.TxnID)
-	buf = appendStrings(buf, m.Sites)
-	return append(buf, byte(m.Marking))
-}
-
-func decodeRepBegin(r *wireReader) RepBegin {
-	var m RepBegin
-	m.Group = r.str()
-	m.Term = r.uvarint()
-	m.TxnID = r.str()
-	m.Sites = r.strs()
-	m.Marking = MarkProtocol(r.byte())
-	return m
-}
-
 func appendRepAccept(buf []byte, m *RepAccept) []byte {
 	buf = append(buf, wtRepAccept)
 	buf = appendString(buf, m.Group)
 	buf = binary.AppendUvarint(buf, m.Term)
 	buf = appendString(buf, m.TxnID)
-	return appendBool(buf, m.Commit)
+	buf = appendBool(buf, m.Commit)
+	buf = appendStrings(buf, m.Sites)
+	return append(buf, byte(m.Marking))
+}
+
+func appendScanReply(buf []byte, m *ScanReply) []byte {
+	buf = append(buf, wtScanReply)
+	buf = binary.AppendUvarint(buf, uint64(len(m.Txns)))
+	for i := range m.Txns {
+		st := &m.Txns[i]
+		buf = appendString(buf, st.TxnID)
+		buf = append(buf, byte(st.Marking))
+		buf = binary.AppendUvarint(buf, st.Incarnation)
+	}
+	return buf
+}
+
+func decodeScanReply(r *wireReader) ScanReply {
+	var m ScanReply
+	if n := r.count(); n > 0 {
+		m.Txns = make([]ScanTxn, n)
+		for i := range m.Txns {
+			st := &m.Txns[i]
+			st.TxnID = r.str()
+			st.Marking = MarkProtocol(r.byte())
+			st.Incarnation = r.uvarint()
+		}
+	}
+	return m
 }
 
 func appendRepNewTermReply(buf []byte, m *RepNewTermReply) []byte {
@@ -306,7 +326,6 @@ func appendRepNewTermReply(buf []byte, m *RepNewTermReply) []byte {
 		buf = appendString(buf, ts.TxnID)
 		buf = appendStrings(buf, ts.Sites)
 		buf = append(buf, byte(ts.Marking))
-		buf = appendBool(buf, ts.Accepted)
 		buf = binary.AppendUvarint(buf, ts.AccTerm)
 		buf = appendBool(buf, ts.Commit)
 	}
@@ -324,7 +343,6 @@ func decodeRepNewTermReply(r *wireReader) RepNewTermReply {
 			ts.TxnID = r.str()
 			ts.Sites = r.strs()
 			ts.Marking = MarkProtocol(r.byte())
-			ts.Accepted = r.bool()
 			ts.AccTerm = r.uvarint()
 			ts.Commit = r.bool()
 		}
@@ -383,14 +401,14 @@ func decodeAny(r *wireReader) (any, error) {
 		msg = ResolveRequest{TxnID: r.str()}
 	case wtResolveReply:
 		msg = ResolveReply{Known: r.bool(), Commit: r.bool()}
-	case wtRepBegin:
-		msg = decodeRepBegin(r)
 	case wtRepAccept:
 		var m RepAccept
 		m.Group = r.str()
 		m.Term = r.uvarint()
 		m.TxnID = r.str()
 		m.Commit = r.bool()
+		m.Sites = r.strs()
+		m.Marking = MarkProtocol(r.byte())
 		msg = m
 	case wtRepReply:
 		msg = RepReply{OK: r.bool(), Term: r.uvarint()}
@@ -398,6 +416,10 @@ func decodeAny(r *wireReader) (any, error) {
 		msg = RepNewTerm{Group: r.str(), Term: r.uvarint()}
 	case wtRepNewTermReply:
 		msg = decodeRepNewTermReply(r)
+	case wtScanRequest:
+		msg = ScanRequest{Incarnation: r.uvarint()}
+	case wtScanReply:
+		msg = decodeScanReply(r)
 	default:
 		return nil, fmt.Errorf("%w: tag %d", ErrUnknownWireType, tag)
 	}

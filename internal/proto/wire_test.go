@@ -8,13 +8,15 @@ import (
 	"testing"
 )
 
-// Tags 9 and 10 carried batch envelopes in an earlier codec generation;
-// they stay reserved so that later tags keep their values.
-var reservedTags = []byte{9, 10}
+// Tags 9 and 10 carried batch envelopes in an earlier codec generation,
+// and tag 11 RepBegin; they stay reserved so that later tags keep their
+// values.
+var reservedTags = []byte{9, 10, 11}
 
 func init() {
 	for _, m := range []any{ExecRequest{}, ExecReply{}, VoteRequest{}, VoteReply{}, Decision{}, Ack{},
-		ResolveRequest{}, ResolveReply{}, RepBegin{}, RepAccept{}, RepReply{}, RepNewTerm{}, RepNewTermReply{}} {
+		ResolveRequest{}, ResolveReply{}, RepAccept{}, RepReply{}, RepNewTerm{}, RepNewTermReply{},
+		ScanRequest{}, ScanReply{}} {
 		gob.Register(m)
 	}
 }
@@ -69,17 +71,20 @@ func sampleMessages(id, key, s string, val []byte, d1, d2 int64, b1, b2, b3 bool
 		ws = nil
 	}
 	txns := []RepTxnState{
-		{TxnID: id, Sites: marks, Marking: MarkProtocol(n % 4), Accepted: b1,
-			AccTerm: uint64(d1), Commit: b2},
+		{TxnID: id, Sites: marks, Marking: MarkProtocol(n % 4), AccTerm: uint64(d1), Commit: b2},
 		{},
 	}
 	if b3 {
 		txns = nil
 	}
+	scanned := []ScanTxn{{TxnID: id, Marking: MarkProtocol(n % 4), Incarnation: uint64(d2)}, {}}
+	if b1 {
+		scanned = nil
+	}
 	return []any{
 		ExecRequest{TxnID: id, Ops: ops, Comp: CompMode(n%4 + 1), Compensator: s,
 			Protocol: Protocol(n%3 + 1), Marking: MarkProtocol(n % 4), TransMarks: marks,
-			Visited: b1, Round: int(n), Vote: b2, Last: b3},
+			Visited: b1, Round: int(n), Vote: b2, Last: b3, Incarnation: uint64(d1)},
 		ExecRequest{},
 		ExecReply{OK: b1, Rejected: b2, Fatal: b3, Reason: s, Reads: reads,
 			Marks: marks, Witnesses: ws, Err: id},
@@ -91,14 +96,16 @@ func sampleMessages(id, key, s string, val []byte, d1, d2 int64, b1, b2, b3 bool
 		Ack{TxnID: id, Marked: b2, LSN: uint64(d1), Synced: uint64(d2), Boot: uint64(n)},
 		ResolveRequest{TxnID: id},
 		ResolveReply{Known: b1, Commit: b2},
-		RepBegin{Group: s, Term: uint64(d1), TxnID: id, Sites: marks,
+		RepAccept{Group: s, Term: uint64(d2), TxnID: id, Commit: b1, Sites: marks,
 			Marking: MarkProtocol(n % 4)},
-		RepBegin{},
-		RepAccept{Group: s, Term: uint64(d2), TxnID: id, Commit: b1},
+		RepAccept{},
 		RepReply{OK: b2, Term: uint64(d1)},
 		RepNewTerm{Group: s, Term: uint64(d2)},
 		RepNewTermReply{OK: b1, Term: uint64(d1), Txns: txns},
 		RepNewTermReply{},
+		ScanRequest{Incarnation: uint64(d1)},
+		ScanReply{Txns: scanned},
+		ScanReply{},
 	}
 }
 

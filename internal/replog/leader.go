@@ -99,17 +99,23 @@ func (s *Stats) Publish(reg *metrics.Registry, prefix string) {
 // recoveredTxn is one instance reconstructed from a takeover read: the
 // union of what a majority of replicas reported.
 type recoveredTxn struct {
-	sites    map[string]bool
-	marking  proto.MarkProtocol
-	accepted bool
-	accTerm  uint64
-	commit   bool
+	sites   map[string]bool
+	marking proto.MarkProtocol
+	accTerm uint64
+	commit  bool
+}
+
+// begunTxn is what Begin keeps of a transaction until its decision is
+// chosen: the participants and marking its accept carries.
+type begunTxn struct {
+	sites   []string
+	marking proto.MarkProtocol
 }
 
 // Leader is the proposer side of Paxos Commit, implementing
 // coord.DecisionLog for one replication group. It elects itself lazily on
 // first use (or explicitly via Snapshot, the takeover path) and then
-// drives one accept ballot per decision.
+// drives one accept ballot per transaction, for its decision.
 //
 // Locking: mu is never held across a network call or clock sleep — under
 // the deterministic virtual clock those are yield points, and a mutex held
@@ -125,14 +131,15 @@ type Leader struct {
 	term      uint64 // highest term known; ours while elected
 	elected   bool
 	deposed   bool
-	electing  bool            // an election is in flight
-	proposing map[string]bool // txn -> an accept ballot is in flight
-	chosen    map[string]bool // txn -> decision this leader got chosen, until End
+	electing  bool                // an election is in flight
+	proposing map[string]bool     // txn -> an accept ballot is in flight
+	chosen    map[string]bool     // txn -> decision this leader got chosen, until End
+	begun     map[string]begunTxn // txn -> participants, until its decision is chosen
 	recovered map[string]*recoveredTxn
 }
 
-// NewLeader returns an unelected leader for cfg.Group. The first Begin,
-// Decide, Sync, or Snapshot call runs the election.
+// NewLeader returns an unelected leader for cfg.Group. The first Decide,
+// Sync, or Snapshot call runs the election.
 func NewLeader(cfg Config) *Leader {
 	return &Leader{
 		cfg:       cfg,
@@ -140,6 +147,7 @@ func NewLeader(cfg Config) *Leader {
 		stats:     newStats(),
 		proposing: make(map[string]bool),
 		chosen:    make(map[string]bool),
+		begun:     make(map[string]begunTxn),
 	}
 }
 
@@ -149,16 +157,17 @@ func (l *Leader) Stats() *Stats { return l.stats }
 // majority is the quorum size: floor(n/2)+1.
 func (l *Leader) majority() int { return len(l.cfg.Replicas)/2 + 1 }
 
-// Begin replicates the transaction's BEGIN intent to a majority — the
-// write-ahead point: no subtransaction may ship until any future leader's
-// majority read is guaranteed to find the participant list.
+// Begin keeps the transaction's participants and marking until its
+// decision is chosen, for the accept to carry; it sends nothing. A later
+// Begin for the same transaction (a session growing) replaces them. No
+// replica needs them sooner: a takeover learns the undecided transactions
+// from the sites (coord.Recover), and a transaction no accepted value was
+// read for may be presumed aborted.
 func (l *Leader) Begin(ctx context.Context, id string, sites []string, marking proto.MarkProtocol) error {
-	if err := l.ensureElected(ctx); err != nil {
-		return err
-	}
-	return l.ballot(ctx, func(term uint64) any {
-		return proto.RepBegin{Group: l.cfg.Group, Term: term, TxnID: id, Sites: sites, Marking: marking}
-	})
+	l.mu.Lock()
+	l.begun[id] = begunTxn{sites: sites, marking: marking}
+	l.mu.Unlock()
+	return nil
 }
 
 // Decide replicates the decision. It returns only after a majority of
@@ -169,39 +178,44 @@ func (l *Leader) Decide(ctx context.Context, id string, commit bool) (bool, erro
 	return l.propose(ctx, id, commit)
 }
 
-// PresumeAbort proposes abort for a transaction found begun but
-// undecided. Safe precisely because Snapshot re-proposed every possibly-
-// chosen value first: a begun transaction with no accepted value in the
-// majority read cannot have been decided.
+// PresumeAbort proposes abort for a transaction recovery found undecided.
+// Safe precisely because Snapshot re-proposed every possibly-chosen value
+// first: a transaction with no accepted value in the majority read cannot
+// have been decided, and no lower term can get a value chosen for it now.
 func (l *Leader) PresumeAbort(ctx context.Context, id string) (bool, error) {
 	return l.propose(ctx, id, false)
 }
 
-// End forgets the transaction's chosen value at the leader; it sends
-// nothing. The acceptors keep their instances, so a later takeover reads
-// the value again and re-runs its accept ballot (see Snapshot).
+// End forgets the transaction at the leader; it sends nothing. The
+// acceptors keep their instances, so a later takeover reads the value
+// again and re-runs its accept ballot (see Snapshot).
 func (l *Leader) End(ctx context.Context, id string) error {
 	l.mu.Lock()
 	delete(l.chosen, id)
+	delete(l.begun, id)
 	l.mu.Unlock()
 	return nil
 }
 
 // Snapshot is leader takeover: claim a fresh term from a majority, union
 // their instances, finish (re-propose at our term) every value a prior
-// leader may have gotten chosen, and hand the begun set and decisions to
-// the coordinator's recovery pass.
+// leader may have gotten chosen, and hand the decisions, with their
+// delivery sets, to the coordinator's recovery pass. The transactions no
+// replica accepted a value for are not here; the coordinator learns them
+// from the sites.
 func (l *Leader) Snapshot(ctx context.Context) ([]coord.BeginRecord, map[string]bool, error) {
 	// Always take a fresh term: a leader recovering over its own group must
-	// re-read the majority too, so begins replicated since its first
+	// re-read the majority too, so values accepted since its first
 	// election are in the recovery set (the local log's Snapshot likewise
 	// re-reads the whole WAL). A deposed flag is cleared here rather than
 	// checked: Snapshot IS the restart, and the majority of promises the
-	// election wins below is what re-legitimizes this node as leader.
+	// election wins below is what re-legitimizes this node as leader. What
+	// Begin kept is dropped, as a restarted process would have lost it.
 	l.mu.Lock()
 	l.deposed = false
 	l.elected = false
 	l.recovered = nil
+	clear(l.begun)
 	l.mu.Unlock()
 	if err := l.ensureElected(ctx); err != nil {
 		return nil, nil, err
@@ -220,23 +234,24 @@ func (l *Leader) Snapshot(ctx context.Context) ([]coord.BeginRecord, map[string]
 	var begun []coord.BeginRecord
 	for _, id := range ids {
 		t := rec[id]
-		if t.accepted {
-			// The value may be chosen (a majority may have accepted it, and
-			// the old leader may have delivered the DECISION). Re-proposing
-			// the same value at our term is safe either way and makes it
-			// durable at a majority under our term.
-			chosen, err := l.propose(ctx, id, t.commit)
-			if err != nil {
-				return nil, nil, fmt.Errorf("replog %s: finishing %s: %w", l.cfg.Group, id, err)
-			}
-			decisions[id] = chosen
-		}
 		sites := make([]string, 0, len(t.sites))
 		for s := range t.sites {
 			sites = append(sites, s)
 		}
 		sort.Strings(sites)
-		begun = append(begun, coord.BeginRecord{TxnID: id, Sites: sites, Marking: t.marking.String()})
+		// The value may be chosen (a majority may have accepted it, and the
+		// old leader may have delivered the DECISION). Re-proposing the same
+		// value at our term is safe either way and makes it durable at a
+		// majority under our term.
+		l.mu.Lock()
+		l.begun[id] = begunTxn{sites: sites, marking: t.marking}
+		l.mu.Unlock()
+		chosen, err := l.propose(ctx, id, t.commit)
+		if err != nil {
+			return nil, nil, fmt.Errorf("replog %s: finishing %s: %w", l.cfg.Group, id, err)
+		}
+		decisions[id] = chosen
+		begun = append(begun, coord.BeginRecord{TxnID: id, Sites: sites, Marking: t.marking})
 	}
 	l.mu.Lock()
 	for id, v := range l.chosen {
@@ -383,9 +398,11 @@ func (l *Leader) propose(ctx context.Context, id string, commit bool) (bool, err
 	if err := l.ensureElected(ctx); err != nil {
 		return false, err
 	}
+	var b begunTxn
 	for {
 		l.mu.Lock()
 		if v, ok := l.chosen[id]; ok {
+			delete(l.begun, id)
 			l.mu.Unlock()
 			return v, nil
 		}
@@ -395,6 +412,7 @@ func (l *Leader) propose(ctx context.Context, id string, commit bool) (bool, err
 		}
 		if !l.proposing[id] {
 			l.proposing[id] = true
+			b = l.begun[id]
 			l.mu.Unlock()
 			break
 		}
@@ -404,11 +422,13 @@ func (l *Leader) propose(ctx context.Context, id string, commit bool) (bool, err
 		}
 	}
 	err := l.ballot(ctx, func(term uint64) any {
-		return proto.RepAccept{Group: l.cfg.Group, Term: term, TxnID: id, Commit: commit}
+		return proto.RepAccept{Group: l.cfg.Group, Term: term, TxnID: id, Commit: commit,
+			Sites: b.sites, Marking: b.marking}
 	})
 	l.mu.Lock()
 	if err == nil {
 		l.chosen[id] = commit
+		delete(l.begun, id)
 	}
 	delete(l.proposing, id)
 	l.mu.Unlock()
@@ -540,9 +560,9 @@ func newTermReply(raw any) (proto.RepNewTermReply, bool) {
 }
 
 // mergeRecovered folds one replica's instance report into the union.
-// Sites union (a superset presumed-abort delivery set is harmless; a
-// subset would strand a participant); the accepted value of the highest
-// term wins (terms are single-valued, so equal terms agree).
+// Sites union (a superset delivery set is harmless; a subset would strand
+// a participant); the accepted value of the highest term wins (terms are
+// single-valued, so equal terms agree).
 func mergeRecovered(rec map[string]*recoveredTxn, t proto.RepTxnState) {
 	u := rec[t.TxnID]
 	if u == nil {
@@ -555,8 +575,7 @@ func mergeRecovered(rec map[string]*recoveredTxn, t proto.RepTxnState) {
 	if t.Marking != proto.MarkNone {
 		u.marking = t.Marking
 	}
-	if t.Accepted && (!u.accepted || t.AccTerm > u.accTerm) {
-		u.accepted = true
+	if t.AccTerm >= u.accTerm {
 		u.accTerm = t.AccTerm
 		u.commit = t.Commit
 	}

@@ -18,13 +18,19 @@
 // Roles per node:
 //
 //   - Replica (this file): the acceptor state machine. Promises terms,
-//     accepts BEGIN intents and decision values, grants takeover reads.
-//     All state is write-ahead logged (RecTerm, RecBegin, RecAccept) and
+//     accepts decision values with their delivery sets, grants takeover
+//     reads. All state is write-ahead logged (RecTerm, RecAccept) and
 //     rebuilt from the WAL after a crash.
 //   - Leader (leader.go): the coordinator-side proposer implementing
 //     coord.DecisionLog. Elects itself with a NewTerm majority, proposes
 //     with Accept majorities, and on takeover (Snapshot) finishes any
 //     value a prior leader may have gotten chosen.
+//
+// No replica hears of a transaction before its decision: the leader keeps
+// the participant list in memory and the accept carries it. A takeover
+// learns the transactions still undecided from the sites instead
+// (coord.Recover), and may propose abort for any of them the majority read
+// did not return — no value can have been chosen for it.
 package replog
 
 import (
@@ -40,44 +46,14 @@ import (
 	"o2pc/internal/wal"
 )
 
-// AcceptorState classifies one transaction's consensus instance at a
-// replica.
-type AcceptorState uint8
-
-const (
-	// StateIdle means the replica holds no record of the transaction.
-	// Instances are created on first contact, so the state appears only
-	// transiently (and in zero values).
-	StateIdle AcceptorState = iota
-	// StateBegun means the BEGIN intent (participants, marking) is durable
-	// but no decision value has been accepted.
-	StateBegun
-	// StateAccepted means a decision value is durably accepted at AccTerm.
-	// The value may or may not be chosen; only a majority read can tell.
-	StateAccepted
-)
-
-// String returns the acceptor-state mnemonic.
-func (s AcceptorState) String() string {
-	switch s {
-	case StateIdle:
-		return "idle"
-	case StateBegun:
-		return "begun"
-	case StateAccepted:
-		return "accepted"
-	default:
-		return fmt.Sprintf("AcceptorState(%d)", uint8(s))
-	}
-}
-
-// acceptorTxn is one transaction's consensus instance at a replica.
+// acceptorTxn is one transaction's consensus instance at a replica. It
+// exists once a value is accepted: the value (commit), the term it was
+// accepted at, and the delivery set and marking that rode the accept.
 type acceptorTxn struct {
-	state   AcceptorState
 	sites   []string
 	marking proto.MarkProtocol
-	accTerm uint64 // term of the accepted value, valid in StateAccepted
-	commit  bool   // the accepted value, valid in StateAccepted
+	accTerm uint64
+	commit  bool
 }
 
 // ReplicaConfig configures one decision-log replica.
@@ -130,10 +106,6 @@ func (r *Replica) Name() string { return r.name }
 // rpc.Handler.
 func (r *Replica) Handle(ctx context.Context, from string, req any) (any, error) {
 	switch m := req.(type) {
-	case proto.RepBegin:
-		return r.begin(from, m)
-	case *proto.RepBegin:
-		return r.begin(from, *m)
 	case proto.RepAccept:
 		return r.accept(from, m)
 	case *proto.RepAccept:
@@ -180,23 +152,14 @@ func (r *Replica) Recover() error {
 			if term > terms[group] {
 				terms[group] = term
 			}
-		case wal.RecBegin:
-			group, sites, marking, err := splitRepBeginAux(rec.Aux)
-			if err != nil {
-				return fmt.Errorf("replog %s: LSN %d: %w", r.name, rec.LSN, err)
-			}
-			applyBegin(groupTxns(txns, group), rec.TxnID, sites, marking)
 		case wal.RecAccept:
-			group, commit, term, err := splitAcceptAux(rec.Aux)
+			group, t, err := splitAcceptAux(rec.Aux)
 			if err != nil {
 				return fmt.Errorf("replog %s: LSN %d: %w", r.name, rec.LSN, err)
 			}
-			t := instance(groupTxns(txns, group), rec.TxnID)
-			t.state = StateAccepted
-			t.accTerm = term
-			t.commit = commit
-			if term > terms[group] {
-				terms[group] = term
+			groupTxns(txns, group)[rec.TxnID] = t
+			if t.accTerm > terms[group] {
+				terms[group] = t.accTerm
 			}
 		default:
 			return fmt.Errorf("replog %s: unexpected %v record (LSN %d) in replica log",
@@ -207,38 +170,6 @@ func (r *Replica) Recover() error {
 	r.txns = txns
 	r.crashed = false
 	return nil
-}
-
-// begin durably records a transaction's BEGIN intent. Accepted at any term
-// >= the group's promise (raising it); stale terms are rejected with the
-// current one so the caller learns it was deposed.
-func (r *Replica) begin(from string, m proto.RepBegin) (any, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.crashed {
-		return nil, fmt.Errorf("replog %s: crashed", r.name)
-	}
-	cur, ok, err := r.admit(m.Group, m.Term)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return proto.RepReply{OK: false, Term: cur}, nil
-	}
-	applyBegin(groupTxns(r.txns, m.Group), m.TxnID, m.Sites, m.Marking)
-	if _, err := r.wal.Append(wal.Record{
-		Type:  wal.RecBegin,
-		TxnID: m.TxnID,
-		Aux:   m.Group + "|" + strings.Join(m.Sites, ",") + "|" + m.Marking.String(),
-	}); err != nil {
-		return nil, err
-	}
-	if err := r.wal.Sync(); err != nil {
-		return nil, err
-	}
-	r.tracer.Emit(r.name, trace.EvRepBegin, m.TxnID, from,
-		"term="+strconv.FormatUint(m.Term, 10))
-	return proto.RepReply{OK: true, Term: m.Term}, nil
 }
 
 // accept durably accepts a decision value at m.Term. The write-ahead
@@ -258,15 +189,19 @@ func (r *Replica) accept(from string, m proto.RepAccept) (any, error) {
 	if !ok {
 		return proto.RepReply{OK: false, Term: cur}, nil
 	}
-	t := instance(groupTxns(r.txns, m.Group), m.TxnID)
-	t.state = StateAccepted
-	t.accTerm = m.Term
-	t.commit = m.Commit
+	t := &acceptorTxn{
+		sites:   append([]string(nil), m.Sites...),
+		marking: m.Marking,
+		accTerm: m.Term,
+		commit:  m.Commit,
+	}
+	groupTxns(r.txns, m.Group)[m.TxnID] = t
 	aux := wal.DecisionAux(m.Commit)
 	if _, err := r.wal.Append(wal.Record{
 		Type:  wal.RecAccept,
 		TxnID: m.TxnID,
-		Aux:   m.Group + "|" + aux + "|" + strconv.FormatUint(m.Term, 10),
+		Aux: m.Group + "|" + aux + "|" + strconv.FormatUint(m.Term, 10) + "|" +
+			strings.Join(m.Sites, ",") + "|" + m.Marking.String(),
 	}); err != nil {
 		return nil, err
 	}
@@ -311,30 +246,20 @@ func (r *Replica) newTerm(from string, m proto.RepNewTerm) (any, error) {
 	txns := make([]proto.RepTxnState, 0, len(ids))
 	for _, id := range ids {
 		t := group[id]
-		st := proto.RepTxnState{
+		txns = append(txns, proto.RepTxnState{
 			TxnID:   id,
 			Sites:   append([]string(nil), t.sites...),
 			Marking: t.marking,
-		}
-		switch t.state {
-		case StateIdle:
-			continue // never stored; an instance exists only once touched
-		case StateBegun:
-		case StateAccepted:
-			st.Accepted = true
-			st.AccTerm = t.accTerm
-			st.Commit = t.commit
-		default:
-			return nil, fmt.Errorf("replog %s: corrupt acceptor state %v for %s", r.name, t.state, id)
-		}
-		txns = append(txns, st)
+			AccTerm: t.accTerm,
+			Commit:  t.commit,
+		})
 	}
 	r.tracer.Emit(r.name, trace.EvRepTakeover, "", from,
 		"grant term="+strconv.FormatUint(m.Term, 10)+" txns="+strconv.Itoa(len(txns)))
 	return proto.RepNewTermReply{OK: true, Term: m.Term, Txns: txns}, nil
 }
 
-// admit applies the acceptor's term rule for Begin/Accept: any term >= the
+// admit applies the acceptor's term rule for Accept: any term >= the
 // promise is admitted (raising the promise, durably when it changed);
 // lower terms are rejected. Returns the group's current term and whether
 // the message was admitted. Caller holds r.mu.
@@ -368,28 +293,6 @@ func groupTxns(m map[string]map[string]*acceptorTxn, group string) map[string]*a
 	return g
 }
 
-// instance returns (creating) one transaction's instance.
-func instance(g map[string]*acceptorTxn, id string) *acceptorTxn {
-	t := g[id]
-	if t == nil {
-		t = &acceptorTxn{state: StateBegun}
-		g[id] = t
-	}
-	return t
-}
-
-// applyBegin records a BEGIN intent on an instance. Re-BEGINs overwrite
-// the participant list (the session path re-logs BEGIN as the list grows;
-// last record wins, as in the local log) but never regress an accepted
-// value.
-func applyBegin(g map[string]*acceptorTxn, id string, sites []string, marking proto.MarkProtocol) {
-	t := instance(g, id)
-	t.sites = append([]string(nil), sites...)
-	if marking != proto.MarkNone {
-		t.marking = marking
-	}
-}
-
 func splitTermAux(aux string) (string, uint64, error) {
 	i := strings.LastIndexByte(aux, '|')
 	if i < 0 {
@@ -402,49 +305,27 @@ func splitTermAux(aux string) (string, uint64, error) {
 	return aux[:i], term, nil
 }
 
-func splitRepBeginAux(aux string) (string, []string, proto.MarkProtocol, error) {
-	i := strings.IndexByte(aux, '|')
-	j := strings.LastIndexByte(aux, '|')
-	if i < 0 || j <= i {
-		return "", nil, proto.MarkNone, fmt.Errorf("malformed BEGIN aux %q", aux)
+// splitAcceptAux parses a RecAccept Aux,
+// "group|decision|term|site,site|marking", into the group and the accepted
+// instance. The group is read as everything before the last four fields.
+func splitAcceptAux(aux string) (string, *acceptorTxn, error) {
+	fields := make([]string, 4)
+	rest := aux
+	for i := len(fields) - 1; i >= 0; i-- {
+		j := strings.LastIndexByte(rest, '|')
+		if j < 0 {
+			return "", nil, fmt.Errorf("malformed ACCEPT aux %q", aux)
+		}
+		rest, fields[i] = rest[:j], rest[j+1:]
 	}
-	var sites []string
-	if mid := aux[i+1 : j]; mid != "" {
-		sites = strings.Split(mid, ",")
-	}
-	return aux[:i], sites, parseMark(aux[j+1:]), nil
-}
-
-func splitAcceptAux(aux string) (string, bool, uint64, error) {
-	j := strings.LastIndexByte(aux, '|')
-	if j < 0 {
-		return "", false, 0, fmt.Errorf("malformed ACCEPT aux %q", aux)
-	}
-	term, err := strconv.ParseUint(aux[j+1:], 10, 64)
+	term, err := strconv.ParseUint(fields[1], 10, 64)
 	if err != nil {
-		return "", false, 0, fmt.Errorf("malformed ACCEPT aux %q: %w", aux, err)
+		return "", nil, fmt.Errorf("malformed ACCEPT aux %q: %w", aux, err)
 	}
-	rest := aux[:j]
-	i := strings.LastIndexByte(rest, '|')
-	if i < 0 {
-		return "", false, 0, fmt.Errorf("malformed ACCEPT aux %q", aux)
+	t := &acceptorTxn{accTerm: term, marking: proto.ParseMarkProtocol(fields[3])}
+	t.commit, _ = wal.ParseDecision(fields[0]) // anything else reads as abort
+	if fields[2] != "" {
+		t.sites = strings.Split(fields[2], ",")
 	}
-	commit, _ := wal.ParseDecision(rest[i+1:]) // anything else reads as abort
-	return rest[:i], commit, term, nil
-}
-
-// parseMark inverts proto.MarkProtocol.String. Unknown spellings fall back
-// to MarkNone — the conservative reading for records written by a newer
-// version.
-func parseMark(s string) proto.MarkProtocol {
-	switch s {
-	case "P1":
-		return proto.MarkP1
-	case "P2":
-		return proto.MarkP2
-	case "simple":
-		return proto.MarkSimple
-	default:
-		return proto.MarkNone
-	}
+	return rest, t, nil
 }

@@ -3,9 +3,11 @@ package replog
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
+	"o2pc/internal/coord"
 	"o2pc/internal/proto"
 	"o2pc/internal/rpc"
 	"o2pc/internal/sim"
@@ -74,8 +76,8 @@ func TestDecideReachesMajorityAndSticks(t *testing.T) {
 	if err != nil || !got {
 		t.Fatalf("re-Decide = %v, %v; want true (chosen), nil", got, err)
 	}
-	if v := l.Stats().MajorityAcks.Value(); v < 2 {
-		t.Fatalf("MajorityAcks = %d, want >= 2 (begin + accept)", v)
+	if v := l.Stats().MajorityAcks.Value(); v != 1 {
+		t.Fatalf("MajorityAcks = %d, want 1 (the accept; Begin runs no ballot)", v)
 	}
 	if v := l.Stats().Leader.Value(); v != 1 {
 		t.Fatalf("Leader gauge = %d, want 1", v)
@@ -95,6 +97,47 @@ func TestDecideReachesMajorityAndSticks(t *testing.T) {
 	}
 	if accepts < 2 {
 		t.Fatalf("durable accepts = %d, want a majority (>= 2)", accepts)
+	}
+}
+
+// TestBeginSendsNothing: Begin keeps the participants at the leader, and
+// the decision's accept carries them to the replicas.
+func TestBeginSendsNothing(t *testing.T) {
+	h := newHarness(t, 3)
+	l := h.leader("c0")
+	ctx := context.Background()
+	if err := l.Begin(ctx, "T1", []string{"s0", "s1"}, proto.MarkP1); err != nil {
+		t.Fatalf("Begin: %v", err)
+	}
+	if names := h.net.Counts().CounterNames(); len(names) != 0 {
+		t.Fatalf("Begin sent messages: %v", names)
+	}
+	if _, err := l.Decide(ctx, "T1", true); err != nil {
+		t.Fatalf("Decide: %v", err)
+	}
+	if n := h.net.Counts().Counter("proto.RepAccept").Value(); n != 3 {
+		t.Fatalf("%d accepts sent, want 3", n)
+	}
+	for i, log := range h.logs {
+		recs, err := log.Records()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if rec.Type != wal.RecAccept {
+				continue
+			}
+			_, acc, err := splitAcceptAux(rec.Aux)
+			if err != nil || len(acc.sites) != 2 || acc.marking != proto.MarkP1 {
+				t.Fatalf("replica %d accept aux %q = %+v, %v; want sites s0,s1 and P1", i, rec.Aux, acc, err)
+			}
+		}
+	}
+	l.mu.Lock()
+	kept := len(l.begun)
+	l.mu.Unlock()
+	if kept != 0 {
+		t.Fatalf("leader keeps %d begun transactions after the decision", kept)
 	}
 }
 
@@ -147,8 +190,8 @@ func TestTakeoverFinishesMajorityAckedDecision(t *testing.T) {
 	if got, err := l1.Decide(ctx, "T1", true); err != nil || !got {
 		t.Fatalf("Decide T1 = %v, %v", got, err)
 	}
-	// T2 is begun but never decided: takeover must surface it for the
-	// coordinator's presumed abort.
+	// T2 is begun but never decided: no replica hears of it, and the
+	// coordinator learns it from the sites.
 	if err := l1.Begin(ctx, "T2", []string{"s1"}, proto.MarkNone); err != nil {
 		t.Fatalf("Begin T2: %v", err)
 	}
@@ -162,17 +205,9 @@ func TestTakeoverFinishesMajorityAckedDecision(t *testing.T) {
 	if v, ok := decisions["T1"]; !ok || !v {
 		t.Fatalf("decisions[T1] = %v, %v; want true (majority-acked commit finished)", v, ok)
 	}
-	var sawT2 bool
-	for _, b := range begun {
-		if b.TxnID == "T2" {
-			sawT2 = true
-			if len(b.Sites) != 1 || b.Sites[0] != "s1" {
-				t.Fatalf("T2 sites = %v, want [s1]", b.Sites)
-			}
-		}
-	}
-	if !sawT2 {
-		t.Fatalf("begun = %v, missing undecided T2", begun)
+	want := []coord.BeginRecord{{TxnID: "T1", Sites: []string{"s0", "s1"}, Marking: proto.MarkP1}}
+	if !reflect.DeepEqual(begun, want) {
+		t.Fatalf("begun = %+v, want %+v: T1's delivery set from its accept, and nothing of T2", begun, want)
 	}
 	if got, err := l2.PresumeAbort(ctx, "T2"); err != nil || got {
 		t.Fatalf("PresumeAbort T2 = %v, %v; want false, nil", got, err)
@@ -199,24 +234,27 @@ func TestTakeoverPreservesPossiblyChosenValue(t *testing.T) {
 	ctx := context.Background()
 
 	l1 := h.leader("c0")
-	if err := l1.Begin(ctx, "T1", []string{"s0"}, proto.MarkNone); err != nil {
-		t.Fatalf("Begin: %v", err)
+	if err := l1.Sync(ctx); err != nil { // elect term 1
+		t.Fatalf("Sync: %v", err)
 	}
 	// Hand-deliver an accept to exactly one replica, as if l1 died mid
 	// fan-out after one ack.
 	if _, err := h.net.Call(ctx, "c0", "r0", proto.RepAccept{
-		Group: "c0", Term: 1, TxnID: "T1", Commit: true,
+		Group: "c0", Term: 1, TxnID: "T1", Commit: true, Sites: []string{"s0"},
 	}); err != nil {
 		t.Fatalf("planting accept: %v", err)
 	}
 
 	l2 := h.leader("c0")
-	_, decisions, err := l2.Snapshot(ctx)
+	begun, decisions, err := l2.Snapshot(ctx)
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
 	if v, ok := decisions["T1"]; !ok || !v {
 		t.Fatalf("decisions[T1] = %v, %v; want the planted commit preserved", v, ok)
+	}
+	if len(begun) != 1 || !reflect.DeepEqual(begun[0].Sites, []string{"s0"}) {
+		t.Fatalf("begun = %+v, want T1 delivered to s0", begun)
 	}
 }
 
@@ -252,7 +290,7 @@ func TestReplicaCrashLosesNothingDurable(t *testing.T) {
 	if v, ok := decisions["T1"]; !ok || v {
 		t.Fatalf("decisions[T1] = %v, %v; want abort preserved across replica crashes", v, ok)
 	}
-	if len(begun) != 1 || begun[0].TxnID != "T1" || begun[0].Marking != "P2" {
+	if len(begun) != 1 || begun[0].TxnID != "T1" || begun[0].Marking != proto.MarkP2 {
 		t.Fatalf("begun = %+v, want [T1 P2]", begun)
 	}
 }
@@ -320,11 +358,11 @@ func TestConcurrentProposersOneValuePerTerm(t *testing.T) {
 			if rec.Type != wal.RecAccept || rec.TxnID != "T1" {
 				continue
 			}
-			group, commit, _, err := splitAcceptAux(rec.Aux)
+			group, acc, err := splitAcceptAux(rec.Aux)
 			if err != nil || group != "c0" {
 				t.Fatalf("replica %d accept aux %q: %v", i, rec.Aux, err)
 			}
-			if got := map[bool]string{true: "commit", false: "abort"}[commit]; got != want {
+			if got := map[bool]string{true: "commit", false: "abort"}[acc.commit]; got != want {
 				t.Fatalf("replica %d accepted %s, want %s", i, got, want)
 			}
 		}
@@ -339,18 +377,15 @@ func TestAuxRoundTrips(t *testing.T) {
 	if _, _, err := splitTermAux("no-separator"); err == nil {
 		t.Fatal("malformed TERM aux accepted")
 	}
-	group, sites, marking, err := splitRepBeginAux("c1|s0,s1|P1")
-	if err != nil || group != "c1" || len(sites) != 2 || marking != proto.MarkP1 {
-		t.Fatalf("splitRepBeginAux = %q, %v, %v, %v", group, sites, marking, err)
+	group, acc, err := splitAcceptAux("c|1|commit|3|s0,s1|P1")
+	want := &acceptorTxn{sites: []string{"s0", "s1"}, marking: proto.MarkP1, accTerm: 3, commit: true}
+	if err != nil || group != "c|1" || !reflect.DeepEqual(acc, want) {
+		t.Fatalf("splitAcceptAux = %q, %+v, %v", group, acc, err)
 	}
-	if _, sites, _, err := splitRepBeginAux("c1||none"); err != nil || sites != nil {
-		t.Fatalf("empty site list = %v, %v; want nil, nil", sites, err)
+	if _, acc, err := splitAcceptAux("c0|abort|2||none"); err != nil || acc.sites != nil || acc.commit {
+		t.Fatalf("empty site list = %+v, %v; want no sites, abort", acc, err)
 	}
-	group, commit, term, err := splitAcceptAux("c0|commit|3")
-	if err != nil || group != "c0" || !commit || term != 3 {
-		t.Fatalf("splitAcceptAux = %q, %v, %d, %v", group, commit, term, err)
-	}
-	if _, _, _, err := splitAcceptAux("c0|3"); err == nil {
+	if _, _, err := splitAcceptAux("c0|commit|3"); err == nil {
 		t.Fatal("malformed ACCEPT aux accepted")
 	}
 }

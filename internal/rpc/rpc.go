@@ -121,11 +121,12 @@ const (
 	censusAck
 	censusResolveRequest
 	censusResolveReply
-	censusRepBegin
 	censusRepAccept
 	censusRepReply
 	censusRepNewTerm
 	censusRepNewTermReply
+	censusScanRequest
+	censusScanReply
 	censusKinds
 	censusOther = -1
 )
@@ -302,11 +303,12 @@ var censusNames = [censusKinds]string{
 	censusAck:             "proto.Ack",
 	censusResolveRequest:  "proto.ResolveRequest",
 	censusResolveReply:    "proto.ResolveReply",
-	censusRepBegin:        "proto.RepBegin",
 	censusRepAccept:       "proto.RepAccept",
 	censusRepReply:        "proto.RepReply",
 	censusRepNewTerm:      "proto.RepNewTerm",
 	censusRepNewTermReply: "proto.RepNewTermReply",
+	censusScanRequest:     "proto.ScanRequest",
+	censusScanReply:       "proto.ScanReply",
 }
 
 // msgKind classifies a message into its census slot, or censusOther for
@@ -329,8 +331,6 @@ func msgKind(msg any) int {
 		return censusResolveRequest
 	case proto.ResolveReply, *proto.ResolveReply:
 		return censusResolveReply
-	case proto.RepBegin, *proto.RepBegin:
-		return censusRepBegin
 	case proto.RepAccept, *proto.RepAccept:
 		return censusRepAccept
 	case proto.RepReply, *proto.RepReply:
@@ -339,6 +339,10 @@ func msgKind(msg any) int {
 		return censusRepNewTerm
 	case proto.RepNewTermReply, *proto.RepNewTermReply:
 		return censusRepNewTermReply
+	case proto.ScanRequest, *proto.ScanRequest:
+		return censusScanRequest
+	case proto.ScanReply, *proto.ScanReply:
+		return censusScanReply
 	default:
 		return censusOther
 	}

@@ -84,6 +84,23 @@ func matrix() []struct {
 			Faults: Faults{ReplicaCrashCycles: 2}}},
 		{"paxos-replica-majority", Config{Marking: proto.MarkP1, PaxosShare: 1,
 			Faults: Faults{ReplicaCrashCycles: 2, ReplicaCrashMajority: true}}},
+		// No replica hears of a transaction before its decision, so a
+		// takeover learns the undecided ones from the sites' scan. These
+		// entries orphan every kind of participant a dead leader leaves:
+		// under 2PC and O2PC over replicas, executed subtransactions that
+		// never got their VOTE-REQ and prepared or exposed ones that never
+		// got their decision; multi-shot sessions open between rounds; and
+		// a site that is down across the leader's recovery (its crash
+		// outlasts the coordinator's downtime), scanned in the background.
+		{"replog-2pc-leader-crash", Config{Marking: proto.MarkP1, TwoPCShare: 1, Replicas: 3,
+			Faults: Faults{CoordCrashCycles: 2, DoomRate: 0.15}}},
+		{"replog-o2pc-leader-crash", Config{Marking: proto.MarkP1, Replicas: 3,
+			Faults: Faults{CoordCrashCycles: 2, DoomRate: 0.15}}},
+		{"replog-multishot-leader-crash", Config{Marking: proto.MarkP1, MultiShot: true, PaxosShare: 1,
+			Faults: Faults{CoordCrashCycles: 2, DoomRate: 0.15}}},
+		{"replog-site-down-across-recovery", Config{Marking: proto.MarkP1, PaxosShare: 1,
+			Faults: Faults{CoordCrashCycles: 2, SiteCrashCycles: 2, SiteCrashDowntime: 100 * time.Millisecond,
+				DoomRate: 0.15}}},
 		// WAL checkpoints between site crashes, so restarts recover from
 		// checkpointed logs: under O2PC+P1 with doomed jobs (exposed
 		// undecided subtransactions and unfinished compensations are
@@ -128,6 +145,9 @@ func TestExplorerMatrix(t *testing.T) {
 				if cfg.Faults.Checkpoints > 0 && res.CheckpointedCrashes == 0 {
 					t.Errorf("seed %d: no site crashed after a checkpoint", seed)
 				}
+				if entry.name == "replog-site-down-across-recovery" && !rescanned(res) {
+					t.Errorf("seed %d: no recovery scanned a site in the background", seed)
+				}
 			}
 		})
 	}
@@ -154,6 +174,25 @@ func TestExplorerCheckpointExposedKeySeed(t *testing.T) {
 		return
 	}
 	t.Fatal("no checkpoint-o2pc-doom matrix entry")
+}
+
+// rescanned reports whether a coordinator's recovery scan of some site
+// failed and a later scan of it answered: the site was down across the
+// recovery and was scanned in the background.
+func rescanned(res *Result) bool {
+	missed := make(map[string]bool)
+	for _, ev := range res.Events {
+		if ev.Type != trace.EvRecoverScan {
+			continue
+		}
+		key := ev.Node + ">" + ev.Peer
+		if ev.Detail == "unreachable" {
+			missed[key] = true
+		} else if missed[key] {
+			return true
+		}
+	}
+	return false
 }
 
 // readOnlyExit reports whether any participant of the run left at its
@@ -346,7 +385,8 @@ func TestExplorerTraceGoldenMultiShot(t *testing.T) {
 // replicated decision log: with every commit decision going through Paxos
 // Commit ballots — leader election, replica accepts, majority acks, all in
 // virtual time — the trace is pinned like any other, so a failing Paxos
-// seed can be replayed and shrunk.
+// seed can be replayed and shrunk. No BEGIN is replicated: the decision's
+// accept is the only ballot a transaction runs.
 func TestExplorerTraceGoldenPaxos(t *testing.T) {
 	jsonl := goldenTrace(t, Config{
 		Seed:       11,
@@ -358,8 +398,8 @@ func TestExplorerTraceGoldenPaxos(t *testing.T) {
 			ReplicaCrashCycles: 1,
 		},
 	}, goldenPaxosDigest)
-	if !bytes.Contains(jsonl, []byte(`"replog.begin"`)) {
-		t.Error("no replog.begin event in trace: the replicated log never engaged")
+	if bytes.Contains(jsonl, []byte(`"proto.RepBegin"`)) {
+		t.Error("a RepBegin was sent: the BEGIN is replicated again")
 	}
 	if !bytes.Contains(jsonl, []byte(`"replog.accept"`)) {
 		t.Error("no replog.accept event in trace: no decision ballot ran")

@@ -3,6 +3,8 @@ package site
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"o2pc/internal/proto"
 )
@@ -64,4 +66,20 @@ func decodeExposure(aux string) (exposure, error) {
 		return exposure{}, fmt.Errorf("site: decoding exposure record: unexpected %T payload", msg)
 	}
 	return exposure{Coord: coord, Req: req}, nil
+}
+
+// prepareAux is the Aux of a RecPrepared record, "coord|incarnation|marking":
+// the coordinator a restarted site asks about the decision, and the
+// incarnation and marking protocol that site reports to that coordinator's
+// recovery scan.
+func prepareAux(coord string, req proto.ExecRequest) string {
+	return coord + "|" + strconv.FormatUint(req.Incarnation, 10) + "|" + req.Marking.String()
+}
+
+// splitPrepareAux inverts prepareAux.
+func splitPrepareAux(aux string) (coord string, incarnation uint64, marking proto.MarkProtocol) {
+	coord, rest, _ := strings.Cut(aux, "|")
+	inc, mark, _ := strings.Cut(rest, "|")
+	incarnation, _ = strconv.ParseUint(inc, 10, 64)
+	return coord, incarnation, proto.ParseMarkProtocol(mark)
 }

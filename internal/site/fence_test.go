@@ -1,7 +1,9 @@
 package site
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
 	"o2pc/internal/history"
 	"o2pc/internal/proto"
@@ -72,5 +74,98 @@ func TestPostVoteRollbackKeepsCompensationModel(t *testing.T) {
 	}
 	if !sawCT {
 		t.Fatalf("post-vote roll-back not modeled as CTik")
+	}
+}
+
+// scan sends a recovery scan from coordinator from at incarnation inc.
+func scan(t *testing.T, s *Site, from string, inc uint64) []proto.ScanTxn {
+	t.Helper()
+	raw, err := s.Handle(bg(), from, proto.ScanRequest{Incarnation: inc})
+	if err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+	return raw.(proto.ScanReply).Txns
+}
+
+// TestExecInLockWaitRefusedAfterScan: an exec of coordinator incarnation 1
+// waits for a lock while the coordinator restarts, and the recovery of
+// incarnation 2 scans the site. The scan cannot report the exec, which has
+// not registered, so no recovery will decide it: once its lock is granted
+// it must be refused, not registered as an entry no decision reaches.
+func TestExecInLockWaitRefusedAfterScan(t *testing.T) {
+	s := newTestSite(t, Config{ResolvePeriod: time.Hour, LockTimeout: time.Minute})
+	s.SeedInt64("n", 0)
+	holder := o2pcReq("T1", proto.Add("n", 1))
+	holder.Incarnation = 1
+	if reply := exec(t, s, holder); !reply.OK {
+		t.Fatalf("T1: %+v", reply)
+	}
+	waiter := o2pcReq("T2", proto.Add("n", 1))
+	waiter.Incarnation = 1
+	done := make(chan proto.ExecReply, 1)
+	go func() {
+		raw, err := s.Handle(bg(), "c0", waiter)
+		if err != nil {
+			t.Errorf("T2: %v", err)
+		}
+		reply, _ := raw.(proto.ExecReply)
+		done <- reply
+	}()
+	for deadline := time.Now().Add(5 * time.Second); len(s.Manager().Locks().WaitsFor()["T2"]) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("T2 never waited for T1's lock")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	got := scan(t, s, "c0", 2)
+	want := []proto.ScanTxn{{TxnID: "T1", Marking: proto.MarkP1, Incarnation: 1}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("scan = %+v, want %+v", got, want)
+	}
+	// The recovery presumes abort for what it was told of, and T1's lock
+	// passes to T2.
+	decide(t, s, "T1", false)
+	if reply := <-done; reply.OK {
+		t.Fatalf("T2 of the scanned-past incarnation registered: %+v", reply)
+	}
+	if s.Manager().Locks().HoldsAny("T2") {
+		t.Fatal("refused T2 holds locks")
+	}
+	if n := s.Stats().PendingGlobal.Value(); n != 0 {
+		t.Fatalf("%d subtransactions pending after the refusal", n)
+	}
+	// An exec of the scanning incarnation runs.
+	fresh := o2pcReq("T3", proto.Add("n", 1))
+	fresh.Incarnation = 2
+	if reply := exec(t, s, fresh); !reply.OK {
+		t.Fatalf("T3 of the current incarnation refused: %+v", reply)
+	}
+}
+
+// TestScanReportsOwnUndecided: a scan reports only its sender's undecided
+// subtransactions, and a prepared one keeps its incarnation and marking
+// across a restart of the site.
+func TestScanReportsOwnUndecided(t *testing.T) {
+	s := newTestSite(t, Config{ResolvePeriod: time.Hour})
+	s.SeedInt64("n", 0)
+	prepared := o2pcReq("T1", proto.Add("n", 1))
+	prepared.Protocol, prepared.Vote, prepared.Last, prepared.Incarnation = proto.TwoPC, true, true, 7
+	if reply := exec(t, s, prepared); !reply.Vote.Commit {
+		t.Fatalf("T1: %+v", reply)
+	}
+	other := o2pcReq("T2", proto.Add("m", 1))
+	if raw, err := s.Handle(bg(), "c1", other); err != nil || !raw.(proto.ExecReply).OK {
+		t.Fatalf("T2 from c1: %v %+v", err, raw)
+	}
+	want := []proto.ScanTxn{{TxnID: "T1", Marking: proto.MarkP1, Incarnation: 7}}
+	if got := scan(t, s, "c0", 8); !reflect.DeepEqual(got, want) {
+		t.Fatalf("scan = %+v, want %+v", got, want)
+	}
+	s.SetCrashed(true)
+	if _, err := s.Recover(bg()); err != nil {
+		t.Fatal(err)
+	}
+	if got := scan(t, s, "c0", 8); !reflect.DeepEqual(got, want) {
+		t.Fatalf("scan after restart = %+v, want %+v", got, want)
 	}
 }

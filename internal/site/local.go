@@ -142,12 +142,14 @@ func (s *Site) Recover(ctx context.Context) (wal.RecoverResult, error) {
 		}
 	}
 
-	// Volatile state is lost: pending and resolved tables, the in-memory
-	// marking sets, and the kernel's live transactions with their locks.
+	// Volatile state is lost: pending and resolved tables, the incarnation
+	// floors, the in-memory marking sets, and the kernel's live
+	// transactions with their locks.
 	s.mu.Lock()
 	s.pend = make(map[string]*pending)
 	s.applying = make(map[string]bool)
 	s.resolved = make(map[string]bool)
+	s.floors = make(map[string]uint64)
 	s.mu.Unlock()
 	s.boot.Add(1)
 	s.stats.PendingGlobal.Set(0)
@@ -178,10 +180,10 @@ func (s *Site) Recover(ctx context.Context) (wal.RecoverResult, error) {
 	// state).
 	replay := wal.Replay(records)
 	analysis := wal.Analyze(replay)
-	coords := make(map[string]string)
+	prepared := make(map[string]string)
 	for _, rec := range replay {
 		if rec.Type == wal.RecPrepared {
-			coords[rec.TxnID] = rec.Aux
+			prepared[rec.TxnID] = rec.Aux
 		}
 	}
 
@@ -220,10 +222,11 @@ func (s *Site) Recover(ctx context.Context) (wal.RecoverResult, error) {
 	// decision inquiry — the participant is blocked again, as 2PC demands.
 	sort.Strings(res.InDoubt)
 	for _, txnID := range res.InDoubt {
+		coord, inc, marking := splitPrepareAux(prepared[txnID])
 		p := &pending{
-			req:     proto.ExecRequest{TxnID: txnID, Protocol: proto.TwoPC},
+			req:     proto.ExecRequest{TxnID: txnID, Protocol: proto.TwoPC, Marking: marking, Incarnation: inc},
 			state:   statePrepared,
-			coord:   coords[txnID],
+			coord:   coord,
 			updates: analysis.Updates[txnID],
 		}
 		for _, u := range analysis.Updates[txnID] {

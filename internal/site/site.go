@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -211,7 +212,7 @@ type pending struct {
 	t       *txn.Txn
 	updates []wal.Record // captured at local commit for compensation
 	state   pendingState
-	coord   string // coordinator node name, learned from the vote request
+	coord   string // coordinator node name: the exec's sender
 	marks   []string
 	// exposedAt stamps the local commit of an O2PC YES vote; the decision
 	// handler measures the exposure window from it. Zero for recovered
@@ -248,7 +249,11 @@ type Site struct {
 	resolved map[string]bool // txns whose decision this site has processed
 	// unsynced holds, by LSN, the decision records acked before they were
 	// durable; a re-sent decision is acked only once its record is.
-	unsynced   map[string]uint64
+	unsynced map[string]uint64
+	// floors holds, by coordinator, the incarnation of its latest recovery
+	// scan: an exec of an older incarnation is refused (see handleScan).
+	// Like resolved, it does not survive a crash of the site.
+	floors     map[string]uint64
 	injector   func(txnID string) bool
 	localSeq   uint64
 	sysSeq     uint64
@@ -329,6 +334,7 @@ func NewSite(cfg Config) *Site {
 		pend:     make(map[string]*pending),
 		applying: make(map[string]bool),
 		resolved: make(map[string]bool),
+		floors:   make(map[string]uint64),
 	}
 	s.boot.Store(uint64(clock.Now().UnixNano()))
 	return s
@@ -458,6 +464,8 @@ func (s *Site) Handle(ctx context.Context, from string, req any) (any, error) {
 		return s.handleVote(ctx, from, m), nil
 	case proto.Decision:
 		return s.handleDecision(ctx, m)
+	case proto.ScanRequest:
+		return s.handleScan(from, m), nil
 	default:
 		return nil, fmt.Errorf("site %s: unknown message %T", s.cfg.Name, req)
 	}
@@ -483,7 +491,7 @@ func (s *Site) handleExec(ctx context.Context, from string, req proto.ExecReques
 		detail = "round=" + strconv.Itoa(req.Round)
 	}
 	s.tracer.Emit(s.cfg.Name, trace.EvExecRecv, req.TxnID, "", detail)
-	reply := s.execLocked(ctx, req)
+	reply := s.execLocked(ctx, from, req)
 	s.tracer.Emit(s.cfg.Name, trace.EvExecDone, req.TxnID, "", execDetail(reply))
 	if reply.OK && req.Vote && req.Round == 0 {
 		reply.Vote = s.vote(ctx, from, req.TxnID, req.Last)
@@ -506,18 +514,19 @@ func execDetail(r proto.ExecReply) string {
 	}
 }
 
-func (s *Site) execLocked(ctx context.Context, req proto.ExecRequest) proto.ExecReply {
+func (s *Site) execLocked(ctx context.Context, from string, req proto.ExecRequest) proto.ExecReply {
 	// Fence stale requests: a subtransaction whose global transaction has
 	// already been decided here (e.g. an ExecRequest delayed in the
 	// network across a coordinator crash, arriving after recovery's
 	// presumed-abort decision) must not execute — it would take locks and
-	// write on behalf of a dead transaction.
+	// write on behalf of a dead transaction. Nor may one that a recovered
+	// coordinator's scan has passed by (see handleScan).
 	s.mu.Lock()
-	stale := s.resolved[req.TxnID]
+	stale := s.staleLocked(from, req)
 	open := s.pend[req.TxnID]
 	s.mu.Unlock()
-	if stale {
-		return proto.ExecReply{Err: "stale subtransaction: transaction already decided at this site"}
+	if stale != "" {
+		return proto.ExecReply{Err: "stale subtransaction: " + stale}
 	}
 	if req.Round > 0 && open != nil {
 		// A session round continuing a subtransaction already open here.
@@ -537,15 +546,17 @@ func (s *Site) execLocked(ctx context.Context, req proto.ExecRequest) proto.Exec
 		// abort (a commit needs this subtransaction's vote), and the
 		// coordinator may already have forgotten the transaction after that
 		// ack, so no decision would ever come for an entry registered now.
+		// Likewise a recovery scan that ran meanwhile did not report the
+		// entry, so no recovery would ever decide it.
 		s.mu.Lock()
-		stale = s.resolved[req.TxnID]
-		if !stale {
-			s.pend[req.TxnID] = &pending{req: req, t: t, state: stateExecuted, marks: reply.Marks}
+		stale = s.staleLocked(from, req)
+		if stale == "" {
+			s.pend[req.TxnID] = &pending{req: req, t: t, state: stateExecuted, coord: from, marks: reply.Marks}
 		}
 		s.mu.Unlock()
-		if stale {
+		if stale != "" {
 			s.rollbackUnexposed(t)
-			return proto.ExecReply{Err: "stale subtransaction: transaction decided while it executed"}
+			return proto.ExecReply{Err: "stale subtransaction: " + stale + " while it executed"}
 		}
 		s.stats.PendingGlobal.Inc()
 	case ran:
@@ -562,6 +573,49 @@ func (s *Site) execLocked(ctx context.Context, req proto.ExecRequest) proto.Exec
 		//o2pcvet:ignore errflow -- the reply carries the failure; nothing ran, so the abort only releases locks
 		_ = t.Abort("")
 	}
+	return reply
+}
+
+// staleLocked reports why an exec of req from coordinator from must not
+// run or register, or "" if it may: its transaction is decided here, or a
+// recovery of a later incarnation of its coordinator has scanned this
+// site. Callers hold s.mu.
+func (s *Site) staleLocked(from string, req proto.ExecRequest) string {
+	switch {
+	case s.resolved[req.TxnID]:
+		return "transaction decided at this site"
+	case req.Incarnation < s.floors[from]:
+		return "its coordinator recovered since"
+	default:
+		return ""
+	}
+}
+
+// handleScan answers a recovering coordinator's scan: the subtransactions
+// of that coordinator this site holds undecided — executed, prepared or
+// locally committed — with their marking and the incarnation that shipped
+// them, in ID order. It first raises the coordinator's incarnation floor
+// to the scan's, under the same mutex: an exec of an older incarnation
+// that is still running here (waiting for a lock, say) is refused when it
+// would register, since the coordinator will presume abort only for what
+// this reply reports.
+func (s *Site) handleScan(from string, req proto.ScanRequest) proto.ScanReply {
+	s.mu.Lock()
+	if req.Incarnation > s.floors[from] {
+		s.floors[from] = req.Incarnation
+	}
+	var reply proto.ScanReply
+	for _, p := range s.pend {
+		if p.coord == from {
+			reply.Txns = append(reply.Txns, proto.ScanTxn{
+				TxnID:       p.req.TxnID,
+				Marking:     p.req.Marking,
+				Incarnation: p.req.Incarnation,
+			})
+		}
+	}
+	s.mu.Unlock()
+	sort.Slice(reply.Txns, func(i, j int) bool { return reply.Txns[i].TxnID < reply.Txns[j].TxnID })
 	return reply
 }
 

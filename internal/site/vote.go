@@ -59,9 +59,6 @@ func (s *Site) vote(ctx context.Context, from, txnID string, lockPoint bool) pro
 	if p.decided {
 		return s.refuseVote(txnID, from, "already decided", "transaction already decided")
 	}
-	s.mu.Lock() // coord is read by the resolver's scan (see pending)
-	p.coord = from
-	s.mu.Unlock()
 	if p.t == nil {
 		// A pending entry rebuilt by Recover has no live transaction: its
 		// vote already happened in a previous incarnation, so a duplicate
@@ -134,7 +131,7 @@ func (s *Site) vote(ctx context.Context, from, txnID string, lockPoint bool) pro
 	// is the wait-on-a-dead-coordinator, not the prepared state.
 	holdLocks := p.req.Protocol.KeepsLocksAtVote() || p.req.Comp == proto.CompNone
 	if holdLocks {
-		if err := p.t.Prepare(from); err != nil {
+		if err := p.t.Prepare(prepareAux(from, p.req)); err != nil {
 			return s.voteNo(ctx, p, from, "prepare failed", err.Error())
 		}
 		s.setState(p, statePrepared)

@@ -72,7 +72,7 @@ const (
 	EvRecoverMarks
 	EvSessionOpen
 	EvSessionRound
-	EvRepBegin
+	EvRecoverScan
 	EvRepAccept
 	EvRepTakeover
 
@@ -118,7 +118,7 @@ var eventTypeNames = [numEventTypes]string{
 	EvRecoverMarks:    "recover.marks",
 	EvSessionOpen:     "session.open",
 	EvSessionRound:    "session.round",
-	EvRepBegin:        "replog.begin",
+	EvRecoverScan:     "recover.scan",
 	EvRepAccept:       "replog.accept",
 	EvRepTakeover:     "replog.takeover",
 }

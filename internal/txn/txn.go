@@ -422,17 +422,18 @@ func (t *Txn) Updates() []wal.Record {
 	return out
 }
 
-// Prepare logs the YES vote durably, recording the coordinator's node name
-// so crash recovery can resume the decision inquiry. The transaction may no
-// longer issue operations; only Commit or Abort may follow. Lock release
-// policy is the caller's (protocol's) decision.
-func (t *Txn) Prepare(coord string) error {
+// Prepare logs the YES vote durably, with aux as the record's Aux: what
+// the caller's crash recovery needs to resume the decision inquiry, such
+// as the coordinator's node name. The transaction may no longer issue
+// operations; only Commit or Abort may follow. Lock release policy is the
+// caller's (protocol's) decision.
+func (t *Txn) Prepare(aux string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if err := t.requireActive(); err != nil {
 		return err
 	}
-	if _, err := t.m.log.Append(wal.Record{Type: wal.RecPrepared, TxnID: t.id, Aux: coord}); err != nil {
+	if _, err := t.m.log.Append(wal.Record{Type: wal.RecPrepared, TxnID: t.id, Aux: aux}); err != nil {
 		return err
 	}
 	if err := t.m.log.Sync(); err != nil {

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"testing"
@@ -552,6 +553,56 @@ func TestFileLogSynced(t *testing.T) {
 	}
 	if got := m.Synced(); got != lsn {
 		t.Fatalf("memory log: Synced = %d, want %d", got, lsn)
+	}
+}
+
+// TestFileLogSyncFailureSticks: once an fsync fails, the log cannot vouch
+// for the records it wrote before it, even if a later fsync succeeds. Every
+// later Sync and Checkpoint returns the first error and Synced stays put.
+// The test swaps in a closed file, whose Sync fails, for one Sync, then
+// restores the real one.
+func TestFileLogSyncFailureSticks(t *testing.T) {
+	path := t.TempDir() + "/f.wal"
+	l, err := OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	first, err := l.Append(Record{Type: RecBegin, TxnID: "T1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	failing, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := failing.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(Record{Type: RecCommit, TxnID: "T1"}); err != nil {
+		t.Fatal(err)
+	}
+	real := l.f
+	l.f = failing
+	failed := l.Sync()
+	l.f = real
+	if failed == nil {
+		t.Fatal("Sync over a failing file succeeded")
+	}
+	if _, err := l.Append(Record{Type: RecBegin, TxnID: "T2"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Sync(); !errors.Is(err, failed) {
+		t.Fatalf("Sync after a failed fsync = %v, want the first failure %v", err, failed)
+	}
+	if _, _, err := l.Checkpoint(storage.NewStore()); !errors.Is(err, failed) {
+		t.Fatalf("Checkpoint after a failed fsync = %v, want the first failure %v", err, failed)
+	}
+	if got := l.Synced(); got != first {
+		t.Fatalf("Synced = %d after a failed fsync, want %d", got, first)
 	}
 }
 

@@ -21,8 +21,13 @@ type FileLog struct {
 	w       *bufio.Writer
 	nextLSN uint64
 	// synced is the last LSN on stable storage. Synced reads it without
-	// mu, which a Sync holds across its fsync.
+	// mu; a Sync drops mu across its fsync, so appends go on meanwhile.
 	synced atomic.Uint64
+	// failed is the first fsync error. The kernel may have dropped the
+	// pages it could not write, so a later fsync that succeeds vouches for
+	// nothing written before it: every later Sync and Checkpoint returns
+	// this error, and synced stays where it was.
+	failed error
 	closed bool
 }
 
@@ -105,12 +110,17 @@ func (l *FileLog) records() ([]Record, error) {
 // Sync implements Log, flushing buffers and calling fsync. The fsync runs
 // outside mu, so appends continue while it waits on the disk: it covers the
 // records written to the file before it started, and Synced advances to
-// the last of those.
+// the last of those. Once an fsync has failed, Sync returns that error for
+// good (see failed).
 func (l *FileLog) Sync() error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return ErrClosed
+	}
+	if l.failed != nil {
+		l.mu.Unlock()
+		return l.failed
 	}
 	if err := l.w.Flush(); err != nil {
 		l.mu.Unlock()
@@ -129,7 +139,10 @@ func (l *FileLog) Sync() error {
 		return nil
 	}
 	if err != nil {
-		return err
+		if l.failed == nil {
+			l.failed = err
+		}
+		return l.failed
 	}
 	l.synced.Store(target)
 	return nil
@@ -168,6 +181,9 @@ func (l *FileLog) Checkpoint(store *storage.Store) (begin, end uint64, err error
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, 0, ErrClosed
+	}
+	if l.failed != nil {
+		return 0, 0, l.failed
 	}
 	records, err := l.records()
 	if err != nil {
