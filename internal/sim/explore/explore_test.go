@@ -211,11 +211,11 @@ func readOnlyExit(res *Result) bool {
 // behaviour" leaves them alone; a change that is meant to move a trace
 // pastes the digest the failing test prints, in a commit of its own.
 const (
-	goldenHistoryDigest   = "e7d815a7988f84d906f446cadea689cbcf92df4090d3b50517f509cf724774d2"
-	goldenTraceDigest     = "3759ed631008560ffcc6ab094f042c70eb9c756c94d2d7a49592eac795d231b8"
-	goldenMultiShotDigest = "1c4baf8653ea148da78183428741a20f362d8940b4d4868f372a16c98a434a0e"
-	goldenPaxosDigest     = "e610a14b15f7359370abb75456f2daf57732b50295c358a892687db21f07b44a"
-	goldenSiteCrashDigest = "7009107b04931468917389cee808056b04f4171f6a2ccce989c262cb6d5ce82e"
+	goldenHistoryDigest   = "9314e2a840668d719c273333418f1f74777e2f21febb5136697030906ac02295"
+	goldenTraceDigest     = "4c7bc60c9e1cbbcfe2d31d913a8944e6dbf77baa42c71330e03dca3e1a138078"
+	goldenMultiShotDigest = "56956f80940993e4e6a985827cbc2c9b5a5eba01f5653482cc63a4a4903eac2e"
+	goldenPaxosDigest     = "e32b36144c6a5769bf501c1b6c67ff3ca8a6aa145dffd8a1ba65c396060bd911"
+	goldenSiteCrashDigest = "f677d763a7a7c1d6106d0bb39f43912c0083735951808a185a7d82dad82157e9"
 )
 
 // pinDigest fails unless the SHA-256 of data is want. A mismatch is either
