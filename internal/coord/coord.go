@@ -357,10 +357,9 @@ type Coordinator struct {
 	// check and taking up its decision (see decide). A delivery does not
 	// forget them; the run delivers and forgets the decision itself.
 	deciding map[string]bool
-	// holds counts the recoveries and scans under way. While one is, no
-	// transaction is forgotten: a site's scan may report a transaction
-	// decided since, and recovery must still find that decision rather
-	// than presume abort. The deferred forgets wait in held.
+	// holds counts the recoveries reading the decision log and the sites
+	// and presuming aborts. While one is, no transaction is forgotten (see
+	// hold); the deferred forgets wait in held.
 	holds int
 	held  []heldForget
 	// unsynced indexes, by site and transaction, the acks whose record was

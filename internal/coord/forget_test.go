@@ -170,15 +170,18 @@ func (f callerFunc) Call(ctx context.Context, from, to string, req any) (any, er
 // transaction's votes are in flight presumes abort for it, delivers the
 // abort and forgets the transaction before the run reaches its commit
 // point. The run finds nothing to adopt and must not log a commit over
-// the forgotten abort: it reports the abort recovery presumed.
+// the forgotten abort: it reports the abort recovery presumed. The
+// recovery runs once both sites have voted, before the last vote reaches
+// the run, so its abort cannot overtake a vote at a site.
 func TestRunOvertakenByRecoveryAborts(t *testing.T) {
 	log := wal.NewMemoryLog()
 	r := newRigResolve(t, 2, time.Hour)
 	r.seed("acct", 100)
+	var votes atomic.Int32
 	var recovered bool
 	caller := callerFunc(func(ctx context.Context, from, to string, req any) (any, error) {
 		reply, err := r.net.Call(ctx, from, to, req)
-		if v, ok := req.(proto.VoteRequest); ok && v.TxnID == "To" && to == siteName(1) && !recovered {
+		if v, ok := req.(proto.VoteRequest); ok && v.TxnID == "To" && votes.Add(1) == 2 {
 			recovered = true
 			if err := r.coord.Recover(ctx); err != nil {
 				t.Errorf("recover: %v", err)

@@ -3,6 +3,7 @@ package coord
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -511,8 +512,8 @@ func (c *Coordinator) deliverDecision(ctx context.Context, id string, d *decided
 // acked the decision and reported its record of it durable: no participant
 // is in doubt about it then, so none will ask (see Handle). A P1 abort
 // waits for its marked-site set to be final, a transaction whose run is
-// still deciding waits for the run (see decide), and while a recovery or
-// a scan is under way the forget waits in held (see hold).
+// still deciding waits for the run (see decide), and while a recovery
+// reads the log and the sites the forget waits in held (see hold).
 func (c *Coordinator) forgetIfDone(ctx context.Context, id string, d *decided) {
 	c.mu.Lock()
 	done := len(d.pending) == 0 && d.unsynced == 0 && !d.trackMarks && !d.ended && !c.deciding[id]
@@ -539,12 +540,13 @@ type heldForget struct {
 	d  *decided
 }
 
-// hold stops forgetting until the matching release. A site's scan reply is
-// a snapshot: a transaction it reports may be decided, delivered, acked and
-// forgotten before the reply is acted on, and then recovery would presume
-// abort over a decision it no longer holds. Holding forgets from before the
-// decision log is read, or the scan sent, until the reports are acted on
-// keeps every such decision where recovery looks for it.
+// hold stops forgetting until the matching release, for Recover. A
+// transaction recovery presumes aborted may meanwhile be decided by a run
+// that passed its incarnation check before the recovery began, delivered,
+// acked and forgotten; recovery would then presume abort over a decision
+// nobody holds any more. Holding forgets from before the decision log is
+// read until the presumed aborts are logged keeps every such decision
+// where recovery looks for it.
 func (c *Coordinator) hold() {
 	c.mu.Lock()
 	c.holds++
@@ -692,6 +694,10 @@ func (c *Coordinator) Recover(ctx context.Context) error {
 	c.mu.Lock()
 	c.incarnation = nextIncarnation(c.incarnation, c.clock.Now())
 	inc := c.incarnation
+	// known collects the transactions this recovery decides, or leaves to
+	// a run that may still commit them; a background scan leaves them to
+	// this recovery's delivery (see rescanOnce).
+	known := maps.Clone(c.deciding)
 	c.mu.Unlock()
 	// Forgetting is held until the presumed aborts are logged (see hold).
 	c.hold()
@@ -747,10 +753,12 @@ func (c *Coordinator) Recover(ctx context.Context) error {
 	for id, commit := range decidedLog {
 		b := begun[id]
 		c.decided[id] = newDecided(commit, b.Marking != proto.MarkNone, b.Sites)
+		known[id] = true
 	}
 	c.stats.Decided.Set(int64(len(c.decided)))
 	var presume []string
 	for id := range begun {
+		known[id] = true
 		if _, ok := decidedLog[id]; !ok {
 			presume = append(presume, id)
 		}
@@ -797,7 +805,7 @@ func (c *Coordinator) Recover(ctx context.Context) error {
 	for _, site := range unscanned {
 		site := site
 		//o2pcvet:ignore goleak -- it ends once the site answers, at Close, or when a crash or a later recovery supersedes it
-		c.clock.Go(func() { c.rescan(c.life, site, inc) })
+		c.clock.Go(func() { c.rescan(c.life, site, inc, known) })
 	}
 
 	// Re-deliver everything not yet ended, in deterministic id order. A
@@ -882,23 +890,25 @@ func (c *Coordinator) scan(ctx context.Context, site string, inc uint64) ([]prot
 // orphans it reports and delivers their decisions, as Recover does. It
 // gives up when the coordinator crashes or a later recovery, which scans
 // the site itself, supersedes inc.
-func (c *Coordinator) rescan(ctx context.Context, site string, inc uint64) {
+func (c *Coordinator) rescan(ctx context.Context, site string, inc uint64, known map[string]bool) {
 	for c.clock.Sleep(ctx, scanRetry) == nil {
-		c.hold()
-		done := c.rescanOnce(ctx, site, inc)
-		c.release(ctx)
-		if done {
+		if c.superseded(inc) || c.rescanOnce(ctx, site, inc, known) {
 			return
 		}
 	}
 }
 
-// rescanOnce is one attempt of rescan, run under a hold (see hold). It
-// reports whether rescan is over.
-func (c *Coordinator) rescanOnce(ctx context.Context, site string, inc uint64) bool {
-	if c.superseded(inc) {
-		return true
-	}
+// rescanOnce is one attempt of rescan; it reports whether the site
+// answered.
+//
+// The answer may be stale by the time it is acted on: a transaction it
+// reports may have been decided, delivered, acked and forgotten since. So
+// a transaction the recovery knew of (known) is left to the recovery's
+// own delivery, or to its run, and is only added to a decision still
+// held. Any other transaction of an older incarnation had no decision at
+// the recovery and no run that could still commit it, so abort is the
+// only decision it can have, and presuming it again is harmless.
+func (c *Coordinator) rescanOnce(ctx context.Context, site string, inc uint64, known map[string]bool) bool {
 	txns, err := c.scan(ctx, site, inc)
 	if err != nil {
 		return false
@@ -918,9 +928,14 @@ func (c *Coordinator) rescanOnce(ctx context.Context, site string, inc uint64) b
 			continue
 		}
 		d := c.adoptPrior(t.TxnID, sites, nil)
+		if d == nil && known[t.TxnID] {
+			continue
+		}
 		if d == nil {
+			// A decision log that fails is the coordinator's crash, and the
+			// recovery after it scans the site again.
 			if c.dlog.Begin(ctx, t.TxnID, sites, t.Marking) != nil {
-				return true // the log failed: the coordinator is as good as crashed
+				return true
 			}
 			chosen, err := c.dlog.PresumeAbort(ctx, t.TxnID)
 			if err == nil {
