@@ -221,7 +221,7 @@ func TestRunOvertakenByRecoveryAborts(t *testing.T) {
 
 // recoveringLog is a LocalLog whose Decide for one transaction first runs a
 // whole recovery of the coordinator, then decides: the recovery lands
-// between the run's epoch check and its decision.
+// between the run's incarnation check and its decision.
 type recoveringLog struct {
 	*LocalLog
 	id      string
@@ -240,9 +240,10 @@ func (l *recoveringLog) Decide(ctx context.Context, id string, commit bool) (boo
 }
 
 // TestRecoveryInsideDecideKeepsPresumedAbort: a recovery that runs after a
-// run passed its epoch check, and before it logs its commit, presumes abort
-// and delivers it to every participant, but must not forget it: the run
-// then adopts the abort instead of logging a commit after an END.
+// run passed its incarnation check, and before it logs its commit,
+// presumes abort and delivers it to every participant, but must not forget
+// it: the run then adopts the abort instead of logging a commit after an
+// END.
 func TestRecoveryInsideDecideKeepsPresumedAbort(t *testing.T) {
 	log := wal.NewMemoryLog()
 	r := newRigResolve(t, 2, time.Hour)
