@@ -68,12 +68,29 @@ func decodeExposure(aux string) (exposure, error) {
 	return exposure{Coord: coord, Req: req}, nil
 }
 
-// prepareAux is the Aux of a RecPrepared record, "coord|incarnation|marking":
+// preparedAux is the Aux of a RecPrepared record, "coord|incarnation|marking":
 // the coordinator a restarted site asks about the decision, and the
 // incarnation and marking protocol that site reports to that coordinator's
 // recovery scan.
-func prepareAux(coord string, req proto.ExecRequest) string {
-	return coord + "|" + strconv.FormatUint(req.Incarnation, 10) + "|" + req.Marking.String()
+type preparedAux struct {
+	coord       string
+	incarnation uint64
+	marking     proto.MarkProtocol
+	aux         string
+}
+
+// prepareAux returns the PREPARED Aux for a vote on req from coord. The
+// last one built is kept: a coordinator's incarnation and marking repeat
+// from one vote to the next, and formatting them costs allocations on the
+// commit path.
+func (s *Site) prepareAux(coord string, req proto.ExecRequest) string {
+	if p := s.lastPrepared.Load(); p != nil && p.coord == coord && p.incarnation == req.Incarnation && p.marking == req.Marking {
+		return p.aux
+	}
+	p := &preparedAux{coord: coord, incarnation: req.Incarnation, marking: req.Marking,
+		aux: coord + "|" + strconv.FormatUint(req.Incarnation, 10) + "|" + req.Marking.String()}
+	s.lastPrepared.Store(p)
+	return p.aux
 }
 
 // splitPrepareAux inverts prepareAux.

@@ -270,6 +270,8 @@ type Site struct {
 	// reports (see ack).
 	boot         atomic.Uint64
 	lastDecision atomic.Uint64
+	// lastPrepared is the last PREPARED Aux built (see prepareAux).
+	lastPrepared atomic.Pointer[preparedAux]
 
 	// epoch is cancelled by a crash and replaced on restart: it scopes work
 	// that must survive the triggering request but not the process — the

@@ -131,7 +131,7 @@ func (s *Site) vote(ctx context.Context, from, txnID string, lockPoint bool) pro
 	// is the wait-on-a-dead-coordinator, not the prepared state.
 	holdLocks := p.req.Protocol.KeepsLocksAtVote() || p.req.Comp == proto.CompNone
 	if holdLocks {
-		if err := p.t.Prepare(prepareAux(from, p.req)); err != nil {
+		if err := p.t.Prepare(s.prepareAux(from, p.req)); err != nil {
 			return s.voteNo(ctx, p, from, "prepare failed", err.Error())
 		}
 		s.setState(p, statePrepared)
