@@ -8,6 +8,7 @@ import (
 
 	"o2pc/internal/history"
 	"o2pc/internal/proto"
+	"o2pc/internal/sim"
 	"o2pc/internal/wal"
 )
 
@@ -129,5 +130,98 @@ func TestUnreachableSiteScannedInBackground(t *testing.T) {
 	}
 	if n := restarted.Stats().RecoveryOrphans.Value(); n != 1 {
 		t.Fatalf("recovery orphans = %d, want 1", n)
+	}
+}
+
+// TestSiteDownAcrossRecoveryAfterPeerForgot: both 2PC participants of a
+// transaction whose BEGIN the restarted coordinator lost voted YES, and
+// one of them is down across the recovery. The recovery presumes abort
+// for the other, which acks, so the coordinator forgets the transaction;
+// the site that comes back later reports it again and must be released
+// by a second presumed abort, not left in doubt with Known:false.
+func TestSiteDownAcrossRecoveryAfterPeerForgot(t *testing.T) {
+	r := newRigResolve(t, 2, time.Hour)
+	sites := []string{siteName(0), siteName(1)}
+	r.coord = New(Config{Name: "c0", Recorder: r.rec, Sites: sites}, r.net)
+	r.net.Register("c0", r.coord.Handle)
+	r.seed("acct", 100)
+	r.coord.SetCrashInjector(func(_ string, phase CrashPhase) bool { return phase == CrashAfterVotes })
+	if res := r.coord.Run(bg(), transfer(r, proto.TwoPC, proto.MarkNone, "Torphan", 30)); res.Outcome != AbortedCoordinator {
+		t.Fatalf("outcome = %v (%v), want the crash after the votes", res.Outcome, res.Err)
+	}
+	r.coord.Close()
+	// The restarted coordinator's fresh log stands for one that lost the
+	// unforced BEGIN.
+	restarted := New(Config{Name: "c0", Recorder: r.rec, Sites: sites}, r.net)
+	defer restarted.Close()
+	r.net.Register("c0", restarted.Handle)
+	r.net.SetDown(siteName(1), true)
+	if err := restarted.Recover(bg()); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		return !r.sites[0].Manager().Locks().HoldsAny("Torphan") && !resolve(t, restarted, "Torphan").Known
+	}, "the answering site released and the transaction forgotten")
+	if !r.sites[1].Manager().Locks().HoldsAny("Torphan") {
+		t.Fatal("the site down across recovery lost Torphan's locks")
+	}
+	r.net.SetDown(siteName(1), false)
+	waitFor(t, 5*time.Second, func() bool { return restarted.Stats().UnscannedSites.Value() == 0 }, "background scan")
+	waitQuiesce(t, r)
+	for _, s := range r.sites {
+		if s.Manager().Locks().HoldsAny("Torphan") {
+			t.Fatalf("%s still holds Torphan's locks", s.Name())
+		}
+		if got := s.ReadInt64("acct"); got != 100 {
+			t.Fatalf("%s acct = %d, want 100 after the presumed abort", s.Name(), got)
+		}
+	}
+	if n := restarted.Stats().RecoveryOrphans.Value(); n != 1 {
+		t.Fatalf("recovery orphans = %d, want 1", n)
+	}
+}
+
+// skewedClock reads skew later than the clock it wraps.
+type skewedClock struct {
+	sim.Clock
+	skew time.Duration
+}
+
+func (c skewedClock) Now() time.Time { return c.Clock.Now().Add(c.skew) }
+
+// TestRecoveryMovesPastEarlierLifesIncarnation: the coordinator's earlier
+// life ran with a clock an hour ahead, so its incarnation is later than the
+// one the restarted coordinator draws from its own clock. The sites report
+// the later floor, and the recovery moves past it: the earlier life's YES
+// voters are presumed aborted rather than taken for runs of the new
+// incarnation, and the new incarnation's execs are not refused.
+func TestRecoveryMovesPastEarlierLifesIncarnation(t *testing.T) {
+	r := newRigResolve(t, 2, time.Hour)
+	sites := []string{siteName(0), siteName(1)}
+	r.coord = New(Config{Name: "c0", Recorder: r.rec, Sites: sites, Clock: skewedClock{sim.Real(), time.Hour}}, r.net)
+	r.net.Register("c0", r.coord.Handle)
+	r.seed("acct", 100)
+	r.coord.SetCrashInjector(func(_ string, phase CrashPhase) bool { return phase == CrashAfterVotes })
+	if res := r.coord.Run(bg(), transfer(r, proto.TwoPC, proto.MarkNone, "Tahead", 30)); res.Outcome != AbortedCoordinator {
+		t.Fatalf("outcome = %v (%v), want the crash after the votes", res.Outcome, res.Err)
+	}
+	r.coord.Close()
+	restarted := New(Config{Name: "c0", Recorder: r.rec, Sites: sites}, r.net)
+	defer restarted.Close()
+	r.net.Register("c0", restarted.Handle)
+	if err := restarted.Recover(bg()); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	waitQuiesce(t, r)
+	for _, s := range r.sites {
+		if s.Manager().Locks().HoldsAny("Tahead") {
+			t.Fatalf("%s still holds Tahead's locks", s.Name())
+		}
+	}
+	if n := restarted.Stats().RecoveryOrphans.Value(); n != 1 {
+		t.Fatalf("recovery orphans = %d, want 1", n)
+	}
+	if res := restarted.Run(bg(), transfer(r, proto.TwoPC, proto.MarkNone, "Tnext", 30)); !res.Committed() {
+		t.Fatalf("a run of the new incarnation: %v (%v)", res.Outcome, res.Err)
 	}
 }

@@ -691,14 +691,7 @@ func (c *Coordinator) Recover(ctx context.Context) error {
 	// A new incarnation before the log is read: a run still in flight
 	// decides abort from here on (see decide), so any decision that lands
 	// after the read agrees with the presumed aborts below.
-	c.mu.Lock()
-	c.incarnation = nextIncarnation(c.incarnation, c.clock.Now())
-	inc := c.incarnation
-	// known collects the transactions this recovery decides, or leaves to
-	// a run that may still commit them; a background scan leaves them to
-	// this recovery's delivery (see rescanOnce).
-	known := maps.Clone(c.deciding)
-	c.mu.Unlock()
+	inc, known := c.advance(0)
 	// Forgetting is held until the presumed aborts are logged (see hold).
 	c.hold()
 	held := true
@@ -723,17 +716,27 @@ func (c *Coordinator) Recover(ctx context.Context) error {
 		b.Sites = unionSites(begun[b.TxnID].Sites, b.Sites)
 		begun[b.TxnID] = b
 	}
-	reports, unscanned := c.scanAll(ctx, inc)
-	orphans := make(map[string]bool)
+	reports, unscanned, latest := c.scanAll(ctx, inc)
+	for latest > inc {
+		// A site has seen a later incarnation of this coordinator: an
+		// earlier life's clock read later than this one's. Move past it and
+		// scan again, so that the sites fence that life's execs and its
+		// transactions count as older.
+		var deciding map[string]bool
+		inc, deciding = c.advance(latest)
+		maps.Copy(known, deciding)
+		reports, unscanned, latest = c.scanAll(ctx, inc)
+	}
+	r := &recovery{inc: inc, known: known, orphans: make(map[string]bool)}
 	for i, site := range c.cfg.Sites {
 		for _, t := range reports[i] {
+			if t.Incarnation == inc {
+				continue // a run of this incarnation
+			}
 			b, ok := begun[t.TxnID]
 			if !ok {
 				if _, decided := decidedLog[t.TxnID]; !decided {
-					if t.Incarnation >= inc {
-						continue // a run of this incarnation
-					}
-					orphans[t.TxnID] = true
+					r.orphans[t.TxnID] = true
 				}
 				b = BeginRecord{TxnID: t.TxnID, Marking: t.Marking}
 			}
@@ -758,7 +761,6 @@ func (c *Coordinator) Recover(ctx context.Context) error {
 	c.stats.Decided.Set(int64(len(c.decided)))
 	var presume []string
 	for id := range begun {
-		known[id] = true
 		if _, ok := decidedLog[id]; !ok {
 			presume = append(presume, id)
 		}
@@ -771,11 +773,7 @@ func (c *Coordinator) Recover(ctx context.Context) error {
 	// Presumed abort for undecided transactions. The decided map — not the
 	// log snapshot read above — is re-checked: a run that was in flight
 	// across the crash may have decided the transaction since, and a
-	// decision, once made, is final. The decision log resolves the
-	// remaining race window itself (PresumeAbort returns the decision that
-	// actually took effect), so a run's commit can never be contradicted.
-	// The BEGIN is logged again first, so the log holds the delivery set
-	// the sites reported.
+	// decision, once made, is final.
 	for _, id := range presume {
 		c.mu.Lock()
 		_, ok := c.decided[id]
@@ -784,17 +782,9 @@ func (c *Coordinator) Recover(ctx context.Context) error {
 			continue
 		}
 		b := begun[id]
-		if err := c.dlog.Begin(ctx, id, b.Sites, b.Marking); err != nil {
-			return fmt.Errorf("coord %s: logging begin for %s: %w", c.cfg.Name, id, err)
+		if _, err := c.presumeAbort(ctx, id, b.Sites, b.Marking, r.orphans[id]); err != nil {
+			return err
 		}
-		chosen, err := c.dlog.PresumeAbort(ctx, id)
-		if err != nil {
-			return fmt.Errorf("coord %s: logging presumed abort for %s: %w", c.cfg.Name, id, err)
-		}
-		if c.adoptPrior(id, nil, newDecided(chosen, b.Marking != proto.MarkNone, b.Sites)) != nil {
-			continue
-		}
-		c.presumed(id, chosen, orphans[id])
 	}
 	if err := c.dlog.Sync(ctx); err != nil {
 		return fmt.Errorf("coord %s: syncing presumed aborts: %w", c.cfg.Name, err)
@@ -805,7 +795,7 @@ func (c *Coordinator) Recover(ctx context.Context) error {
 	for _, site := range unscanned {
 		site := site
 		//o2pcvet:ignore goleak -- it ends once the site answers, at Close, or when a crash or a later recovery supersedes it
-		c.clock.Go(func() { c.rescan(c.life, site, inc, known) })
+		c.clock.Go(func() { c.rescan(c.life, site, r) })
 	}
 
 	// Re-deliver everything not yet ended, in deterministic id order. A
@@ -832,9 +822,50 @@ func (c *Coordinator) Recover(ctx context.Context) error {
 	return nil
 }
 
-// presumed reports a presumed abort that took effect, or the decision a
-// racing run made instead; orphan counts an abort the sites alone told of.
-func (c *Coordinator) presumed(id string, chosen, orphan bool) {
+// recovery is what a recovery of incarnation inc hands to the background
+// scans of the sites it could not reach (see presumeReported).
+type recovery struct {
+	inc uint64
+	// known holds the transactions that may commit: those a run was
+	// deciding, and those the decision log held a decision for. The
+	// recovery or their runs deliver their decisions to every participant.
+	known map[string]bool
+	// orphans holds the transactions only the sites told the recovery of;
+	// it presumed them aborted and counted them.
+	orphans map[string]bool
+}
+
+// advance moves the coordinator to a new incarnation, later than the
+// current one and than past, and returns it with the transactions whose
+// runs are deciding.
+func (c *Coordinator) advance(past uint64) (uint64, map[string]bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.incarnation = max(nextIncarnation(c.incarnation, c.clock.Now()), past+1)
+	return c.incarnation, maps.Clone(c.deciding)
+}
+
+// presumeAbort decides id by presumed abort, with sites as its delivery
+// set, and returns the decision that took effect. Callers make sure no run
+// can still commit id, or that one deciding it is racing this call: the
+// decision log settles that race itself (PresumeAbort returns the decision
+// that won), so a run's commit is never contradicted, and a decision
+// already held is adopted with sites added to its delivery set. The BEGIN
+// is logged again first, so the log holds the delivery set the sites
+// reported. orphan counts an abort the sites alone told of. The caller
+// syncs the log.
+func (c *Coordinator) presumeAbort(ctx context.Context, id string, sites []string, marking proto.MarkProtocol, orphan bool) (*decided, error) {
+	if err := c.dlog.Begin(ctx, id, sites, marking); err != nil {
+		return nil, fmt.Errorf("coord %s: logging begin for %s: %w", c.cfg.Name, id, err)
+	}
+	chosen, err := c.dlog.PresumeAbort(ctx, id)
+	if err != nil {
+		return nil, fmt.Errorf("coord %s: logging presumed abort for %s: %w", c.cfg.Name, id, err)
+	}
+	d := newDecided(chosen, marking != proto.MarkNone, sites)
+	if prior := c.adoptPrior(id, sites, d); prior != nil {
+		return prior, nil
+	}
 	detail := "abort presumed"
 	if chosen {
 		detail = wal.DecisionAux(chosen)
@@ -842,118 +873,127 @@ func (c *Coordinator) presumed(id string, chosen, orphan bool) {
 		c.stats.RecoveryOrphans.Inc()
 	}
 	c.reached(id, chosen, detail)
+	return d, nil
 }
 
 // scanAll scans every site of Config.Sites at once, returning each one's
-// report by index and, in order, the sites that did not answer.
-func (c *Coordinator) scanAll(ctx context.Context, inc uint64) ([][]proto.ScanTxn, []string) {
-	reports := make([][]proto.ScanTxn, len(c.cfg.Sites))
+// report by index, in order the sites that did not answer, and the latest
+// incarnation the others have seen.
+func (c *Coordinator) scanAll(ctx context.Context, inc uint64) (reports [][]proto.ScanTxn, unscanned []string, latest uint64) {
+	replies := make([]proto.ScanReply, len(c.cfg.Sites))
 	failed := make([]bool, len(c.cfg.Sites))
 	g := sim.NewGroup(c.clock)
 	for i, site := range c.cfg.Sites {
 		i, site := i, site
 		g.Go(func() {
 			var err error
-			reports[i], err = c.scan(ctx, site, inc)
+			replies[i], err = c.scan(ctx, site, inc)
 			failed[i] = err != nil
 		})
 	}
 	g.Wait()
-	var unscanned []string
+	reports = make([][]proto.ScanTxn, len(c.cfg.Sites))
 	for i, site := range c.cfg.Sites {
 		if failed[i] {
 			unscanned = append(unscanned, site)
 		}
+		reports[i], latest = replies[i].Txns, max(latest, replies[i].Latest)
 	}
-	return reports, unscanned
+	return reports, unscanned, latest
 }
 
 // scan asks site for the undecided subtransactions this coordinator
 // shipped, and raises the site's incarnation floor for it to inc.
-func (c *Coordinator) scan(ctx context.Context, site string, inc uint64) ([]proto.ScanTxn, error) {
+func (c *Coordinator) scan(ctx context.Context, site string, inc uint64) (proto.ScanReply, error) {
 	cctx, cancel := c.clock.WithTimeout(ctx, scanTimeout)
 	defer cancel()
 	raw, err := c.caller.Call(cctx, c.cfg.Name, site, proto.ScanRequest{Incarnation: inc})
 	if err == nil {
 		if rep, ok := raw.(proto.ScanReply); ok {
 			c.tracer.Emit(c.cfg.Name, trace.EvRecoverScan, "", site, "txns="+strconv.Itoa(len(rep.Txns)))
-			return rep.Txns, nil
+			return rep, nil
 		}
 		err = fmt.Errorf("coord: scan of %s: unexpected reply %T", site, raw)
 	}
 	c.tracer.Emit(c.cfg.Name, trace.EvRecoverScan, "", site, "unreachable")
-	return nil, err
+	return proto.ScanReply{}, err
 }
 
-// rescan retries the recovery scan of a site the recovery of incarnation
-// inc could not reach, until the site answers, then presumes abort for the
-// orphans it reports and delivers their decisions, as Recover does. It
-// gives up when the coordinator crashes or a later recovery, which scans
-// the site itself, supersedes inc.
-func (c *Coordinator) rescan(ctx context.Context, site string, inc uint64, known map[string]bool) {
+// rescan retries the recovery scan of a site recovery r could not reach,
+// until the site answers, then presumes abort for the orphans it reports
+// and delivers their decisions, as Recover does. It gives up when the
+// coordinator crashes or a later recovery, which scans the site itself,
+// supersedes r.
+func (c *Coordinator) rescan(ctx context.Context, site string, r *recovery) {
 	for c.clock.Sleep(ctx, scanRetry) == nil {
-		if c.superseded(inc) || c.rescanOnce(ctx, site, inc, known) {
+		if c.superseded(r.inc) {
 			return
 		}
+		rep, err := c.scan(ctx, site, r.inc)
+		if err != nil {
+			continue
+		}
+		c.mu.Lock()
+		current := !c.crashed && c.incarnation == r.inc
+		if current {
+			c.stats.UnscannedSites.Dec()
+		}
+		c.mu.Unlock()
+		switch {
+		case !current:
+		case rep.Latest > r.inc:
+			// As in Recover: an earlier life ran at a later incarnation. A
+			// new recovery moves past it and scans every site again.
+			err = c.Recover(ctx)
+		default:
+			err = c.presumeReported(ctx, site, r, rep.Txns)
+		}
+		if err != nil {
+			// A decision log that fails is the coordinator's crash, and the
+			// recovery after it scans the site again.
+			c.mu.Lock()
+			c.crashed = true
+			c.mu.Unlock()
+			c.tracer.Emit(c.cfg.Name, trace.EvCrash, "", "", "rescan: "+err.Error())
+		}
+		return
 	}
 }
 
-// rescanOnce is one attempt of rescan; it reports whether the site
-// answered.
+// presumeReported decides and delivers the transactions of an older
+// incarnation that a background scan of site, for recovery r, reported.
 //
-// The answer may be stale by the time it is acted on: a transaction it
-// reports may have been decided, delivered, acked and forgotten since. So
-// a transaction the recovery knew of (known) is left to the recovery's
-// own delivery, or to its run, and is only added to a decision still
-// held. Any other transaction of an older incarnation had no decision at
-// the recovery and no run that could still commit it, so abort is the
-// only decision it can have, and presuming it again is harmless.
-func (c *Coordinator) rescanOnce(ctx context.Context, site string, inc uint64, known map[string]bool) bool {
-	txns, err := c.scan(ctx, site, inc)
-	if err != nil {
-		return false
-	}
-	c.mu.Lock()
-	current := !c.crashed && c.incarnation == inc
-	if current {
-		c.stats.UnscannedSites.Dec()
-	}
-	c.mu.Unlock()
-	if !current {
-		return true
-	}
+// The report may be stale by the time it is acted on: a transaction it
+// names may have been decided, delivered, acked and forgotten since. A
+// decision still held gains the site as a participant. Of the others, a
+// transaction r knows may commit was delivered by r or by its run, to
+// every participant, so the report is stale. Every other transaction had
+// no decision at r and no run that could still commit it, so abort is the
+// only decision it can have, and presuming it is harmless — again, when r
+// presumed it for the sites that answered and has forgotten it since, and
+// this site was one of its participants too.
+func (c *Coordinator) presumeReported(ctx context.Context, site string, r *recovery, txns []proto.ScanTxn) error {
 	sites := []string{site}
 	for _, t := range txns {
-		if t.Incarnation >= inc {
+		if t.Incarnation == r.inc {
 			continue
 		}
 		d := c.adoptPrior(t.TxnID, sites, nil)
-		if d == nil && known[t.TxnID] {
-			continue
-		}
 		if d == nil {
-			// A decision log that fails is the coordinator's crash, and the
-			// recovery after it scans the site again.
-			if c.dlog.Begin(ctx, t.TxnID, sites, t.Marking) != nil {
-				return true
+			if r.known[t.TxnID] {
+				continue
 			}
-			chosen, err := c.dlog.PresumeAbort(ctx, t.TxnID)
-			if err == nil {
+			var err error
+			if d, err = c.presumeAbort(ctx, t.TxnID, sites, t.Marking, !r.orphans[t.TxnID]); err == nil {
 				err = c.dlog.Sync(ctx)
 			}
 			if err != nil {
-				return true
-			}
-			d = newDecided(chosen, t.Marking != proto.MarkNone, sites)
-			if prior := c.adoptPrior(t.TxnID, sites, d); prior != nil {
-				d = prior
-			} else {
-				c.presumed(t.TxnID, chosen, true)
+				return err
 			}
 		}
 		c.deliverDecision(ctx, t.TxnID, d)
 	}
-	return true
+	return nil
 }
 
 // superseded reports whether the coordinator crashed or recovered again

@@ -428,9 +428,15 @@ type ScanTxn struct {
 	Incarnation uint64
 }
 
-// ScanReply answers a ScanRequest, in transaction ID order.
+// ScanReply answers a ScanRequest: Txns in transaction ID order, and
+// Latest, the latest incarnation of the coordinator the site has seen —
+// from a scan, an exec or a prepared entry. A Latest above the scan's
+// incarnation tells the coordinator that an earlier life of it ran at a
+// later incarnation (its clock read later), and that it must move past
+// Latest.
 type ScanReply struct {
-	Txns []ScanTxn
+	Txns   []ScanTxn
+	Latest uint64
 }
 
 // TxnIDOf extracts the global transaction id a message belongs to, or ""

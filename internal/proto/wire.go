@@ -299,7 +299,7 @@ func appendScanReply(buf []byte, m *ScanReply) []byte {
 		buf = append(buf, byte(st.Marking))
 		buf = binary.AppendUvarint(buf, st.Incarnation)
 	}
-	return buf
+	return binary.AppendUvarint(buf, m.Latest)
 }
 
 func decodeScanReply(r *wireReader) ScanReply {
@@ -313,6 +313,7 @@ func decodeScanReply(r *wireReader) ScanReply {
 			st.Incarnation = r.uvarint()
 		}
 	}
+	m.Latest = r.uvarint()
 	return m
 }
 

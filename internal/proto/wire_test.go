@@ -104,7 +104,7 @@ func sampleMessages(id, key, s string, val []byte, d1, d2 int64, b1, b2, b3 bool
 		RepNewTermReply{OK: b1, Term: uint64(d1), Txns: txns},
 		RepNewTermReply{},
 		ScanRequest{Incarnation: uint64(d1)},
-		ScanReply{Txns: scanned},
+		ScanReply{Txns: scanned, Latest: uint64(d2)},
 		ScanReply{},
 	}
 }

@@ -80,11 +80,16 @@ func TestPostVoteRollbackKeepsCompensationModel(t *testing.T) {
 // scan sends a recovery scan from coordinator from at incarnation inc.
 func scan(t *testing.T, s *Site, from string, inc uint64) []proto.ScanTxn {
 	t.Helper()
+	return scanReply(t, s, from, inc).Txns
+}
+
+func scanReply(t *testing.T, s *Site, from string, inc uint64) proto.ScanReply {
+	t.Helper()
 	raw, err := s.Handle(bg(), from, proto.ScanRequest{Incarnation: inc})
 	if err != nil {
 		t.Fatalf("scan: %v", err)
 	}
-	return raw.(proto.ScanReply).Txns
+	return raw.(proto.ScanReply)
 }
 
 // TestExecInLockWaitRefusedAfterScan: an exec of coordinator incarnation 1
@@ -167,5 +172,59 @@ func TestScanReportsOwnUndecided(t *testing.T) {
 	}
 	if got := scan(t, s, "c0", 8); !reflect.DeepEqual(got, want) {
 		t.Fatalf("scan after restart = %+v, want %+v", got, want)
+	}
+}
+
+// TestScanFloorCoversLaterIncarnations: an earlier life of coordinator c0
+// whose clock read later shipped an exec of incarnation 9, which waits for
+// a lock another coordinator's transaction holds. A recovery of
+// incarnation 2 is told the site has seen 9, although the exec has not
+// registered and the scan cannot report it; a scan past 9 fences the exec.
+// A restarted site reports its prepared entries' incarnations as seen.
+func TestScanFloorCoversLaterIncarnations(t *testing.T) {
+	s := newTestSite(t, Config{ResolvePeriod: time.Hour, LockTimeout: time.Minute})
+	s.SeedInt64("n", 0)
+	if raw, err := s.Handle(bg(), "c1", o2pcReq("T1", proto.Add("n", 1))); err != nil || !raw.(proto.ExecReply).OK {
+		t.Fatalf("T1 from c1: %v %+v", err, raw)
+	}
+	waiter := o2pcReq("T2", proto.Add("n", 1))
+	waiter.Incarnation = 9
+	done := make(chan proto.ExecReply, 1)
+	go func() {
+		raw, err := s.Handle(bg(), "c0", waiter)
+		if err != nil {
+			t.Errorf("T2: %v", err)
+		}
+		reply, _ := raw.(proto.ExecReply)
+		done <- reply
+	}()
+	for deadline := time.Now().Add(5 * time.Second); len(s.Manager().Locks().WaitsFor()["T2"]) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("T2 never waited for T1's lock")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := scanReply(t, s, "c0", 2); len(got.Txns) != 0 || got.Latest != 9 {
+		t.Fatalf("scan at 2 = %+v, want no txns and latest 9", got)
+	}
+	if got := scanReply(t, s, "c0", 10); got.Latest != 10 {
+		t.Fatalf("scan at 10 = %+v, want latest 10", got)
+	}
+	decide(t, s, "T1", false)
+	if reply := <-done; reply.OK {
+		t.Fatalf("T2 of the scanned-past incarnation registered: %+v", reply)
+	}
+
+	prepared := o2pcReq("T3", proto.Add("n", 1))
+	prepared.Protocol, prepared.Vote, prepared.Last, prepared.Incarnation = proto.TwoPC, true, true, 12
+	if reply := exec(t, s, prepared); !reply.Vote.Commit {
+		t.Fatalf("T3: %+v", reply)
+	}
+	s.SetCrashed(true)
+	if _, err := s.Recover(bg()); err != nil {
+		t.Fatal(err)
+	}
+	if got := scanReply(t, s, "c0", 11); len(got.Txns) != 1 || got.Latest != 12 {
+		t.Fatalf("scan after restart = %+v, want T3 and latest 12", got)
 	}
 }

@@ -149,7 +149,7 @@ func (s *Site) Recover(ctx context.Context) (wal.RecoverResult, error) {
 	s.pend = make(map[string]*pending)
 	s.applying = make(map[string]bool)
 	s.resolved = make(map[string]bool)
-	s.floors = make(map[string]uint64)
+	s.floors = make(map[string]incarnations)
 	s.mu.Unlock()
 	s.boot.Add(1)
 	s.stats.PendingGlobal.Set(0)

@@ -250,10 +250,10 @@ type Site struct {
 	// unsynced holds, by LSN, the decision records acked before they were
 	// durable; a re-sent decision is acked only once its record is.
 	unsynced map[string]uint64
-	// floors holds, by coordinator, the incarnation of its latest recovery
-	// scan: an exec of an older incarnation is refused (see handleScan).
-	// Like resolved, it does not survive a crash of the site.
-	floors     map[string]uint64
+	// floors holds, by coordinator, what the site knows of its
+	// incarnations (see handleScan). Like resolved, it does not survive a
+	// crash of the site.
+	floors     map[string]incarnations
 	injector   func(txnID string) bool
 	localSeq   uint64
 	sysSeq     uint64
@@ -336,7 +336,7 @@ func NewSite(cfg Config) *Site {
 		pend:     make(map[string]*pending),
 		applying: make(map[string]bool),
 		resolved: make(map[string]bool),
-		floors:   make(map[string]uint64),
+		floors:   make(map[string]incarnations),
 	}
 	s.boot.Store(uint64(clock.Now().UnixNano()))
 	return s
@@ -525,6 +525,10 @@ func (s *Site) execLocked(ctx context.Context, from string, req proto.ExecReques
 	// coordinator's scan has passed by (see handleScan).
 	s.mu.Lock()
 	stale := s.staleLocked(from, req)
+	if f := s.floors[from]; req.Incarnation > f.latest {
+		f.latest = req.Incarnation
+		s.floors[from] = f
+	}
 	open := s.pend[req.TxnID]
 	s.mu.Unlock()
 	if stale != "" {
@@ -586,26 +590,37 @@ func (s *Site) staleLocked(from string, req proto.ExecRequest) string {
 	switch {
 	case s.resolved[req.TxnID]:
 		return "transaction decided at this site"
-	case req.Incarnation < s.floors[from]:
+	case req.Incarnation < s.floors[from].floor:
 		return "its coordinator recovered since"
 	default:
 		return ""
 	}
 }
 
+// incarnations is what a site knows of one coordinator's incarnations.
+type incarnations struct {
+	// floor is the incarnation of the coordinator's latest recovery scan:
+	// an exec of an older one is refused.
+	floor uint64
+	// latest is the latest incarnation seen here, from a scan, an exec or a
+	// prepared entry.
+	latest uint64
+}
+
 // handleScan answers a recovering coordinator's scan: the subtransactions
 // of that coordinator this site holds undecided — executed, prepared or
 // locally committed — with their marking and the incarnation that shipped
-// them, in ID order. It first raises the coordinator's incarnation floor
-// to the scan's, under the same mutex: an exec of an older incarnation
-// that is still running here (waiting for a lock, say) is refused when it
-// would register, since the coordinator will presume abort only for what
-// this reply reports.
+// them, in ID order. It raises the coordinator's incarnation floor to the
+// scan's, under the same mutex: an exec of an older incarnation that is
+// still running here (waiting for a lock, say) is refused when it would
+// register, since the coordinator will presume abort only for what this
+// reply reports. The reply's Latest tells a coordinator whose clock reads
+// earlier than an earlier life's that it must move past that life.
 func (s *Site) handleScan(from string, req proto.ScanRequest) proto.ScanReply {
 	s.mu.Lock()
-	if req.Incarnation > s.floors[from] {
-		s.floors[from] = req.Incarnation
-	}
+	f := s.floors[from]
+	f.floor = max(f.floor, req.Incarnation)
+	f.latest = max(f.latest, f.floor)
 	var reply proto.ScanReply
 	for _, p := range s.pend {
 		if p.coord == from {
@@ -614,8 +629,11 @@ func (s *Site) handleScan(from string, req proto.ScanRequest) proto.ScanReply {
 				Marking:     p.req.Marking,
 				Incarnation: p.req.Incarnation,
 			})
+			f.latest = max(f.latest, p.req.Incarnation)
 		}
 	}
+	s.floors[from] = f
+	reply.Latest = f.latest
 	s.mu.Unlock()
 	sort.Slice(reply.Txns, func(i, j int) bool { return reply.Txns[i].TxnID < reply.Txns[j].TxnID })
 	return reply
