@@ -606,6 +606,36 @@ func TestFileLogSyncFailureSticks(t *testing.T) {
 	}
 }
 
+// TestFileLogOverlappingSyncSeesFailure: of two Syncs whose fsyncs
+// overlap, the one that fails settles first; the other's fsync then
+// succeeds, but vouches for nothing (the kernel reported the lost pages
+// to the first only), so that Sync returns the failure too and Synced
+// does not advance.
+func TestFileLogOverlappingSyncSeesFailure(t *testing.T) {
+	path := t.TempDir() + "/f.wal"
+	l, err := OpenFileLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if _, err := l.Append(Record{Type: RecBegin, TxnID: "T1"}); err != nil {
+		t.Fatal(err)
+	}
+	// The first Sync has flushed and taken its target; its fsync is on its
+	// way when the second Sync's fsync fails.
+	target := l.nextLSN - 1
+	failed := errors.New("fsync: input/output error")
+	if err := l.finishSync(target, failed); err != failed {
+		t.Fatalf("failing fsync settled as %v, want %v", err, failed)
+	}
+	if err := l.finishSync(target, nil); err != failed {
+		t.Fatalf("overlapping fsync settled as %v, want the failure %v", err, failed)
+	}
+	if got := l.Synced(); got != 0 {
+		t.Fatalf("Synced = %d after the overlapping fsyncs, want 0", got)
+	}
+}
+
 // TestTrigger: a checkpoint is due once the records since the last one
 // exceed CheckpointThreshold of its size (or of the floor), one runs at a
 // time, and a checkpoint that finishes after a later one does not move the

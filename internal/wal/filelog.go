@@ -131,17 +131,24 @@ func (l *FileLog) Sync() error {
 	if l.synced.Load() >= target {
 		return nil
 	}
-	err := f.Sync()
+	return l.finishSync(target, f.Sync())
+}
+
+// finishSync settles an fsync, which returned err, of the records through
+// target. An fsync that succeeded does not vouch for them if another one
+// failed meanwhile: the kernel reports a write-back error to one fsync
+// only, so this one may have found the dropped pages already forgotten.
+func (l *FileLog) finishSync(target uint64, err error) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.synced.Load() >= target {
 		// A checkpoint, durable itself, may have replaced and closed f.
 		return nil
 	}
-	if err != nil {
-		if l.failed == nil {
-			l.failed = err
-		}
+	if err != nil && l.failed == nil {
+		l.failed = err
+	}
+	if l.failed != nil {
 		return l.failed
 	}
 	l.synced.Store(target)
