@@ -142,8 +142,18 @@ func (r *Replica) Recover() error {
 	}
 	terms := make(map[string]uint64)
 	txns := make(map[string]map[string]*acceptorTxn)
+	begins := make(map[instanceKey]*acceptorTxn)
 	for _, rec := range records {
 		switch rec.Type {
+		case wal.RecBegin:
+			// A log written before accepts carried the delivery set holds it
+			// in a BEGIN ahead of the instance's accepts. A BEGIN alone
+			// carries no value, so it makes no instance.
+			group, t, err := splitLegacyBeginAux(rec.Aux)
+			if err != nil {
+				return fmt.Errorf("replog %s: LSN %d: %w", r.name, rec.LSN, err)
+			}
+			begins[instanceKey{group, rec.TxnID}] = t
 		case wal.RecTerm:
 			group, term, err := splitTermAux(rec.Aux)
 			if err != nil {
@@ -153,9 +163,12 @@ func (r *Replica) Recover() error {
 				terms[group] = term
 			}
 		case wal.RecAccept:
-			group, t, err := splitAcceptAux(rec.Aux)
+			group, t, legacy, err := splitAcceptAux(rec.Aux)
 			if err != nil {
 				return fmt.Errorf("replog %s: LSN %d: %w", r.name, rec.LSN, err)
+			}
+			if b := begins[instanceKey{group, rec.TxnID}]; legacy && b != nil {
+				t.sites, t.marking = b.sites, b.marking
 			}
 			groupTxns(txns, group)[rec.TxnID] = t
 			if t.accTerm > terms[group] {
@@ -308,24 +321,51 @@ func splitTermAux(aux string) (string, uint64, error) {
 // splitAcceptAux parses a RecAccept Aux,
 // "group|decision|term|site,site|marking", into the group and the accepted
 // instance. The group is read as everything before the last four fields.
-func splitAcceptAux(aux string) (string, *acceptorTxn, error) {
-	fields := make([]string, 4)
+// legacy reports the "group|decision|term" a replica logged before accepts
+// carried the delivery set; the instance's RecBegin holds it then.
+func splitAcceptAux(aux string) (group string, t *acceptorTxn, legacy bool, err error) {
+	n := 4
+	if j := strings.LastIndexByte(aux, '|'); j >= 0 {
+		if _, err := strconv.ParseUint(aux[j+1:], 10, 64); err == nil {
+			legacy, n = true, 2 // "group|decision|term": a marking is never a number
+		}
+	}
+	fields := make([]string, n, 4)
 	rest := aux
-	for i := len(fields) - 1; i >= 0; i-- {
+	for i := n - 1; i >= 0; i-- {
 		j := strings.LastIndexByte(rest, '|')
 		if j < 0 {
-			return "", nil, fmt.Errorf("malformed ACCEPT aux %q", aux)
+			return "", nil, false, fmt.Errorf("malformed ACCEPT aux %q", aux)
 		}
 		rest, fields[i] = rest[:j], rest[j+1:]
 	}
+	fields = fields[:4]
 	term, err := strconv.ParseUint(fields[1], 10, 64)
 	if err != nil {
-		return "", nil, fmt.Errorf("malformed ACCEPT aux %q: %w", aux, err)
+		return "", nil, false, fmt.Errorf("malformed ACCEPT aux %q: %w", aux, err)
 	}
-	t := &acceptorTxn{accTerm: term, marking: proto.ParseMarkProtocol(fields[3])}
+	t = &acceptorTxn{accTerm: term, marking: proto.ParseMarkProtocol(fields[3])}
 	t.commit, _ = wal.ParseDecision(fields[0]) // anything else reads as abort
 	if fields[2] != "" {
 		t.sites = strings.Split(fields[2], ",")
 	}
-	return rest, t, nil
+	return rest, t, legacy, nil
+}
+
+// instanceKey names one consensus instance: a group's transaction.
+type instanceKey struct{ group, txnID string }
+
+// splitLegacyBeginAux parses the "group|sites|marking" Aux of a RecBegin,
+// which replicas logged before accepts carried the delivery set.
+func splitLegacyBeginAux(aux string) (string, *acceptorTxn, error) {
+	i := strings.IndexByte(aux, '|')
+	j := strings.LastIndexByte(aux, '|')
+	if i < 0 || j <= i {
+		return "", nil, fmt.Errorf("malformed BEGIN aux %q", aux)
+	}
+	t := &acceptorTxn{marking: proto.ParseMarkProtocol(aux[j+1:])}
+	if mid := aux[i+1 : j]; mid != "" {
+		t.sites = strings.Split(mid, ",")
+	}
+	return aux[:i], t, nil
 }

@@ -127,7 +127,7 @@ func TestBeginSendsNothing(t *testing.T) {
 			if rec.Type != wal.RecAccept {
 				continue
 			}
-			_, acc, err := splitAcceptAux(rec.Aux)
+			_, acc, _, err := splitAcceptAux(rec.Aux)
 			if err != nil || len(acc.sites) != 2 || acc.marking != proto.MarkP1 {
 				t.Fatalf("replica %d accept aux %q = %+v, %v; want sites s0,s1 and P1", i, rec.Aux, acc, err)
 			}
@@ -358,7 +358,7 @@ func TestConcurrentProposersOneValuePerTerm(t *testing.T) {
 			if rec.Type != wal.RecAccept || rec.TxnID != "T1" {
 				continue
 			}
-			group, acc, err := splitAcceptAux(rec.Aux)
+			group, acc, _, err := splitAcceptAux(rec.Aux)
 			if err != nil || group != "c0" {
 				t.Fatalf("replica %d accept aux %q: %v", i, rec.Aux, err)
 			}
@@ -377,15 +377,57 @@ func TestAuxRoundTrips(t *testing.T) {
 	if _, _, err := splitTermAux("no-separator"); err == nil {
 		t.Fatal("malformed TERM aux accepted")
 	}
-	group, acc, err := splitAcceptAux("c|1|commit|3|s0,s1|P1")
+	group, acc, legacy, err := splitAcceptAux("c|1|commit|3|s0,s1|P1")
 	want := &acceptorTxn{sites: []string{"s0", "s1"}, marking: proto.MarkP1, accTerm: 3, commit: true}
-	if err != nil || group != "c|1" || !reflect.DeepEqual(acc, want) {
-		t.Fatalf("splitAcceptAux = %q, %+v, %v", group, acc, err)
+	if err != nil || legacy || group != "c|1" || !reflect.DeepEqual(acc, want) {
+		t.Fatalf("splitAcceptAux = %q, %+v, %v, %v", group, acc, legacy, err)
 	}
-	if _, acc, err := splitAcceptAux("c0|abort|2||none"); err != nil || acc.sites != nil || acc.commit {
+	if _, acc, _, err := splitAcceptAux("c0|abort|2||none"); err != nil || acc.sites != nil || acc.commit {
 		t.Fatalf("empty site list = %+v, %v; want no sites, abort", acc, err)
 	}
-	if _, _, err := splitAcceptAux("c0|commit|3"); err == nil {
-		t.Fatal("malformed ACCEPT aux accepted")
+	group, acc, legacy, err = splitAcceptAux("c0|commit|3")
+	if err != nil || !legacy || group != "c0" || !reflect.DeepEqual(acc, &acceptorTxn{accTerm: 3, commit: true}) {
+		t.Fatalf("legacy splitAcceptAux = %q, %+v, %v, %v", group, acc, legacy, err)
+	}
+	for _, aux := range []string{"c0|commit", "c0|3", "no-separator", "c0|commit|x|s0|P1"} {
+		if _, _, _, err := splitAcceptAux(aux); err == nil {
+			t.Fatalf("malformed ACCEPT aux %q accepted", aux)
+		}
+	}
+	if _, _, err := splitLegacyBeginAux("c0"); err == nil {
+		t.Fatal("malformed BEGIN aux accepted")
+	}
+}
+
+// TestReplicaRecoversLegacyLog: a replica log written while replicas
+// logged a BEGIN per transaction, and accepts without the delivery set,
+// recovers: each accepted instance takes its sites and marking from its
+// BEGIN, and a BEGIN without an accept makes no instance.
+func TestReplicaRecoversLegacyLog(t *testing.T) {
+	log := wal.NewMemoryLog()
+	for _, rec := range []wal.Record{
+		{Type: wal.RecTerm, Aux: "c0|1"},
+		{Type: wal.RecBegin, TxnID: "T1", Aux: "c0|s0,s1|P1"},
+		{Type: wal.RecBegin, TxnID: "T2", Aux: "c0|s0|none"},
+		{Type: wal.RecAccept, TxnID: "T1", Aux: "c0|commit|1"},
+		{Type: wal.RecAccept, TxnID: "T3", Aux: "c0|abort|1|s1|none"},
+	} {
+		if _, err := log.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := NewReplica(ReplicaConfig{Name: "r0", Log: log})
+	if err != nil {
+		t.Fatalf("recovering a legacy log: %v", err)
+	}
+	want := map[string]*acceptorTxn{
+		"T1": {sites: []string{"s0", "s1"}, marking: proto.MarkP1, accTerm: 1, commit: true},
+		"T3": {sites: []string{"s1"}, accTerm: 1},
+	}
+	if got := r.txns["c0"]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered instances = %+v, want %+v", got, want)
+	}
+	if r.terms["c0"] != 1 {
+		t.Fatalf("recovered term = %d, want 1", r.terms["c0"])
 	}
 }
