@@ -174,6 +174,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		*replicas = 3
 	}
 	var leader *replog.Leader
+	var reps []*replog.Replica
 	if *replicas > 0 {
 		// The replicated decision log: N acceptor replicas served over
 		// loopback TCP (file-backed next to -wal when set, else in-memory),
@@ -203,6 +204,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			defer stopServer(rpc.NewServer(rep.Name(), rep.Handle).Start(rln), stdout, "replica serve")
 			repAddrs[rep.Name()] = rln.Addr().String()
 			repNames = append(repNames, rep.Name())
+			reps = append(reps, rep)
 		}
 		repClient := rpc.NewTCPClient(repAddrs)
 		//o2pcvet:ignore errflow -- TCPClient.Close only closes sockets and always returns nil
@@ -241,7 +243,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		opsSrv := ops.NewServer(ops.Config{
 			Node:     *name,
 			Registry: metrics.NewRegistry(),
-			Collect:  func(r *metrics.Registry) { publish(r, c, leader) },
+			Collect:  func(r *metrics.Registry) { publish(r, c, leader, reps) },
 			Health:   c.Health,
 			Ready:    c.Ready,
 			Tracer:   tracer,
@@ -283,7 +285,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return writeArtifacts(c, leader, tracer, *tracePath, *chromePath, *metricsPath)
+	return writeArtifacts(c, leader, reps, tracer, *tracePath, *chromePath, *metricsPath)
 }
 
 // stopServer runs a server's stop function and reports a failed accept
@@ -295,16 +297,20 @@ func stopServer(stop func() error, stdout io.Writer, what string) {
 }
 
 // publish exposes the coordinator's stats, and its replica group leader's
-// when decisions are replicated, under the o2pc_coord_ prefix.
-func publish(r *metrics.Registry, c *coord.Coordinator, leader *replog.Leader) {
+// and replicas' when decisions are replicated, under the o2pc_coord_
+// prefix.
+func publish(r *metrics.Registry, c *coord.Coordinator, leader *replog.Leader, reps []*replog.Replica) {
 	c.Stats().Publish(r, "o2pc_coord_")
 	if leader != nil {
 		leader.Stats().Publish(r, "o2pc_coord_replog_")
 	}
+	for _, rep := range reps {
+		rep.Stats().Publish(r, "o2pc_coord_replica_", rep.Name())
+	}
 }
 
 // writeArtifacts dumps the trace and metrics files requested by flags.
-func writeArtifacts(c *coord.Coordinator, leader *replog.Leader, tracer *trace.Tracer, tracePath, chromePath, metricsPath string) error {
+func writeArtifacts(c *coord.Coordinator, leader *replog.Leader, reps []*replog.Replica, tracer *trace.Tracer, tracePath, chromePath, metricsPath string) error {
 	if tracePath != "" {
 		events := tracer.Events()
 		if err := writeFile(tracePath, func(w io.Writer) error { return trace.WriteJSONL(w, events) }); err != nil {
@@ -319,7 +325,7 @@ func writeArtifacts(c *coord.Coordinator, leader *replog.Leader, tracer *trace.T
 	}
 	if metricsPath != "" {
 		reg := metrics.NewRegistry()
-		publish(reg, c, leader)
+		publish(reg, c, leader, reps)
 		if err := writeFile(metricsPath, reg.WriteText); err != nil {
 			return fmt.Errorf("write metrics: %w", err)
 		}

@@ -207,6 +207,9 @@ func TestRunPaths(t *testing.T) {
 				"o2pc_coord_replog_leader 1",
 				"o2pc_coord_replog_term 1",
 				"o2pc_coord_replog_majority_acks_total",
+				// The one instance stays until a later accept carries its forget.
+				`o2pc_coord_replica_instances{replica="r0"} 1`,
+				`o2pc_coord_replica_wal_records{replica="r2"}`,
 			},
 		},
 		{

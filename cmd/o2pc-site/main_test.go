@@ -200,6 +200,7 @@ func TestRunServesOpsPlane(t *testing.T) {
 		`o2pc_site_exposure_duration_ms{outcome="commit",quantile="0.5"}`,
 		"o2pc_site_compensation_duration_ms",
 		"o2pc_site_readmit_rejects_total",
+		"o2pc_site_fence_txns",
 		"ops_goroutines",
 	} {
 		if !strings.Contains(body, want) {

@@ -31,13 +31,15 @@ const statsGoldenJSONL = `{"t":1000000,"node":"c0","seq":1,"type":"votereq.send"
 `
 
 // statsGoldenOut is the byte-exact rendering of the trace above. The
-// quantiles follow the histogram's linear interpolation: e.g. s0's vote
-// RTTs [1.0, 2.0] give p50 = 1.5, p90 = 1.9, p99 = 1.99.
+// quantiles follow the histogram's linear interpolation between ranks: e.g.
+// s0's vote RTTs [1.0, 2.0] give p50 = 1.5, p90 = 1.9, p99 = 1.99. A rank
+// other than the first and last reads its bucket's midpoint (within 1/128):
+// the middle of the three RTTs in "all", 2.0, reads 2.016.
 const statsGoldenOut = `prepare->vote (votereq.send -> vote.recv):
   site   count    p50ms    p90ms    p99ms    maxms
   s0         2    1.500    1.900    1.990    2.000
   s1         1    2.400    2.400    2.400    2.400
-  all        3    2.000    2.320    2.392    2.400
+  all        3    2.016    2.323    2.392    2.400
 vote->decision (first votereq.send -> decision.reached):
   all        2    2.250    2.850    2.985    3.000
 exposure window (exposed -> decision.recv):

@@ -216,6 +216,10 @@ func (cl *Cluster) Coordinator(i int) *coord.Coordinator { return cl.coords[i] }
 // Coordinators returns all coordinators.
 func (cl *Cluster) Coordinators() []*coord.Coordinator { return cl.coords }
 
+// Replicas returns the decision-log replicas (empty unless the cluster
+// runs a replicated decision log).
+func (cl *Cluster) Replicas() []*replog.Replica { return cl.replicas }
+
 // Board returns the shared marking board.
 func (cl *Cluster) Board() *marking.Board { return cl.board }
 
@@ -353,9 +357,9 @@ func (cl *Cluster) DoomAtSite(txnID, siteName string) {
 	cl.doomed.doom(txnID, siteName)
 }
 
-// PublishMetrics adopts every node's stats — coordinator and site counters,
-// gauges, and latency histograms, plus the network's per-message-type
-// census — into reg for Prometheus-style text exposition.
+// PublishMetrics adopts every node's stats — coordinator, site and replica
+// counters, gauges, and latency histograms, plus the network's
+// per-message-type census — into reg for Prometheus-style text exposition.
 func (cl *Cluster) PublishMetrics(reg *metrics.Registry) {
 	for _, c := range cl.coords {
 		c.Stats().Publish(reg, "o2pc_coord_"+c.Name()+"_")
@@ -365,6 +369,9 @@ func (cl *Cluster) PublishMetrics(reg *metrics.Registry) {
 	}
 	for _, s := range cl.sites {
 		s.Stats().Publish(reg, "o2pc_site_"+s.Name()+"_")
+	}
+	for _, r := range cl.replicas {
+		r.Stats().Publish(reg, "o2pc_replica_", r.Name())
 	}
 	net := cl.network.Counts()
 	for _, name := range net.CounterNames() {

@@ -59,26 +59,135 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 // Value returns the gauge's current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Histogram records a stream of duration (or generic numeric) samples and
-// reports order statistics. It keeps all samples: experiment runs in this
-// repository are bounded, so exactness is preferred over a sketch, and
-// golden tests rely on exact quantiles.
+// Histogram records a stream of duration (or generic numeric) samples in
+// fixed log-linear buckets and reports order statistics. Its memory is
+// bounded by the range of the values, not their number: each power of two
+// (octave) the samples reach holds subBuckets counters, allocated when the
+// first sample lands in it, and count, sum, min and max are kept exactly.
+// A quantile reads the exact min and max at its end ranks and a bucket's
+// midpoint at every other rank, within 1/(2*subBuckets) of the sample
+// there (relative).
 type Histogram struct {
-	mu      sync.Mutex
-	samples []float64
-	sorted  bool
-	sum     float64
+	mu       sync.Mutex
+	count    int
+	sum      float64
+	min, max float64
+	zero     uint64  // samples equal to zero
+	pos, neg octaves // samples above zero, and the magnitudes of those below
 }
 
-// NewHistogram returns an empty exact histogram that retains every sample.
+// subBuckets is the number of equal-width buckets per octave: a bucket of
+// octave [2^e, 2^(e+1)) is 2^e/subBuckets wide, so its midpoint is within
+// 1/(2*subBuckets) = 1/128 of any value in it.
+const subBuckets = 64
+
+// octave holds one power of two's bucket counts.
+type octave [subBuckets]uint64
+
+// octaves holds the buckets of one sign, octave e at oct[e-lo], nil until a
+// sample lands in it.
+type octaves struct {
+	lo  int
+	oct []*octave
+}
+
+// NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram { return &Histogram{} }
 
-// Observe records one sample.
+// bucketOf returns the octave and sub-bucket of a magnitude m > 0.
+func bucketOf(m float64) (e, s int) {
+	m = math.Min(m, math.MaxFloat64) // +Inf counts in the last bucket
+	frac, exp := math.Frexp(m)       // m = frac * 2^exp, frac in [0.5, 1)
+	return exp - 1, int((2*frac - 1) * subBuckets)
+}
+
+// midpoint returns the midpoint of sub-bucket s of octave e.
+func midpoint(e, s int) float64 {
+	return math.Ldexp(1+(float64(s)+0.5)/subBuckets, e)
+}
+
+// add counts n samples in sub-bucket s of octave e, growing the octave
+// range as needed.
+func (o *octaves) add(e, s int, n uint64) {
+	switch {
+	case o.oct == nil:
+		o.lo = e
+		o.oct = []*octave{nil}
+	case e < o.lo:
+		o.oct = append(make([]*octave, o.lo-e, o.lo-e+len(o.oct)), o.oct...)
+		o.lo = e
+	case e >= o.lo+len(o.oct):
+		o.oct = append(o.oct, make([]*octave, e-o.lo-len(o.oct)+1)...)
+	}
+	b := o.oct[e-o.lo]
+	if b == nil {
+		b = new(octave)
+		o.oct[e-o.lo] = b
+	}
+	b[s] += n
+}
+
+// merge adds every count of src.
+func (o *octaves) merge(src *octaves) {
+	for i, b := range src.oct {
+		if b == nil {
+			continue
+		}
+		for s, n := range b {
+			if n > 0 {
+				o.add(src.lo+i, s, n)
+			}
+		}
+	}
+}
+
+// clone returns a deep copy.
+func (o *octaves) clone() octaves {
+	c := octaves{lo: o.lo, oct: make([]*octave, len(o.oct))}
+	for i, b := range o.oct {
+		if b != nil {
+			cp := *b
+			c.oct[i] = &cp
+		}
+	}
+	return c
+}
+
+// bytes returns the memory the bucket storage holds.
+func (o *octaves) bytes() int {
+	n := len(o.oct) * 8
+	for _, b := range o.oct {
+		if b != nil {
+			n += len(b) * 8
+		}
+	}
+	return n
+}
+
+// Observe records one sample. A NaN is dropped.
 func (h *Histogram) Observe(v float64) {
+	if math.IsNaN(v) {
+		return
+	}
 	h.mu.Lock()
+	if h.count == 0 || v < h.min {
+		h.min = v
+	}
+	if h.count == 0 || v > h.max {
+		h.max = v
+	}
+	h.count++
 	h.sum += v
-	h.samples = append(h.samples, v)
-	h.sorted = false
+	switch {
+	case v > 0:
+		e, s := bucketOf(v)
+		h.pos.add(e, s, 1)
+	case v < 0:
+		e, s := bucketOf(-v)
+		h.neg.add(e, s, 1)
+	default:
+		h.zero++
+	}
 	h.mu.Unlock()
 }
 
@@ -87,19 +196,30 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(float64(d) / float64(time.Millisecond))
 }
 
-// Merge appends every sample of src to h, so a histogram merged from
-// per-site histograms reports exactly what one histogram that observed
-// every sample would. src is copied before h is locked, so two histograms
-// may merge into each other concurrently.
+// Merge adds every count of src to h, so a histogram merged from per-site
+// histograms reports what one histogram that observed every sample would.
+// src is copied before h is locked, so two histograms may merge into each
+// other concurrently.
 func (h *Histogram) Merge(src *Histogram) {
 	src.mu.Lock()
-	samples := append([]float64(nil), src.samples...)
-	sum := src.sum
+	count, sum, lo, hi, zero := src.count, src.sum, src.min, src.max, src.zero
+	pos, neg := src.pos.clone(), src.neg.clone()
 	src.mu.Unlock()
+	if count == 0 {
+		return
+	}
 	h.mu.Lock()
-	h.samples = append(h.samples, samples...)
+	if h.count == 0 || lo < h.min {
+		h.min = lo
+	}
+	if h.count == 0 || hi > h.max {
+		h.max = hi
+	}
+	h.count += count
 	h.sum += sum
-	h.sorted = false
+	h.zero += zero
+	h.pos.merge(&pos)
+	h.neg.merge(&neg)
 	h.mu.Unlock()
 }
 
@@ -107,7 +227,7 @@ func (h *Histogram) Merge(src *Histogram) {
 func (h *Histogram) Count() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.samples)
+	return h.count
 }
 
 // Sum returns the sum of all recorded samples.
@@ -121,22 +241,22 @@ func (h *Histogram) Sum() float64 {
 func (h *Histogram) Mean() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
+	if h.count == 0 {
 		return 0
 	}
-	return h.sum / float64(len(h.samples))
+	return h.sum / float64(h.count)
 }
 
-// ensureSortedLocked sorts the sample slice if needed. Callers must hold mu.
-func (h *Histogram) ensureSortedLocked() {
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
-	}
+// Bytes returns the memory the histogram's buckets hold: it grows with
+// the range of the samples, never with their number.
+func (h *Histogram) Bytes() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.pos.bytes() + h.neg.bytes()
 }
 
-// Quantile returns the q-quantile (0 <= q <= 1) using nearest-rank
-// interpolation, or 0 for an empty histogram.
+// Quantile returns the q-quantile (0 <= q <= 1), interpolating between the
+// two nearest ranks, or 0 for an empty histogram.
 func (h *Histogram) Quantile(q float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -145,28 +265,73 @@ func (h *Histogram) Quantile(q float64) float64 {
 
 // quantileLocked is Quantile for callers holding mu.
 func (h *Histogram) quantileLocked(q float64) float64 {
-	if len(h.samples) == 0 {
+	if h.count == 0 {
 		return 0
 	}
-	h.ensureSortedLocked()
 	if q <= 0 {
-		return h.samples[0]
+		return h.min
 	}
 	if q >= 1 {
-		return h.samples[len(h.samples)-1]
+		return h.max
 	}
-	pos := q * float64(len(h.samples)-1)
+	pos := q * float64(h.count-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return h.samples[lo]
+		return h.rankLocked(lo)
 	}
 	frac := pos - float64(lo)
-	return h.samples[lo]*(1-frac) + h.samples[hi]*frac
+	return h.rankLocked(lo)*(1-frac) + h.rankLocked(hi)*frac
 }
 
-// view reads the count, the sum and the qs-quantiles under one lock, from
-// one sorted view of the samples, so they all describe the same instant.
+// rankLocked returns the sample of rank r (0-based, ascending): the exact
+// min or max at the ends, else the midpoint of r's bucket, clamped to
+// [min, max]. Callers hold mu.
+func (h *Histogram) rankLocked(r int) float64 {
+	switch r {
+	case 0:
+		return h.min
+	case h.count - 1:
+		return h.max
+	}
+	left := uint64(r)
+	v := 0.0
+	if m, ok := h.neg.find(&left, true); ok {
+		v = -m
+	} else if left >= h.zero {
+		left -= h.zero
+		v, _ = h.pos.find(&left, false)
+	}
+	return math.Min(math.Max(v, h.min), h.max)
+}
+
+// find returns the midpoint of the bucket holding rank *r, counting from
+// the smallest magnitude (the largest when desc), or consumes the octaves'
+// samples from *r and reports false when the rank lies beyond them.
+func (o *octaves) find(r *uint64, desc bool) (float64, bool) {
+	for i := range o.oct {
+		if desc {
+			i = len(o.oct) - 1 - i
+		}
+		b := o.oct[i]
+		if b == nil {
+			continue
+		}
+		for s := range b {
+			if desc {
+				s = subBuckets - 1 - s
+			}
+			if *r < b[s] {
+				return midpoint(o.lo+i, s), true
+			}
+			*r -= b[s]
+		}
+	}
+	return 0, false
+}
+
+// view reads the count, the sum and the qs-quantiles under one lock, so
+// they all describe the same instant.
 func (h *Histogram) view(qs ...float64) (count int, sum float64, quantiles []float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -174,7 +339,7 @@ func (h *Histogram) view(qs ...float64) (count int, sum float64, quantiles []flo
 	for i, q := range qs {
 		quantiles[i] = h.quantileLocked(q)
 	}
-	return len(h.samples), h.sum, quantiles
+	return h.count, h.sum, quantiles
 }
 
 // Min returns the smallest sample, or 0 for an empty histogram.

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -98,12 +100,77 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Min() != 1 || h.Max() != 5 {
 		t.Fatalf("min=%v max=%v", h.Min(), h.Max())
 	}
-	if got := h.Quantile(0.5); got != 3 {
-		t.Fatalf("p50 = %v", got)
+	// Interior ranks read their bucket's midpoint.
+	if got := h.Quantile(0.5); !within(got, 3) {
+		t.Fatalf("p50 = %v, want 3 within 1/128", got)
 	}
-	// Interpolated quantile.
-	if got := h.Quantile(0.25); got != 2 {
-		t.Fatalf("p25 = %v", got)
+	if got := h.Quantile(0.25); !within(got, 2) {
+		t.Fatalf("p25 = %v, want 2 within 1/128", got)
+	}
+}
+
+// within reports whether got is within the buckets' relative error bound,
+// 1/128, of want.
+func within(got, want float64) bool {
+	return math.Abs(got-want) <= math.Abs(want)/(2*subBuckets)+1e-12
+}
+
+// TestHistogramQuantileError checks every quantile against the exact
+// interpolated order statistic of the same samples, over values spanning
+// many octaves on both sides of zero: no reading is off by more than 1/128
+// of the exact value, and the ends are exact.
+func TestHistogramQuantileError(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 20; trial++ {
+		h := NewHistogram()
+		var vals []float64
+		for i := 0; i < 1+rng.Intn(500); i++ {
+			v := math.Exp(rng.NormFloat64() * 6)
+			if trial%3 == 0 && rng.Intn(4) == 0 {
+				v = -v
+			}
+			vals = append(vals, v)
+			h.Observe(v)
+		}
+		sort.Float64s(vals)
+		exact := func(q float64) float64 {
+			pos := q * float64(len(vals)-1)
+			lo, hi := int(math.Floor(pos)), int(math.Ceil(pos))
+			return vals[lo]*(1-(pos-float64(lo))) + vals[hi]*(pos-float64(lo))
+		}
+		for _, q := range []float64{0.01, 0.1, 0.25, 0.5, 0.9, 0.99} {
+			got, want := h.Quantile(q), exact(q)
+			// An interpolation across zero mixes the signs, so bound it by
+			// the larger neighbour's magnitude.
+			pos := q * float64(len(vals)-1)
+			bound := math.Max(math.Abs(vals[int(math.Floor(pos))]), math.Abs(vals[int(math.Ceil(pos))])) / (2 * subBuckets)
+			if math.Abs(got-want) > bound+1e-12 {
+				t.Fatalf("trial %d: Quantile(%v) = %v, exact %v", trial, q, got, want)
+			}
+		}
+		if h.Min() != vals[0] || h.Max() != vals[len(vals)-1] {
+			t.Fatalf("trial %d: min %v max %v, want %v %v", trial, h.Min(), h.Max(), vals[0], vals[len(vals)-1])
+		}
+	}
+}
+
+// TestHistogramBytesBounded: the buckets' memory depends on the range of
+// the samples, not on how many there are.
+func TestHistogramBytesBounded(t *testing.T) {
+	h := NewHistogram()
+	observe := func(n int) {
+		for i := 0; i < n; i++ {
+			h.Observe(0.01 + float64(i%100000)/100) // 0.01 ms .. 1 s
+		}
+	}
+	observe(100000)
+	first := h.Bytes()
+	observe(200000)
+	if got := h.Bytes(); got != first {
+		t.Fatalf("buckets grew from %d to %d bytes with the sample count", first, got)
+	}
+	if first > 20*(subBuckets+1)*8 {
+		t.Fatalf("buckets hold %d bytes for 17 octaves of samples", first)
 	}
 }
 
@@ -155,7 +222,7 @@ func TestSnapshotAndString(t *testing.T) {
 		h.Observe(float64(i))
 	}
 	s := h.Snapshot()
-	if s.Count != 100 || s.P50 != 50.5 || s.Max != 100 {
+	if s.Count != 100 || !within(s.P50, 50.5) || s.Max != 100 {
 		t.Fatalf("snapshot = %+v", s)
 	}
 	if s.String() == "" {
@@ -179,8 +246,33 @@ func TestHistogramMerge(t *testing.T) {
 	if merged.Min() != -5000 || merged.Max() != 5000 {
 		t.Fatalf("min=%v max=%v", merged.Min(), merged.Max())
 	}
+	// Merging adds counts: the merge reads exactly as one histogram that
+	// observed every sample.
+	one := NewHistogram()
+	for i := 1; i <= 5000; i++ {
+		one.Observe(float64(i))
+		one.Observe(float64(-i))
+	}
+	for _, q := range []float64{0.01, 0.3, 0.5, 0.77, 0.99} {
+		if got, want := merged.Quantile(q), one.Quantile(q); got != want {
+			t.Fatalf("merged Quantile(%v) = %v, one histogram reads %v", q, got, want)
+		}
+	}
 	if a.Count() != 5000 {
 		t.Fatalf("merge changed its source: count=%d", a.Count())
+	}
+}
+
+// TestHistogramMergeSparse merges a histogram whose samples leave empty
+// octaves between them.
+func TestHistogramMergeSparse(t *testing.T) {
+	src, dst := NewHistogram(), NewHistogram()
+	for _, v := range []float64{0.001, 1, 1e6} {
+		src.Observe(v)
+	}
+	dst.Merge(src)
+	if dst.Count() != 3 || !within(dst.Quantile(0.5), 1) || dst.Max() != 1e6 {
+		t.Fatalf("merged sparse histogram: count %d, p50 %v, max %v", dst.Count(), dst.Quantile(0.5), dst.Max())
 	}
 }
 
@@ -501,8 +593,12 @@ func TestHistogramQuantilePins(t *testing.T) {
 		1:    10,
 	}
 	for q, want := range cases {
-		if got := h.Quantile(q); math.Abs(got-want) > 1e-9 {
-			t.Errorf("Quantile(%v) = %v, want %v", q, got, want)
+		got := h.Quantile(q)
+		if (q == 0 || q == 1) && got != want {
+			t.Errorf("Quantile(%v) = %v, want exactly %v", q, got, want)
+		}
+		if !within(got, want) {
+			t.Errorf("Quantile(%v) = %v, want %v within 1/128", q, got, want)
 		}
 	}
 }

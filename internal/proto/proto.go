@@ -367,7 +367,9 @@ type RepBegin struct {
 // decision value for one transaction at its term. A majority of OK
 // replies makes the decision chosen — only then may the DECISION message
 // be sent to participants. Sites and Marking ride along, so a takeover's
-// majority read finds every accepted decision's delivery set.
+// majority read finds every accepted decision's delivery set. Forget
+// names ended transactions whose instances the replica may drop: every
+// participant durably knows their outcome, and every replica accepted it.
 type RepAccept struct {
 	Group   string
 	Term    uint64
@@ -375,6 +377,7 @@ type RepAccept struct {
 	Commit  bool
 	Sites   []string
 	Marking MarkProtocol
+	Forget  []string
 }
 
 // RepReply acknowledges RepAccept. OK reports acceptance;

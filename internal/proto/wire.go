@@ -41,8 +41,9 @@ import (
 // version 3 added Decision.Sync, Ack.LSN, Ack.Synced and Ack.Boot;
 // version 4 added ExecRequest.Incarnation, RepAccept.Sites and
 // RepAccept.Marking and ScanRequest/ScanReply, dropped
-// RepTxnState.Accepted and retired RepBegin's tag.
-const WireVersion = 4
+// RepTxnState.Accepted and retired RepBegin's tag; version 5 added
+// RepAccept.Forget.
+const WireVersion = 5
 
 // Wire type tags, one per message in the protocol vocabulary. Tag values
 // are part of the wire format; append only.
@@ -287,7 +288,8 @@ func appendRepAccept(buf []byte, m *RepAccept) []byte {
 	buf = appendString(buf, m.TxnID)
 	buf = appendBool(buf, m.Commit)
 	buf = appendStrings(buf, m.Sites)
-	return append(buf, byte(m.Marking))
+	buf = append(buf, byte(m.Marking))
+	return appendStrings(buf, m.Forget)
 }
 
 func appendScanReply(buf []byte, m *ScanReply) []byte {
@@ -410,6 +412,7 @@ func decodeAny(r *wireReader) (any, error) {
 		m.Commit = r.bool()
 		m.Sites = r.strs()
 		m.Marking = MarkProtocol(r.byte())
+		m.Forget = r.strs()
 		msg = m
 	case wtRepReply:
 		msg = RepReply{OK: r.bool(), Term: r.uvarint()}

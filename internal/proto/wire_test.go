@@ -97,7 +97,7 @@ func sampleMessages(id, key, s string, val []byte, d1, d2 int64, b1, b2, b3 bool
 		ResolveRequest{TxnID: id},
 		ResolveReply{Known: b1, Commit: b2},
 		RepAccept{Group: s, Term: uint64(d2), TxnID: id, Commit: b1, Sites: marks,
-			Marking: MarkProtocol(n % 4)},
+			Marking: MarkProtocol(n % 4), Forget: marks},
 		RepAccept{},
 		RepReply{OK: b2, Term: uint64(d1)},
 		RepNewTerm{Group: s, Term: uint64(d2)},

@@ -112,6 +112,14 @@ type begunTxn struct {
 	marking proto.MarkProtocol
 }
 
+// choice is a decision this leader got chosen. everywhere records that
+// every replica accepted it in the ballot that chose it, so no replica
+// holds another value for the instance and the acceptors may forget it
+// once the transaction ends.
+type choice struct {
+	commit, everywhere bool
+}
+
 // Leader is the proposer side of Paxos Commit, implementing
 // coord.DecisionLog for one replication group. It elects itself lazily on
 // first use (or explicitly via Snapshot, the takeover path) and then
@@ -133,9 +141,13 @@ type Leader struct {
 	deposed   bool
 	electing  bool                // an election is in flight
 	proposing map[string]bool     // txn -> an accept ballot is in flight
-	chosen    map[string]bool     // txn -> decision this leader got chosen, until End
+	chosen    map[string]choice   // txn -> decision this leader got chosen, until End
 	begun     map[string]begunTxn // txn -> participants, until its decision is chosen
 	recovered map[string]*recoveredTxn
+	// forget holds, per replica (by index in cfg.Replicas), the ended
+	// transactions whose instances its next accept tells it to drop. An
+	// accept takes the list and puts it back unless the replica acks.
+	forget [][]string
 }
 
 // NewLeader returns an unelected leader for cfg.Group. The first Decide,
@@ -146,8 +158,9 @@ func NewLeader(cfg Config) *Leader {
 		clock:     sim.OrReal(cfg.Clock),
 		stats:     newStats(),
 		proposing: make(map[string]bool),
-		chosen:    make(map[string]bool),
+		chosen:    make(map[string]choice),
 		begun:     make(map[string]begunTxn),
+		forget:    make([][]string, len(cfg.Replicas)),
 	}
 }
 
@@ -186,11 +199,21 @@ func (l *Leader) PresumeAbort(ctx context.Context, id string) (bool, error) {
 	return l.propose(ctx, id, false)
 }
 
-// End forgets the transaction at the leader; it sends nothing. The
-// acceptors keep their instances, so a later takeover reads the value
-// again and re-runs its accept ballot (see Snapshot).
+// End forgets the transaction at the leader and, when every replica
+// accepted its decision, queues it for every replica to forget; it sends
+// nothing, the next accept to each replica carries the queue. An instance
+// some replica did not accept in the choosing ballot stays at the
+// acceptors: a replica that missed it may hold a value of an older term,
+// which must not become the only copy a takeover reads. The takeover
+// re-runs such an instance's ballot (see Snapshot), and its End then
+// queues it.
 func (l *Leader) End(ctx context.Context, id string) error {
 	l.mu.Lock()
+	if c, ok := l.chosen[id]; ok && c.everywhere {
+		for i := range l.forget {
+			l.forget[i] = append(l.forget[i], id)
+		}
+	}
 	delete(l.chosen, id)
 	delete(l.begun, id)
 	l.mu.Unlock()
@@ -210,12 +233,17 @@ func (l *Leader) Snapshot(ctx context.Context) ([]coord.BeginRecord, map[string]
 	// re-reads the whole WAL). A deposed flag is cleared here rather than
 	// checked: Snapshot IS the restart, and the majority of promises the
 	// election wins below is what re-legitimizes this node as leader. What
-	// Begin kept is dropped, as a restarted process would have lost it.
+	// Begin kept and the forget queues are dropped, as a restarted process
+	// would have lost them; the instances still held are re-balloted below
+	// and queued again at their End.
 	l.mu.Lock()
 	l.deposed = false
 	l.elected = false
 	l.recovered = nil
 	clear(l.begun)
+	for i := range l.forget {
+		l.forget[i] = nil
+	}
 	l.mu.Unlock()
 	if err := l.ensureElected(ctx); err != nil {
 		return nil, nil, err
@@ -254,8 +282,8 @@ func (l *Leader) Snapshot(ctx context.Context) ([]coord.BeginRecord, map[string]
 		begun = append(begun, coord.BeginRecord{TxnID: id, Sites: sites, Marking: t.marking})
 	}
 	l.mu.Lock()
-	for id, v := range l.chosen {
-		decisions[id] = v
+	for id, c := range l.chosen {
+		decisions[id] = c.commit
 	}
 	l.mu.Unlock()
 	return begun, decisions, nil
@@ -322,7 +350,8 @@ func (l *Leader) ensureElected(ctx context.Context) error {
 // instance whose value can have been chosen.
 func (l *Leader) elect(ctx context.Context, guess uint64) error {
 	for attempt := 0; ; attempt++ {
-		replies, _ := l.fanout(ctx, proto.RepNewTerm{Group: l.cfg.Group, Term: guess})
+		req := proto.RepNewTerm{Group: l.cfg.Group, Term: guess}
+		replies, _ := l.fanout(ctx, func(int) any { return req })
 		grants := 0
 		var rejected uint64 // highest term named by a rejection; >= guess
 		rec := make(map[string]*recoveredTxn)
@@ -401,10 +430,10 @@ func (l *Leader) propose(ctx context.Context, id string, commit bool) (bool, err
 	var b begunTxn
 	for {
 		l.mu.Lock()
-		if v, ok := l.chosen[id]; ok {
+		if c, ok := l.chosen[id]; ok {
 			delete(l.begun, id)
 			l.mu.Unlock()
-			return v, nil
+			return c.commit, nil
 		}
 		if l.deposed {
 			l.mu.Unlock()
@@ -421,13 +450,11 @@ func (l *Leader) propose(ctx context.Context, id string, commit bool) (bool, err
 			return false, err
 		}
 	}
-	err := l.ballot(ctx, func(term uint64) any {
-		return proto.RepAccept{Group: l.cfg.Group, Term: term, TxnID: id, Commit: commit,
-			Sites: b.sites, Marking: b.marking}
-	})
+	everywhere, err := l.ballot(ctx, proto.RepAccept{Group: l.cfg.Group, TxnID: id, Commit: commit,
+		Sites: b.sites, Marking: b.marking})
 	l.mu.Lock()
 	if err == nil {
-		l.chosen[id] = commit
+		l.chosen[id] = choice{commit: commit, everywhere: everywhere}
 		delete(l.begun, id)
 	}
 	delete(l.proposing, id)
@@ -438,20 +465,22 @@ func (l *Leader) propose(ctx context.Context, id string, commit bool) (bool, err
 	return commit, nil
 }
 
-// ballot runs majority rounds of one request until a majority acks at the
-// leader's term, a higher term deposes us, or the retry budget runs out.
-func (l *Leader) ballot(ctx context.Context, build func(term uint64) any) error {
+// ballot runs majority rounds of one accept, at the leader's term, until a
+// majority acks, a higher term deposes us, or the retry budget runs out.
+// everywhere reports that every replica acked the round that succeeded.
+func (l *Leader) ballot(ctx context.Context, req proto.RepAccept) (everywhere bool, err error) {
 	for attempt := 0; ; attempt++ {
 		l.mu.Lock()
 		if l.deposed {
 			l.mu.Unlock()
-			return ErrDeposed
+			return false, ErrDeposed
 		}
 		term := l.term
 		l.mu.Unlock()
-		acks, higher := l.round(ctx, term, build(term))
+		req.Term = term
+		acks, higher := l.round(ctx, req)
 		if acks >= l.majority() {
-			return nil
+			return acks == len(l.cfg.Replicas), nil
 		}
 		if higher > term {
 			l.mu.Lock()
@@ -463,34 +492,46 @@ func (l *Leader) ballot(ctx context.Context, build func(term uint64) any) error 
 			}
 			l.mu.Unlock()
 			l.depose(higher)
-			return ErrDeposed
+			return false, ErrDeposed
 		}
 		if attempt >= retries {
-			return fmt.Errorf("replog %s: no majority (%d/%d acks) after %d rounds",
+			return false, fmt.Errorf("replog %s: no majority (%d/%d acks) after %d rounds",
 				l.cfg.Group, acks, len(l.cfg.Replicas), attempt+1)
 		}
 		if err := l.clock.Sleep(ctx, retryDelay); err != nil {
-			return err
+			return false, err
 		}
 	}
 }
 
-// round is one fan-out: the request to every replica, counting acks at
-// term and reporting the highest conflicting term seen. On a majority it
-// observes the majority-th ack's latency — the ballot's replication cost.
-func (l *Leader) round(ctx context.Context, term uint64, req any) (acks int, higher uint64) {
-	replies, times := l.fanout(ctx, req)
+// round is one fan-out: the accept to every replica, each carrying that
+// replica's forget queue, counting acks at req.Term and reporting the
+// highest conflicting term seen. A replica that does not ack gets its
+// queue back. On a majority it observes the majority-th ack's latency —
+// the ballot's replication cost.
+func (l *Leader) round(ctx context.Context, req proto.RepAccept) (acks int, higher uint64) {
+	sent := make([][]string, len(l.cfg.Replicas))
+	replies, times := l.fanout(ctx, func(i int) any {
+		l.mu.Lock()
+		sent[i], l.forget[i] = l.forget[i], nil
+		l.mu.Unlock()
+		r := req
+		r.Forget = sent[i]
+		return r
+	})
 	ackTimes := make([]time.Duration, 0, len(replies))
 	for i, raw := range replies {
 		rep, ok := repReply(raw)
-		if !ok {
-			continue
-		}
-		if rep.OK && rep.Term == term {
+		if ok && rep.OK && rep.Term == req.Term {
 			ackTimes = append(ackTimes, times[i])
 			continue
 		}
-		if rep.Term > higher {
+		if len(sent[i]) > 0 {
+			l.mu.Lock()
+			l.forget[i] = append(l.forget[i], sent[i]...)
+			l.mu.Unlock()
+		}
+		if ok && rep.Term > higher {
 			higher = rep.Term
 		}
 	}
@@ -502,9 +543,10 @@ func (l *Leader) round(ctx context.Context, term uint64, req any) (acks int, hig
 	return len(ackTimes), higher
 }
 
-// fanout sends req to every replica concurrently and returns the replies
-// (nil where unreachable or errored) with each reply's arrival offset.
-func (l *Leader) fanout(ctx context.Context, req any) ([]any, []time.Duration) {
+// fanout sends build(i) to every replica i concurrently and returns the
+// replies (nil where unreachable or errored) with each reply's arrival
+// offset.
+func (l *Leader) fanout(ctx context.Context, build func(i int) any) ([]any, []time.Duration) {
 	replies := make([]any, len(l.cfg.Replicas))
 	times := make([]time.Duration, len(l.cfg.Replicas))
 	start := l.clock.Now()
@@ -512,7 +554,7 @@ func (l *Leader) fanout(ctx context.Context, req any) ([]any, []time.Duration) {
 	for i, replica := range l.cfg.Replicas {
 		i, replica := i, replica
 		g.Go(func() {
-			resp, err := l.cfg.Caller.Call(ctx, l.cfg.Group, replica, req)
+			resp, err := l.cfg.Caller.Call(ctx, l.cfg.Group, replica, build(i))
 			if err != nil {
 				return
 			}

@@ -19,8 +19,9 @@
 //
 //   - Replica (this file): the acceptor state machine. Promises terms,
 //     accepts decision values with their delivery sets, grants takeover
-//     reads. All state is write-ahead logged (RecTerm, RecAccept) and
-//     rebuilt from the WAL after a crash.
+//     reads, and drops the instances the leader says are ended. All state
+//     is write-ahead logged (RecTerm, RecAccept, RecEnd), rebuilt from the
+//     WAL after a crash, and checkpointed by the sites' rule.
 //   - Leader (leader.go): the coordinator-side proposer implementing
 //     coord.DecisionLog. Elects itself with a NewTerm majority, proposes
 //     with Accept majorities, and on takeover (Snapshot) finishes any
@@ -31,6 +32,14 @@
 // learns the transactions still undecided from the sites instead
 // (coord.Recover), and may propose abort for any of them the majority read
 // did not return — no value can have been chosen for it.
+//
+// An acceptor forgets an instance once its transaction is ended (every
+// participant durably holds the decision) and every replica accepted the
+// chosen value: the leader's End queues the ID per replica and the next
+// accept to that replica carries it (RepAccept.Forget). A takeover then
+// finds the instance at some replicas and not at others, or nowhere; either
+// way no site reports the transaction undecided, and whatever copy
+// remains is the chosen value (DESIGN.md §17).
 package replog
 
 import (
@@ -41,7 +50,9 @@ import (
 	"strings"
 	"sync"
 
+	"o2pc/internal/metrics"
 	"o2pc/internal/proto"
+	"o2pc/internal/storage"
 	"o2pc/internal/trace"
 	"o2pc/internal/wal"
 )
@@ -66,6 +77,25 @@ type ReplicaConfig struct {
 	Tracer *trace.Tracer
 }
 
+// ReplicaStats are a replica's table-size metrics.
+type ReplicaStats struct {
+	// Instances gauges the consensus instances the replica holds, over
+	// every group: accepted and not yet forgotten.
+	Instances *metrics.Gauge
+	// WALRecords gauges the records in the replica's log: its last
+	// checkpoint plus everything appended since.
+	WALRecords *metrics.Gauge
+}
+
+// Publish registers the stats under prefix, each series labeled with the
+// replica's name.
+func (s *ReplicaStats) Publish(reg *metrics.Registry, prefix, replica string) {
+	reg.Adopt(metrics.Label(prefix+"instances", "replica", replica), s.Instances)
+	reg.SetHelp(prefix+"instances", "consensus instances an acceptor holds: accepted and not yet forgotten")
+	reg.Adopt(metrics.Label(prefix+"wal_records", "replica", replica), s.WALRecords)
+	reg.SetHelp(prefix+"wal_records", "records in an acceptor's log: its last checkpoint plus everything appended since")
+}
+
 // Replica is one decision-log acceptor. It serves any number of groups
 // (one per coordinator), each with its own term register and transaction
 // instances. Safe for concurrent use; Handle is an rpc.Handler.
@@ -73,11 +103,13 @@ type Replica struct {
 	name   string
 	wal    wal.Log
 	tracer *trace.Tracer
+	stats  *ReplicaStats
 
 	mu      sync.Mutex
 	crashed bool
 	terms   map[string]uint64                  // group -> promised term
 	txns    map[string]map[string]*acceptorTxn // group -> txn -> instance
+	ckpt    wal.Trigger                        // when the log is due for a checkpoint
 }
 
 // NewReplica returns a replica over cfg.Log (wrapped for tracing when a
@@ -92,6 +124,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		name:   cfg.Name,
 		wal:    trace.WrapLog(log, cfg.Tracer, cfg.Name),
 		tracer: cfg.Tracer,
+		stats:  &ReplicaStats{Instances: &metrics.Gauge{}, WALRecords: &metrics.Gauge{}},
 	}
 	if err := r.Recover(); err != nil {
 		return nil, err
@@ -101,6 +134,17 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 
 // Name returns the replica's node name.
 func (r *Replica) Name() string { return r.name }
+
+// Stats returns the replica's metric set.
+func (r *Replica) Stats() *ReplicaStats { return r.stats }
+
+// Holds reports whether the replica holds group's instance of txnID.
+func (r *Replica) Holds(group, txnID string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, ok := r.txns[group][txnID]
+	return ok
+}
 
 // Handle serves the replication RPCs. It is registered as the replica's
 // rpc.Handler.
@@ -174,6 +218,11 @@ func (r *Replica) Recover() error {
 			if t.accTerm > terms[group] {
 				terms[group] = t.accTerm
 			}
+		case wal.RecEnd:
+			delete(txns[rec.Aux], rec.TxnID)
+		case wal.RecCheckpoint:
+			// The bracket of the replica's own checkpoints: it holds no
+			// image (the checkpointed store is empty), only carried records.
 		default:
 			return fmt.Errorf("replog %s: unexpected %v record (LSN %d) in replica log",
 				r.name, rec.Type, rec.LSN)
@@ -181,14 +230,28 @@ func (r *Replica) Recover() error {
 	}
 	r.terms = terms
 	r.txns = txns
+	instances := 0
+	for _, g := range txns {
+		instances += len(g)
+	}
+	r.stats.Instances.Set(int64(instances))
 	r.crashed = false
+	// The trigger restarts from the log as read: all of it counts as growth.
+	var first uint64
+	if len(records) > 0 {
+		first = records[0].LSN
+	}
+	r.ckpt.Reset(first)
+	r.stats.WALRecords.Set(int64(len(records)))
 	return nil
 }
 
-// accept durably accepts a decision value at m.Term. The write-ahead
-// point: the reply that completes the leader's majority must not be sent
-// before the accept record is synced, or a crashed majority could forget a
-// decision the leader already delivered.
+// accept durably accepts a decision value at m.Term, first dropping the
+// ended instances m.Forget names (each with an END record that rides the
+// accept's sync). The write-ahead point: the reply that completes the
+// leader's majority must not be sent before the accept record is synced,
+// or a crashed majority could forget a decision the leader already
+// delivered.
 func (r *Replica) accept(from string, m proto.RepAccept) (any, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -202,20 +265,35 @@ func (r *Replica) accept(from string, m proto.RepAccept) (any, error) {
 	if !ok {
 		return proto.RepReply{OK: false, Term: cur}, nil
 	}
+	group := groupTxns(r.txns, m.Group)
+	for _, id := range m.Forget {
+		if _, held := group[id]; !held {
+			continue
+		}
+		delete(group, id)
+		r.stats.Instances.Dec()
+		if _, err := r.wal.Append(wal.Record{Type: wal.RecEnd, TxnID: id, Aux: m.Group}); err != nil {
+			return nil, err
+		}
+	}
 	t := &acceptorTxn{
 		sites:   append([]string(nil), m.Sites...),
 		marking: m.Marking,
 		accTerm: m.Term,
 		commit:  m.Commit,
 	}
-	groupTxns(r.txns, m.Group)[m.TxnID] = t
+	if _, held := group[m.TxnID]; !held {
+		r.stats.Instances.Inc()
+	}
+	group[m.TxnID] = t
 	aux := wal.DecisionAux(m.Commit)
-	if _, err := r.wal.Append(wal.Record{
+	lsn, err := r.wal.Append(wal.Record{
 		Type:  wal.RecAccept,
 		TxnID: m.TxnID,
 		Aux: m.Group + "|" + aux + "|" + strconv.FormatUint(m.Term, 10) + "|" +
 			strings.Join(m.Sites, ",") + "|" + m.Marking.String(),
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	if err := r.wal.Sync(); err != nil {
@@ -223,7 +301,45 @@ func (r *Replica) accept(from string, m proto.RepAccept) (any, error) {
 	}
 	r.tracer.Emit(r.name, trace.EvRepAccept, m.TxnID, from,
 		aux+" term="+strconv.FormatUint(m.Term, 10))
+	records, due := r.ckpt.Due(lsn, 0)
+	if records > 0 {
+		r.stats.WALRecords.Set(int64(records))
+	}
+	if due {
+		// A failed checkpoint leaves the log as it was; a later accept
+		// triggers another attempt.
+		//o2pcvet:ignore errflow -- see above: the log is unchanged and the next accept retries
+		_ = r.checkpointLocked()
+		r.ckpt.Finish()
+	}
 	return proto.RepReply{OK: true, Term: m.Term}, nil
+}
+
+// Checkpoint takes one checkpoint of the replica's log now: wal.Log's
+// Checkpoint over an empty store, so the log keeps each group's latest
+// TERM and the ACCEPT records of the instances not forgotten
+// (wal.CarryRecords). The replica checkpoints by itself, by the sites'
+// rule (wal.CheckpointThreshold), after the accept that makes one due.
+func (r *Replica) Checkpoint() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.crashed {
+		return fmt.Errorf("replog %s: crashed", r.name)
+	}
+	return r.checkpointLocked()
+}
+
+// checkpointLocked is Checkpoint for callers holding r.mu, which keeps
+// Recover from reading the log while it is replaced.
+func (r *Replica) checkpointLocked() error {
+	begin, end, err := r.wal.Checkpoint(storage.NewStore())
+	if err != nil {
+		return err
+	}
+	if records, moved := r.ckpt.Advance(begin, end); moved {
+		r.stats.WALRecords.Set(int64(records))
+	}
+	return nil
 }
 
 // newTerm grants a takeover read iff m.Term is strictly greater than the

@@ -19,7 +19,10 @@
 //     every surviving undone mark names a globally aborted transaction;
 //   - forgetting: once every decision is delivered, no up coordinator
 //     keeps a decided entry, and no up coordinator's local decision log a
-//     decision, for a transaction every participant acknowledged.
+//     decision, for a transaction every participant acknowledged; and,
+//     after one more ballot per replication group carries the leaders'
+//     forget queues, no decision-log replica holds an instance an
+//     acknowledged accept told it to forget.
 package explore
 
 import (
@@ -214,6 +217,9 @@ type Result struct {
 	// CheckpointedCrashes counts the site crashes that hit a site which
 	// had taken a checkpoint since its previous restart.
 	CheckpointedCrashes int
+	// Forgotten counts the instances the replicas were told to forget, as
+	// the acceptor forgetting oracle checked them.
+	Forgotten int
 	// Failures lists every violated oracle (empty on a correct run).
 	Failures []string
 }
@@ -252,6 +258,7 @@ func Run(cfg Config) *Result {
 	for a := 0; a < cfg.Accounts; a++ {
 		cl.SeedInt64(acctKey(a), cfg.InitialBalance)
 	}
+	forgets := watchForgets(cl)
 
 	// The whole workload is precomputed from the seed before any goroutine
 	// starts, so the only randomness live during the run is the network's
@@ -631,8 +638,85 @@ func Run(cfg Config) *Result {
 		res.fail("outcome count mismatch: %d committed + %d aborted != %d txns",
 			res.Committed, res.Aborted, cfg.Txns)
 	}
+
+	// Oracle 6: forgetting at the acceptors. The leaders' forget queues
+	// ride the next accept, so each group runs one more ballot (after the
+	// trace and history were taken: it is no part of the schedule). Then
+	// no replica may hold an instance it was told to forget.
+	if len(cl.Replicas()) > 0 {
+		for i := range cl.Coordinators() {
+			bctx, bcancel := clock.WithTimeout(context.Background(), time.Minute)
+			cl.RunAt(bctx, i, coord.TxnSpec{
+				ID:       fmt.Sprintf("forget-probe-c%d", i),
+				Protocol: proto.Paxos,
+				Subtxns: []coord.SubtxnSpec{{Site: siteName(0),
+					Ops: []proto.Operation{proto.Add("forget-probe", 1)}, Comp: proto.CompSemantic}},
+			})
+			bcancel()
+		}
+		for i, r := range cl.Replicas() {
+			told := forgets.told(i)
+			res.Forgotten += len(told)
+			for _, k := range told {
+				if r.Holds(k.group, k.txnID) {
+					res.fail("replica %s still holds %s/%s, which it was told to forget", r.Name(), k.group, k.txnID)
+				}
+			}
+		}
+	}
 	cl.Close()
 	return res
+}
+
+// instance names one group's consensus instance at a replica.
+type instance struct{ group, txnID string }
+
+// forgetWatch records, per replica, the instances an acknowledged accept
+// told it to forget and no later acknowledged accept re-created.
+type forgetWatch struct {
+	mu     sync.Mutex
+	forgot []map[instance]bool
+}
+
+// watchForgets wraps every replica's handler in cl's network so the
+// acceptor forgetting oracle sees what each replica was told.
+func watchForgets(cl *core.Cluster) *forgetWatch {
+	w := &forgetWatch{}
+	for i, r := range cl.Replicas() {
+		w.forgot = append(w.forgot, make(map[instance]bool))
+		h := r.Handle
+		cl.Network().Register(r.Name(), func(ctx context.Context, from string, req any) (any, error) {
+			resp, err := h(ctx, from, req)
+			acc, isAccept := req.(proto.RepAccept)
+			if rep, ok := resp.(proto.RepReply); err == nil && isAccept && ok && rep.OK {
+				w.mu.Lock()
+				for _, id := range acc.Forget {
+					w.forgot[i][instance{acc.Group, id}] = true
+				}
+				delete(w.forgot[i], instance{acc.Group, acc.TxnID})
+				w.mu.Unlock()
+			}
+			return resp, err
+		})
+	}
+	return w
+}
+
+// told returns, in order, the instances replica i was told to forget.
+func (w *forgetWatch) told(i int) []instance {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	out := make([]instance, 0, len(w.forgot[i]))
+	for k := range w.forgot[i] {
+		out = append(out, k)
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].group != out[b].group {
+			return out[a].group < out[b].group
+		}
+		return out[a].txnID < out[b].txnID
+	})
+	return out
 }
 
 // CanonicalJSON renders a history with its ops in (site, seq) order. The

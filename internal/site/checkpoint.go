@@ -32,6 +32,7 @@ func (s *Site) Checkpoint(ctx context.Context) error {
 	}
 	s.stats.CheckpointDuration.ObserveDuration(s.clock.Since(start))
 	s.stats.Checkpoints.Inc()
+	s.rotateFence()
 	if records, moved := s.ckpt.Advance(begin, end); moved {
 		s.stats.WALRecords.Set(int64(records))
 	}

@@ -52,8 +52,10 @@ func mixedLog(t *testing.T, s1 *Site) {
 func fenceFingerprint(s *Site) map[string]string {
 	fp := recoveryFingerprint(s)
 	s.mu.Lock()
-	for id := range s.resolved {
-		fp["fence:"+id] = "resolved"
+	for _, gen := range []map[string]bool{s.resolved, s.resolvedPrev} {
+		for id := range gen {
+			fp["fence:"+id] = "resolved"
+		}
 	}
 	s.mu.Unlock()
 	return fp

@@ -228,3 +228,35 @@ func TestScanFloorCoversLaterIncarnations(t *testing.T) {
 		t.Fatalf("scan after restart = %+v, want T3 and latest 12", got)
 	}
 }
+
+// TestFenceForgetsAfterTwoCheckpoints: the in-memory fence follows the
+// log's rule. A decision stays fenced through the checkpoint after it and
+// leaves the fence at the one after that; a decision taken between the two
+// checkpoints still refuses a late exec.
+func TestFenceForgetsAfterTwoCheckpoints(t *testing.T) {
+	s := newTestSite(t, Config{})
+	s.SeedInt64("n", 0)
+	decide(t, s, "Told", false)
+	if err := s.Checkpoint(bg()); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	if reply := exec(t, s, o2pcReq("Told", proto.Add("n", 1))); reply.OK {
+		t.Fatalf("late exec ran one checkpoint after its decision: %+v", reply)
+	}
+	decide(t, s, "Tnew", false)
+	if err := s.Checkpoint(bg()); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	if reply := exec(t, s, o2pcReq("Tnew", proto.Add("n", 1))); reply.OK {
+		t.Fatalf("late exec of a decision one checkpoint old ran: %+v", reply)
+	}
+	if got := s.Stats().FenceTxns.Value(); got != 1 {
+		t.Fatalf("fence holds %d transactions two checkpoints on, want 1 (Tnew)", got)
+	}
+	s.mu.Lock()
+	fenced := s.fencedLocked("Told")
+	s.mu.Unlock()
+	if fenced {
+		t.Fatal("Told is still fenced two checkpoints after its decision")
+	}
+}

@@ -149,10 +149,12 @@ func (s *Site) Recover(ctx context.Context) (wal.RecoverResult, error) {
 	s.pend = make(map[string]*pending)
 	s.applying = make(map[string]bool)
 	s.resolved = make(map[string]bool)
+	s.resolvedPrev = make(map[string]bool)
 	s.floors = make(map[string]incarnations)
 	s.mu.Unlock()
 	s.boot.Add(1)
 	s.stats.PendingGlobal.Set(0)
+	s.stats.FenceTxns.Set(0)
 	s.mgr.CrashReset()
 
 	store := storage.NewStore()
@@ -192,7 +194,7 @@ func (s *Site) Recover(ctx context.Context) (wal.RecoverResult, error) {
 	// full checkpoint interval (wal.CarryRecords).
 	s.mu.Lock()
 	for txnID := range analysis.Decisions {
-		s.resolved[txnID] = true
+		s.fenceLocked(txnID)
 	}
 	s.mu.Unlock()
 

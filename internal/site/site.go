@@ -128,6 +128,9 @@ type Stats struct {
 	// WALRecords gauges the records in the site's log: set at every
 	// decision and every checkpoint.
 	WALRecords *metrics.Gauge
+	// FenceTxns gauges the transactions in the stale-exec fence: the
+	// decisions of the last two checkpoint intervals.
+	FenceTxns *metrics.Gauge
 	// CheckpointDuration measures each checkpoint, in ms: the time the
 	// log's appends wait for it.
 	CheckpointDuration *metrics.Histogram
@@ -159,6 +162,7 @@ func newStats() *Stats {
 		ReadmitRejects:       &metrics.Counter{},
 		Checkpoints:          &metrics.Counter{},
 		WALRecords:           &metrics.Gauge{},
+		FenceTxns:            &metrics.Gauge{},
 		CheckpointDuration:   metrics.NewHistogram(),
 	}
 }
@@ -190,11 +194,13 @@ func (s *Stats) Publish(reg *metrics.Registry, prefix string) {
 	reg.Adopt(prefix+"readmit_rejects_total", s.ReadmitRejects)
 	reg.Adopt(prefix+"checkpoints_total", s.Checkpoints)
 	reg.Adopt(prefix+"wal_records", s.WALRecords)
+	reg.Adopt(prefix+"fence_txns", s.FenceTxns)
 	reg.Adopt(prefix+"checkpoint_ms", s.CheckpointDuration)
 	reg.SetHelp(prefix+"exposure_duration_ms", "O2PC exposure window: local commit at YES vote to decision arrival; the unlabeled series aggregates both outcomes, abort windows required compensation")
 	reg.SetHelp(prefix+"compensation_duration_ms", "compensating transaction CTik start to installed, retries included")
 	reg.SetHelp(prefix+"readmit_rejects_total", "rule R1 re-admission refusals on continuation rounds and re-votes")
 	reg.SetHelp(prefix+"wal_records", "records in the site's WAL: the last checkpoint plus everything appended since")
+	reg.SetHelp(prefix+"fence_txns", "decided transactions the site still fences against a late exec: the last two checkpoint intervals' decisions")
 	reg.SetHelp(prefix+"checkpoint_ms", "one WAL checkpoint: the time appends wait for it")
 }
 
@@ -246,7 +252,12 @@ type Site struct {
 	mu       sync.Mutex
 	pend     map[string]*pending
 	applying map[string]bool // left pend, decision still being applied
-	resolved map[string]bool // txns whose decision this site has processed
+	// resolved and resolvedPrev are the stale-exec fence: the transactions
+	// whose decision this site processed since the last checkpoint, and in
+	// the interval before it. Checkpoint rotates them, so a decision stays
+	// fenced for at least one full checkpoint interval, as the log's fence
+	// does (wal.CarryRecords).
+	resolved, resolvedPrev map[string]bool
 	// unsynced holds, by LSN, the decision records acked before they were
 	// durable; a re-sent decision is acked only once its record is.
 	unsynced map[string]uint64
@@ -329,14 +340,15 @@ func NewSite(cfg Config) *Site {
 		// RecUnmark record write-ahead through the same (traced) log as
 		// the store, so sitemarks.k survives a
 		// site crash like the rest of the database (Section 6.2).
-		marks:    marking.NewLoggedMarks(marking.NewSiteMarks(), log, wal.MarkSetUndone),
-		lc:       marking.NewLoggedMarks(marking.NewSiteMarks(), log, wal.MarkSetLC),
-		stats:    newStats(),
-		tracer:   cfg.Tracer,
-		pend:     make(map[string]*pending),
-		applying: make(map[string]bool),
-		resolved: make(map[string]bool),
-		floors:   make(map[string]incarnations),
+		marks:        marking.NewLoggedMarks(marking.NewSiteMarks(), log, wal.MarkSetUndone),
+		lc:           marking.NewLoggedMarks(marking.NewSiteMarks(), log, wal.MarkSetLC),
+		stats:        newStats(),
+		tracer:       cfg.Tracer,
+		pend:         make(map[string]*pending),
+		applying:     make(map[string]bool),
+		resolved:     make(map[string]bool),
+		resolvedPrev: make(map[string]bool),
+		floors:       make(map[string]incarnations),
 	}
 	s.boot.Store(uint64(clock.Now().UnixNano()))
 	return s
@@ -588,13 +600,37 @@ func (s *Site) execLocked(ctx context.Context, from string, req proto.ExecReques
 // site. Callers hold s.mu.
 func (s *Site) staleLocked(from string, req proto.ExecRequest) string {
 	switch {
-	case s.resolved[req.TxnID]:
+	case s.fencedLocked(req.TxnID):
 		return "transaction decided at this site"
 	case req.Incarnation < s.floors[from].floor:
 		return "its coordinator recovered since"
 	default:
 		return ""
 	}
+}
+
+// fencedLocked reports whether a late exec of txnID must be refused
+// because its decision was processed here. Callers hold s.mu.
+func (s *Site) fencedLocked(txnID string) bool {
+	return s.resolved[txnID] || s.resolvedPrev[txnID]
+}
+
+// fenceLocked adds txnID to the stale-exec fence. Callers hold s.mu.
+func (s *Site) fenceLocked(txnID string) {
+	s.resolved[txnID] = true
+	s.stats.FenceTxns.Set(int64(len(s.resolved) + len(s.resolvedPrev)))
+}
+
+// rotateFence drops the older fence generation after a checkpoint: its
+// decisions have been fenced for a full checkpoint interval, and the
+// checkpoint just taken dropped them from the log too.
+func (s *Site) rotateFence() {
+	s.mu.Lock()
+	prev := s.resolvedPrev
+	clear(prev)
+	s.resolvedPrev, s.resolved = s.resolved, prev
+	s.stats.FenceTxns.Set(int64(len(s.resolvedPrev)))
+	s.mu.Unlock()
 }
 
 // incarnations is what a site knows of one coordinator's incarnations.

@@ -100,7 +100,7 @@ func (s *Site) vote(ctx context.Context, from, txnID string, lockPoint bool) pro
 		}
 		s.mu.Lock()
 		delete(s.pend, p.req.TxnID)
-		s.resolved[p.req.TxnID] = true // fence late ExecRequests, as a decision does
+		s.fenceLocked(p.req.TxnID) // fence late ExecRequests, as a decision does
 		s.mu.Unlock()
 		s.stats.PendingGlobal.Dec()
 		s.maybeCheckpoint(p.t.EndLSN())
@@ -255,8 +255,8 @@ func (s *Site) handleDecision(ctx context.Context, d proto.Decision) (proto.Ack,
 		delete(s.pend, d.TxnID)
 		s.applying[d.TxnID] = true
 	}
-	wasResolved := s.resolved[d.TxnID]
-	s.resolved[d.TxnID] = true // fence late ExecRequests for this txn
+	wasResolved := s.fencedLocked(d.TxnID)
+	s.fenceLocked(d.TxnID) // fence late ExecRequests for this txn
 	s.mu.Unlock()
 	if !ok {
 		// Already resolved (e.g. the site voted NO and rolled back, or a
@@ -318,6 +318,7 @@ func (s *Site) handleDecision(ctx context.Context, d proto.Decision) (proto.Ack,
 		s.pend[d.TxnID] = p
 		if !wasResolved {
 			delete(s.resolved, d.TxnID)
+			s.stats.FenceTxns.Dec()
 		}
 		s.mu.Unlock()
 		s.stats.PendingGlobal.Inc()

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"sort"
+	"strings"
 	"sync"
 
 	"o2pc/internal/storage"
@@ -182,10 +183,14 @@ func bracket(records []Record, store *storage.Store, next uint64) []Record {
 //     refuses a delayed subtransaction of a decided transaction for one
 //     full checkpoint interval (decisions the previous checkpoint carried
 //     as fence are dropped),
-//   - nothing of a coordinator's ended transaction: END is terminal, so a
-//     coordinator log keeps the BEGIN and DECISION records of exactly the
-//     transactions not yet acknowledged by every participant (active, by
-//     the rule above) and fences nothing,
+//   - nothing of an ended transaction: END is terminal, so a coordinator
+//     log keeps the BEGIN and DECISION records of exactly the transactions
+//     not yet acknowledged by every participant, and a decision-log
+//     replica's the ACCEPT records of exactly the instances it was not
+//     told to forget (both active, by the rule above); neither fences
+//     anything,
+//   - a decision-log replica's latest TERM record per group (Aux
+//     "group|term"): its promise, which no instance may forget,
 //   - one RecMark record per currently-set mark, snapshotting the marking
 //     sets (which outlive the transactions that created them).
 //
@@ -234,6 +239,14 @@ func CarryRecords(records []Record) []Record {
 		}
 	}
 
+	// A group's promise only rises, so its last TERM record is its latest.
+	lastTerm := make(map[string]int)
+	for i := range replay {
+		if rec := &replay[i]; rec.Type == RecTerm {
+			lastTerm[termGroup(rec.Aux)] = i
+		}
+	}
+
 	var out []Record
 	for i := range replay {
 		rec := &replay[i]
@@ -242,9 +255,14 @@ func CarryRecords(records []Record) []Record {
 			// Mark state is re-snapshotted below; stray bracket markers
 			// never carry.
 			continue
+		case RecTerm:
+			if lastTerm[termGroup(rec.Aux)] == i {
+				out = append(out, *rec)
+			}
+			continue
 		case RecBegin, RecUpdate, RecCommit, RecAbort, RecPrepared,
 			RecDecision, RecCompBegin, RecCompEnd, RecExposed,
-			RecTerm, RecAccept, RecEnd:
+			RecAccept, RecEnd:
 		}
 		if carry[rec.TxnID] {
 			out = append(out, *rec)
@@ -272,6 +290,14 @@ func CarryRecords(records []Record) []Record {
 		}
 	}
 	return out
+}
+
+// termGroup returns the group of a TERM record's "group|term" Aux.
+func termGroup(aux string) string {
+	if i := strings.LastIndexByte(aux, '|'); i >= 0 {
+		return aux[:i]
+	}
+	return aux
 }
 
 // lastCheckpoint returns the index range (begin, end) of the last complete

@@ -65,15 +65,17 @@ const (
 	// promise is answered.
 	RecTerm
 	// RecAccept records a decision value accepted by a decision-log replica
-	// at a ballot (Aux "commit|term" or "abort|term" for the transaction in
-	// TxnID). Durable before the accept is acked: a majority of these
-	// records IS the replicated decision.
+	// at a ballot (Aux "group|decision|term|sites|marking" for the
+	// transaction in TxnID). Durable before the accept is acked: a majority
+	// of these records IS the replicated decision.
 	RecAccept
-	// RecEnd marks a coordinator's transaction as forgotten: every
+	// RecEnd marks a transaction as forgotten: at a coordinator, every
 	// participant has acknowledged the decision, so recovery neither
-	// presumes abort for it nor re-delivers its decision, and a checkpoint
-	// drops its records. Unforced: a lost END only costs one idempotent
-	// re-delivery after a restart.
+	// presumes abort for it nor re-delivers its decision; at a decision-log
+	// replica (Aux the group), the leader told it to drop the instance. A
+	// checkpoint drops the transaction's records. Unforced: a lost END only
+	// costs one idempotent re-delivery, or one instance kept, after a
+	// restart.
 	RecEnd
 )
 
@@ -318,8 +320,8 @@ const (
 	StatusCommitted
 	// StatusAborted means an ABORT record exists.
 	StatusAborted
-	// StatusEnded means a coordinator's END record exists: the transaction
-	// is decided, delivered and forgotten.
+	// StatusEnded means an END record exists: the transaction is decided,
+	// delivered and forgotten.
 	StatusEnded
 )
 
@@ -416,6 +418,10 @@ func Analyze(records []Record) Analysis {
 				// live until the next END.
 				a.Status[rec.TxnID] = StatusActive
 			}
+		case RecAccept:
+			// A replica's instance is live from its (latest) accept until
+			// an END.
+			a.Status[rec.TxnID] = StatusActive
 		case RecExposed:
 			a.Exposed[rec.TxnID] = rec.Aux
 		case RecMark:
@@ -432,9 +438,8 @@ func Analyze(records []Record) Analysis {
 			// consumes them via lastCheckpoint before analysis.
 		case RecEnd:
 			a.Status[rec.TxnID] = StatusEnded
-		case RecTerm, RecAccept:
-			// Replication acceptor state (internal/replog) is rebuilt by the
-			// replica itself; it carries no local-transaction status.
+		case RecTerm:
+			// A replica's promise belongs to a group, not a transaction.
 		}
 	}
 	return a
